@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "common/core_mask.hh"
@@ -61,6 +62,13 @@ enum class PredictorKind
     PcSpatial,       ///< Amoeba-Cache PC-indexed spatial predictor
     WordOnly,        ///< fetch exactly the referenced words (lower bound)
 };
+
+/**
+ * Index of one slot (and of its sidecar) within an L2 tile; the
+ * all-ones value is reserved as "no slot", so a tile holds at most
+ * max() entries.
+ */
+using L2SlotIndex = std::uint32_t;
 
 /**
  * Complete configuration of the simulated system.
@@ -273,6 +281,16 @@ struct SystemConfig
                   numCores, meshCols * meshRows);
         if (l2Tiles != numCores)
             fatal("l2Tiles must equal numCores (tiled design)");
+        if (l1Sets == 0)
+            fatal("l1Sets must be at least 1");
+        if (l2Assoc == 0)
+            fatal("l2Assoc must be at least 1");
+        if (l2BytesPerTile / regionBytes >
+            std::numeric_limits<L2SlotIndex>::max())
+            fatal("l2BytesPerTile=%llu holds more %u-byte entries than "
+                  "an L2 slot index can address (%u)",
+                  static_cast<unsigned long long>(l2BytesPerTile),
+                  regionBytes, std::numeric_limits<L2SlotIndex>::max());
         if (l2BytesPerTile < std::uint64_t(regionBytes) * l2Assoc)
             fatal("l2BytesPerTile=%llu cannot hold one %u-way set of "
                   "%u-byte regions",

@@ -38,12 +38,27 @@ class Serializer
         buf.insert(buf.end(), b, b + n);
     }
 
+    /**
+     * Append @p v's object bytes. Where the compiler can clear padding
+     * (GCC 11+), padding bytes are written as zero: they hold whatever
+     * the stack or heap last left there, and zeroing them lets two
+     * identical runs save identical images.
+     */
     template <typename T>
     void
     writeRaw(const T &v)
     {
         static_assert(std::is_trivially_copyable_v<T>,
                       "raw serialization needs a trivially copyable type");
+#if __has_builtin(__builtin_clear_padding)
+        if constexpr (!std::has_unique_object_representations_v<T>) {
+            alignas(T) unsigned char bytes[sizeof(T)];
+            std::memcpy(bytes, &v, sizeof(T));
+            __builtin_clear_padding(reinterpret_cast<T *>(bytes));
+            writeBytes(bytes, sizeof(T));
+            return;
+        }
+#endif
         writeBytes(&v, sizeof(T));
     }
 
@@ -67,8 +82,13 @@ class Serializer
         static_assert(std::is_trivially_copyable_v<T>,
                       "raw serialization needs a trivially copyable type");
         writeU64(v.size());
-        if (!v.empty())
-            writeBytes(v.data(), v.size() * sizeof(T));
+        if constexpr (std::has_unique_object_representations_v<T>) {
+            if (!v.empty())
+                writeBytes(v.data(), v.size() * sizeof(T));
+        } else {
+            for (const T &e : v)
+                writeRaw(e);
+        }
     }
 
     const std::vector<std::uint8_t> &bytes() const { return buf; }

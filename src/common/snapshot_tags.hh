@@ -7,7 +7,7 @@
  * the components, never the other way around).
  *
  * Versioning rule: kSnapshotVersion must be bumped whenever the byte
- * layout of any serialized section changes — a snapshot is a dense
+ * layout of any serialized section changes — a snapshot is a raw
  * binary image, not a schema'd document, so cross-version reads are
  * rejected outright rather than migrated (DESIGN.md §13).
  */
@@ -23,7 +23,7 @@ namespace protozoa {
 constexpr std::uint32_t kSnapshotMagic = 0x4e535a50u;
 
 /** Bump on any serialized-layout change. */
-constexpr std::uint32_t kSnapshotVersion = 1;
+constexpr std::uint32_t kSnapshotVersion = 2;
 
 /**
  * Discriminator for every event class that can be in flight at a

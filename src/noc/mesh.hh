@@ -413,7 +413,7 @@ class Mesh
             for (const auto &chan : parked) {
                 s.writeU32(static_cast<std::uint32_t>(chan.size()));
                 for (const Parked &p : chan) {
-                    s.writeRaw(p.msg);
+                    p.msg.save(s);
                     s.writeU64(p.hash);
                 }
             }

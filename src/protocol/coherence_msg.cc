@@ -115,4 +115,15 @@ CoherenceMsg::fingerprint() const
     return h;
 }
 
+void
+CoherenceMsg::save(Serializer &s) const
+{
+    CoherenceMsg canon = *this;
+    for (unsigned w = 0; w < kMaxRegionWords; ++w) {
+        if (!canon.data.has(w))
+            canon.data.words[w] = 0;
+    }
+    s.writeRaw(canon);
+}
+
 } // namespace protozoa

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "common/log.hh"
+#include "common/serialize.hh"
 #include "common/small_vec.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -284,6 +285,14 @@ struct CoherenceMsg
      * for the in-flight part of the state fingerprint).
      */
     std::uint64_t fingerprint() const;
+
+    /**
+     * Append the message to a snapshot image as its object bytes,
+     * with the payload words outside data.valid written as zero: they
+     * are never read and hold whatever the storage last held, so
+     * identical runs save identical images.
+     */
+    void save(Serializer &s) const;
 
     std::string toString() const;
 };

@@ -20,9 +20,11 @@ DirController::DirController(TileId id, const SystemConfig &config,
     const std::uint64_t blocks = cfg.l2BytesPerTile / cfg.regionBytes;
     setsPerTile = static_cast<unsigned>(blocks / cfg.l2Assoc);
     PROTO_ASSERT(setsPerTile > 0, "L2 tile too small");
-    sets.resize(setsPerTile);
-    for (auto &set : sets)
-        set.resize(cfg.l2Assoc);
+    const std::size_t slots = std::size_t(setsPerTile) * cfg.l2Assoc;
+    tags.assign(slots, 0);
+    lru.reset(new std::uint64_t[slots]);
+    sidecarOf.reset(new Slot[slots]);
+    sidecars.reserve(slots);
 
     if (cfg.directory == DirectoryKind::TaglessBloom) {
         bloomReaders = std::make_unique<CountingBloomSharers>(
@@ -33,82 +35,85 @@ DirController::DirController(TileId id, const SystemConfig &config,
 }
 
 void
-DirController::setReader(L2Entry &entry, CoreId core)
+DirController::setReader(Slot s, CoreId core)
 {
-    if (!entry.readers.test(core)) {
-        entry.readers.set(core);
+    CoreSet &readers = dataAt(s).readers;
+    if (!readers.test(core)) {
+        readers.set(core);
         if (bloomReaders)
-            bloomReaders->add(entry.region, core);
+            bloomReaders->add(regionAt(s), core);
     }
 }
 
 void
-DirController::clearReader(L2Entry &entry, CoreId core)
+DirController::clearReader(Slot s, CoreId core)
 {
-    if (entry.readers.test(core)) {
-        entry.readers.reset(core);
+    CoreSet &readers = dataAt(s).readers;
+    if (readers.test(core)) {
+        readers.reset(core);
         if (bloomReaders)
-            bloomReaders->remove(entry.region, core);
+            bloomReaders->remove(regionAt(s), core);
     }
 }
 
 void
-DirController::setWriter(L2Entry &entry, CoreId core)
+DirController::setWriter(Slot s, CoreId core)
 {
-    if (!entry.writers.test(core)) {
-        entry.writers.set(core);
+    CoreSet &writers = dataAt(s).writers;
+    if (!writers.test(core)) {
+        writers.set(core);
         if (bloomWriters)
-            bloomWriters->add(entry.region, core);
+            bloomWriters->add(regionAt(s), core);
     }
 }
 
 void
-DirController::clearWriter(L2Entry &entry, CoreId core)
+DirController::clearWriter(Slot s, CoreId core)
 {
-    if (entry.writers.test(core)) {
-        entry.writers.reset(core);
+    CoreSet &writers = dataAt(s).writers;
+    if (writers.test(core)) {
+        writers.reset(core);
         if (bloomWriters)
-            bloomWriters->remove(entry.region, core);
+            bloomWriters->remove(regionAt(s), core);
     }
 }
 
 void
-DirController::clearAllSharers(L2Entry &entry)
+DirController::clearAllSharers(Slot s)
 {
-    entry.readers.forEach(
-        [&](CoreId c) { clearReader(entry, c); });
-    entry.writers.forEach(
-        [&](CoreId c) { clearWriter(entry, c); });
+    dataAt(s).readers.forEach([&](CoreId c) { clearReader(s, c); });
+    dataAt(s).writers.forEach([&](CoreId c) { clearWriter(s, c); });
 }
 
 CoreSet
-DirController::probeWriters(const L2Entry &entry) const
+DirController::probeWriters(Slot s) const
 {
     if (!bloomWriters)
-        return entry.writers;
-    return bloomWriters->query(entry.region);
+        return dataAt(s).writers;
+    return bloomWriters->query(regionAt(s));
 }
 
 CoreSet
-DirController::probeReaders(const L2Entry &entry) const
+DirController::probeReaders(Slot s) const
 {
     if (!bloomReaders)
-        return entry.readers;
+        return dataAt(s).readers;
     // A Bloom-writer core receives FWD_GETX already; do not also INV.
-    return bloomReaders->query(entry.region).minus(probeWriters(entry));
+    return bloomReaders->query(regionAt(s)).minus(probeWriters(s));
 }
 
 DirState
-DirController::absState(const L2Entry *entry) const
+DirController::absState(Slot s) const
 {
-    if (!entry || entry->filling)
+    if (s == kNoSlot || fillingAt(s))
         return DirState::NP;
-    const unsigned writers = entry->writers.count();
+    const EntryData &e = dataAt(s);
+    const unsigned writers = e.writers.count();
     if (writers > 1)
         return DirState::MW;
     if (writers == 1)
-        return entry->readers.any() ? DirState::WR : DirState::W;
-    return entry->readers.any() ? DirState::R : DirState::I;
+        return e.readers.any() ? DirState::WR : DirState::W;
+    return e.readers.any() ? DirState::R : DirState::I;
 }
 
 void
@@ -144,14 +149,32 @@ DirController::setIndexOf(Addr region) const
                                  setsPerTile);
 }
 
-DirController::L2Entry *
-DirController::lookup(Addr region)
+DirController::Slot
+DirController::lookup(Addr region) const
 {
-    for (auto &entry : sets[setIndexOf(region)]) {
-        if (entry.valid && entry.region == region)
-            return &entry;
+    // One compare per way: the tag must read region | kValid once the
+    // filling and dirty bits are masked off.
+    const std::uint64_t want = region | kValid;
+    const Slot base = setIndexOf(region) * cfg.l2Assoc;
+    for (Slot s = base; s < base + cfg.l2Assoc; ++s) {
+        if ((tags[s] & ~(kFilling | kDirty)) == want)
+            return s;
     }
-    return nullptr;
+    return kNoSlot;
+}
+
+void
+DirController::claimSlot(Slot s, Addr region)
+{
+    PROTO_ASSERT((region & kFlagBits) == 0,
+                 "region %llx not word aligned",
+                 static_cast<unsigned long long>(region));
+    // Never reallocates: capacity covers every slot, and each slot
+    // claims once.
+    sidecarOf[s] = static_cast<Slot>(sidecars.size());
+    sidecars.emplace_back();
+    tags[s] = region | kValid | kFilling;
+    lru[s] = ++lruClock;
 }
 
 bool
@@ -177,14 +200,14 @@ DirController::busy(Addr region) const
 }
 
 DirController::DirView
-DirController::view(Addr region)
+DirController::view(Addr region) const
 {
     DirView v;
-    if (const L2Entry *e = lookup(region)) {
+    if (const Slot s = lookup(region); s != kNoSlot) {
         v.present = true;
-        v.readers = e->readers;
-        v.writers = e->writers;
-        v.dirty = e->dirty;
+        v.readers = dataAt(s).readers;
+        v.writers = dataAt(s).writers;
+        v.dirty = (tags[s] & kDirty) != 0;
     }
     return v;
 }
@@ -256,31 +279,32 @@ DirController::startRequest(const CoherenceMsg &msg)
 
     occupy(cfg.l2Latency);
 
-    if (lookup(msg.region)) {
+    if (lookup(msg.region) != kNoSlot) {
         probePhase(msg.region);
         return;
     }
 
     // L2 miss: reserve a slot, possibly recalling an inclusive victim.
     ++stats.l2Misses;
-    auto &set = sets[setIndexOf(msg.region)];
-    L2Entry *slot = nullptr;
-    for (auto &entry : set) {
-        if (!entry.valid) {
-            slot = &entry;
+    const Slot base = setIndexOf(msg.region) * cfg.l2Assoc;
+    const Slot end = base + cfg.l2Assoc;
+    Slot slot = kNoSlot;
+    for (Slot s = base; s < end; ++s) {
+        if (!(tags[s] & kValid)) {
+            slot = s;
             break;
         }
     }
 
-    if (!slot) {
+    if (slot == kNoSlot) {
         // Evict the LRU entry that is not mid-transaction.
-        for (auto &entry : set) {
-            if (entry.filling || busy(entry.region))
+        for (Slot s = base; s < end; ++s) {
+            if (fillingAt(s) || busy(regionAt(s)))
                 continue;
-            if (!slot || entry.lruStamp < slot->lruStamp)
-                slot = &entry;
+            if (slot == kNoSlot || lru[s] < lru[slot])
+                slot = s;
         }
-        if (!slot) {
+        if (slot == kNoSlot) {
             // Every entry is mid-fill or mid-transaction: the set is
             // transiently pinned (reachable with a one-entry set when
             // two regions' requests interleave; protocheck's
@@ -288,9 +312,9 @@ DirController::startRequest(const CoherenceMsg &msg)
             // first pinning region; its completion drains us a retry.
             Addr blocker = 0;
             bool pinned = false;
-            for (auto &entry : set) {
-                if (busy(entry.region)) {
-                    blocker = entry.region;
+            for (Slot s = base; s < end; ++s) {
+                if (busy(regionAt(s))) {
+                    blocker = regionAt(s);
                     pinned = true;
                     break;
                 }
@@ -304,18 +328,11 @@ DirController::startRequest(const CoherenceMsg &msg)
             waitPool.push(*waiting.findOrCreate(blocker), msg);
             return;
         }
-        const Addr victim = slot->region;
-        beginRecall(victim, msg.region);
+        beginRecall(regionAt(slot), msg.region);
         return;
     }
 
-    slot->valid = true;
-    slot->filling = true;
-    slot->dirty = false;
-    slot->region = msg.region;
-    slot->readers = CoreSet();
-    slot->writers = CoreSet();
-    slot->lruStamp = ++lruClock;
+    claimSlot(slot, msg.region);
     fetchFromMemory(msg.region);
 }
 
@@ -323,21 +340,21 @@ void
 DirController::beginRecall(Addr victim, Addr parent)
 {
     ++stats.recalls;
-    L2Entry *entry = lookup(victim);
-    PROTO_ASSERT(entry, "recall of absent region");
+    const Slot slot = lookup(victim);
+    PROTO_ASSERT(slot != kNoSlot, "recall of absent region");
 
     Txn txn;
     txn.kind = Txn::Kind::Recall;
     txn.parentRegion = parent;
     txn.reqRange = WordRange::full(cfg.regionWords());
     txn.start = eventq.now();
-    txn.covBefore = absState(entry);
+    txn.covBefore = absState(slot);
     txn.covEvent = DirEvent::Recall;
 
     unsigned probes = 0;
     const Cycle when = occupy(cfg.l2Latency);
-    CoreSet holders = entry->readers;
-    holders |= entry->writers;
+    CoreSet holders = dataAt(slot).readers;
+    holders |= dataAt(slot).writers;
     holders.forEach([&](CoreId c) {
         CoherenceMsg inv;
         inv.type = MsgType::INV;
@@ -364,21 +381,18 @@ DirController::finishRecall(Addr victim)
     const Addr parent = txn->parentRegion;
     cov(txn->covBefore, DirEvent::Recall, DirState::NP);
 
-    L2Entry *entry = lookup(victim);
-    PROTO_ASSERT(entry, "recall victim vanished");
-    if (entry->dirty) {
-        memImage.writeRange(victim, entry->words.data(),
+    const Slot slot = lookup(victim);
+    PROTO_ASSERT(slot != kNoSlot, "recall victim vanished");
+    if (tags[slot] & kDirty) {
+        memImage.writeRange(victim, dataAt(slot).words.data(),
                             cfg.regionWords());
         stats.memWriteBytes += cfg.regionBytes;
     }
 
-    // Hand the slot to the parent region.
-    clearAllSharers(*entry);
-    entry->valid = true;
-    entry->filling = true;
-    entry->dirty = false;
-    entry->region = parent;
-    entry->lruStamp = ++lruClock;
+    // Hand the slot (and its sidecar) to the parent region.
+    clearAllSharers(slot);
+    tags[slot] = parent | kValid | kFilling;
+    lru[slot] = ++lruClock;
 
     active.erase(victim);
     fetchFromMemory(parent);
@@ -396,18 +410,20 @@ DirController::fetchFromMemory(Addr region)
 void
 DirController::finishFill(Addr region)
 {
-    L2Entry *entry = lookup(region);
-    PROTO_ASSERT(entry && entry->filling, "fill target vanished");
-    entry->wordCount = cfg.regionWords();
-    memImage.readRange(region, entry->words.data(),
-                       cfg.regionWords());
-    entry->filling = false;
+    const Slot slot = lookup(region);
+    PROTO_ASSERT(slot != kNoSlot && fillingAt(slot),
+                 "fill target vanished");
+    EntryData &e = dataAt(slot);
+    e.wordCount = cfg.regionWords();
+    memImage.readRange(region, e.words.data(), cfg.regionWords());
+    tags[slot] &= ~kFilling;
     probePhase(region);
 }
 
 void
-DirController::recordOwnedCensus(const L2Entry &entry)
+DirController::recordOwnedCensus(Slot s)
 {
+    const EntryData &entry = dataAt(s);
     if (entry.writers.none())
         return;
     if (entry.writers.count() > 1)
@@ -424,10 +440,12 @@ DirController::probePhase(Addr region)
     Txn *txn_p = active.find(region);
     PROTO_ASSERT(txn_p, "probePhase without txn");
     Txn &txn = *txn_p;
-    L2Entry *entry = lookup(region);
-    PROTO_ASSERT(entry && !entry->filling, "probePhase without entry");
+    const Slot slot = lookup(region);
+    PROTO_ASSERT(slot != kNoSlot && !fillingAt(slot),
+                 "probePhase without entry");
+    const EntryData &entry = dataAt(slot);
 
-    recordOwnedCensus(*entry);
+    recordOwnedCensus(slot);
 
     const bool adaptive_coherence =
         cfg.protocol == ProtocolKind::ProtozoaSWMR ||
@@ -438,10 +456,10 @@ DirController::probePhase(Addr region)
 
     const Cycle when = occupy(cfg.l2Latency);
 
-    const CoreSet probe_writers = probeWriters(*entry);
-    const CoreSet probe_readers = probeReaders(*entry);
+    const CoreSet probe_writers = probeWriters(slot);
+    const CoreSet probe_readers = probeReaders(slot);
     auto count_false = [&](CoreId c) {
-        if (!entry->writers.test(c) && !entry->readers.test(c))
+        if (!entry.writers.test(c) && !entry.readers.test(c))
             ++stats.bloomFalseProbes;
     };
 
@@ -505,37 +523,37 @@ DirController::probePhase(Addr region)
 }
 
 void
-DirController::patchPayload(L2Entry &entry, const MsgData &data)
+DirController::patchPayload(Slot s, const MsgData &data)
 {
     if (data.empty())
         return;
-    PROTO_ASSERT(!entry.filling, "patch into filling entry");
+    PROTO_ASSERT(!fillingAt(s), "patch into filling entry");
+    std::uint64_t *words = dataAt(s).words.data();
     data.forEachRun([&](const WordRange &run, const std::uint64_t *src) {
-        std::memcpy(&entry.words[run.start], src,
+        std::memcpy(words + run.start, src,
                     std::size_t(run.words()) * sizeof(std::uint64_t));
     });
-    entry.dirty = true;
+    tags[s] |= kDirty;
 }
 
 void
-DirController::updateSetsFromResponse(L2Entry &entry,
-                                      const CoherenceMsg &msg)
+DirController::updateSetsFromResponse(Slot s, const CoherenceMsg &msg)
 {
     PROTO_DTRACE("dir%u sets: region=%llx sender=%u stillO=%d stillS=%d "
                  "(was w=%s r=%s)",
-                 tileId, static_cast<unsigned long long>(entry.region),
+                 tileId, static_cast<unsigned long long>(regionAt(s)),
                  msg.sender, msg.stillOwner, msg.stillSharer,
-                 entry.writers.toHex().c_str(),
-                 entry.readers.toHex().c_str());
+                 dataAt(s).writers.toHex().c_str(),
+                 dataAt(s).readers.toHex().c_str());
     if (msg.stillOwner) {
-        setWriter(entry, msg.sender);
-        clearReader(entry, msg.sender);
+        setWriter(s, msg.sender);
+        clearReader(s, msg.sender);
     } else if (msg.stillSharer) {
-        clearWriter(entry, msg.sender);
-        setReader(entry, msg.sender);
+        clearWriter(s, msg.sender);
+        setReader(s, msg.sender);
     } else {
-        clearWriter(entry, msg.sender);
-        clearReader(entry, msg.sender);
+        clearWriter(s, msg.sender);
+        clearReader(s, msg.sender);
     }
 }
 
@@ -547,10 +565,10 @@ DirController::handleProbeResponse(const CoherenceMsg &msg)
     Txn &txn = *txn_p;
     PROTO_ASSERT(txn.pending > 0, "unexpected probe response");
 
-    L2Entry *entry = lookup(msg.region);
-    PROTO_ASSERT(entry, "probe response without entry");
-    patchPayload(*entry, msg.data);
-    updateSetsFromResponse(*entry, msg);
+    const Slot slot = lookup(msg.region);
+    PROTO_ASSERT(slot != kNoSlot, "probe response without entry");
+    patchPayload(slot, msg.data);
+    updateSetsFromResponse(slot, msg);
     if (msg.suppliedDirect) {
         txn.directSupplied = true;
         ++stats.threeHopDirect;
@@ -572,8 +590,10 @@ DirController::respond(Addr region)
     Txn *txn_p = active.find(region);
     PROTO_ASSERT(txn_p, "respond without txn");
     Txn &txn = *txn_p;
-    L2Entry *entry = lookup(region);
-    PROTO_ASSERT(entry && !entry->filling, "respond without entry");
+    const Slot slot = lookup(region);
+    PROTO_ASSERT(slot != kNoSlot && !fillingAt(slot),
+                 "respond without entry");
+    const EntryData &entry = dataAt(slot);
 
     const CoreId req = txn.requester;
 
@@ -587,41 +607,41 @@ DirController::respond(Addr region)
     if (txn.reqType == MsgType::GETX) {
         // Payload-free upgrade: legal only while the requester stayed a
         // tracked reader, which guarantees its S copy is still fresh.
-        const bool dataless = txn.upgrade && entry->readers.test(req);
+        const bool dataless = txn.upgrade && entry.readers.test(req);
         data.grant = GrantState::M;
         if (!dataless) {
             data.data.setRange(txn.reqRange,
-                               &entry->words[txn.reqRange.start]);
+                               &entry.words[txn.reqRange.start]);
         }
-        setWriter(*entry, req);
-        clearReader(*entry, req);
+        setWriter(slot, req);
+        clearReader(slot, req);
         if (cfg.protocol != ProtocolKind::ProtozoaMW) {
-            PROTO_ASSERT(entry->writers.only(req),
+            PROTO_ASSERT(entry.writers.only(req),
                          "single-writer protocol with multiple owners: "
                          "region=%llx writers=%s readers=%s req=%u "
                          "upgrade=%d range=%s",
                          static_cast<unsigned long long>(region),
-                         entry->writers.toHex().c_str(),
-                         entry->readers.toHex().c_str(),
+                         entry.writers.toHex().c_str(),
+                         entry.readers.toHex().c_str(),
                          req, txn.upgrade, txn.reqRange.toString().c_str());
         }
     } else {
         const bool exclusive =
-            entry->writers.none() && entry->readers.none();
+            entry.writers.none() && entry.readers.none();
         data.grant = exclusive ? GrantState::E : GrantState::S;
-        if (exclusive || entry->writers.test(req)) {
+        if (exclusive || entry.writers.test(req)) {
             // E grant, or a secondary GETS from an existing owner:
             // either way the core keeps (or gains) writer tracking.
-            setWriter(*entry, req);
+            setWriter(slot, req);
         } else {
-            setReader(*entry, req);
+            setReader(slot, req);
         }
         data.data.setRange(txn.reqRange,
-                           &entry->words[txn.reqRange.start]);
+                           &entry.words[txn.reqRange.start]);
     }
 
-    entry->lruStamp = ++lruClock;
-    cov(txn.covBefore, txn.covEvent, absState(entry));
+    lru[slot] = ++lruClock;
+    cov(txn.covBefore, txn.covEvent, absState(slot));
     if (txn.directSupplied) {
         // 3-hop: the probed owner already sent DATA to the requester;
         // only the bookkeeping above was still needed.
@@ -643,26 +663,26 @@ void
 DirController::handlePut(const CoherenceMsg &msg)
 {
     occupy(cfg.l2Latency);
-    L2Entry *entry = lookup(msg.region);
+    const Slot slot = lookup(msg.region);
     const bool tracked =
-        entry && (entry->readers.test(msg.sender) ||
-                  entry->writers.test(msg.sender));
-    const DirState before = absState(entry);
+        slot != kNoSlot && (dataAt(slot).readers.test(msg.sender) ||
+                            dataAt(slot).writers.test(msg.sender));
+    const DirState before = absState(slot);
 
     if (tracked) {
-        patchPayload(*entry, msg.data);
+        patchPayload(slot, msg.data);
         if (msg.last) {
-            clearReader(*entry, msg.sender);
-            clearWriter(*entry, msg.sender);
+            clearReader(slot, msg.sender);
+            clearWriter(slot, msg.sender);
         } else if (msg.demoteOwner) {
-            clearWriter(*entry, msg.sender);
-            setReader(*entry, msg.sender);
+            clearWriter(slot, msg.sender);
+            setReader(slot, msg.sender);
         }
-        entry->lruStamp = ++lruClock;
+        lru[slot] = ++lruClock;
         const DirEvent ev = msg.last
             ? DirEvent::PutLast
             : (msg.demoteOwner ? DirEvent::PutDemote : DirEvent::Put);
-        cov(before, ev, absState(entry));
+        cov(before, ev, absState(slot));
     } else {
         cov(before, DirEvent::PutStale, before);
     }
@@ -714,17 +734,17 @@ DirController::activeTxns() const
 }
 
 std::string
-DirController::describeRegion(Addr region)
+DirController::describeRegion(Addr region) const
 {
     std::ostringstream os;
     os << "dir" << tileId << " region 0x" << std::hex << region
        << std::dec << ": ";
-    if (const L2Entry *e = lookup(region)) {
-        os << "entry " << dirStateName(absState(e))
-           << (e->filling ? " (filling)" : "")
-           << (e->dirty ? " dirty" : " clean")
-           << " readers=0x" << e->readers.toHex()
-           << " writers=0x" << e->writers.toHex();
+    if (const Slot s = lookup(region); s != kNoSlot) {
+        os << "entry " << dirStateName(absState(s))
+           << (fillingAt(s) ? " (filling)" : "")
+           << ((tags[s] & kDirty) ? " dirty" : " clean")
+           << " readers=0x" << dataAt(s).readers.toHex()
+           << " writers=0x" << dataAt(s).writers.toHex();
     } else {
         os << "no entry";
     }
@@ -788,7 +808,7 @@ void
 DirController::saveState(Serializer &s) const
 {
     static_assert(std::is_trivially_copyable_v<DirStats>);
-    static_assert(std::is_trivially_copyable_v<L2Entry>);
+    static_assert(std::is_trivially_copyable_v<CoreSet>);
     static_assert(std::is_trivially_copyable_v<Txn>);
     s.writeRaw(stats);
     s.writeU64(lruClock);
@@ -798,13 +818,30 @@ DirController::saveState(Serializer &s) const
     for (const std::uint64_t w : rng)
         s.writeU64(w);
 
-    // L2 sets raw, slot by slot: preserves slot positions (and hence
-    // the lookup / victim scan order) exactly, stale slots included.
+    // Valid L2 entries only, in ascending slot order. The slot index
+    // preserves slot positions (and hence the lookup / victim scan
+    // order) exactly; never-filled slots stay invalid on restore. A
+    // claimed sidecar's words are undefined before its first fill, so
+    // only the first wordCount of them are written.
     s.writeU32(setsPerTile);
     s.writeU32(cfg.l2Assoc);
-    for (const auto &set : sets)
-        for (const L2Entry &e : set)
-            s.writeRaw(e);
+    s.writeU32(static_cast<std::uint32_t>(sidecars.size()));
+    for (Slot slot = 0; slot < tags.size(); ++slot) {
+        const std::uint64_t tag = tags[slot];
+        if (!(tag & kValid))
+            continue;
+        const EntryData &e = dataAt(slot);
+        s.writeU32(slot);
+        s.writeU64(tag & ~kFlagBits);
+        s.writeU8((tag & kFilling) ? 1 : 0);
+        s.writeU8((tag & kDirty) ? 1 : 0);
+        s.writeU64(lru[slot]);
+        s.writeRaw(e.readers);
+        s.writeRaw(e.writers);
+        s.writeU8(static_cast<std::uint8_t>(e.wordCount));
+        s.writeBytes(e.words.data(),
+                     std::size_t(e.wordCount) * sizeof(std::uint64_t));
+    }
 
     // Active transactions and wait queues, replayed at restore in the
     // same table order (per-region FIFO order is what matters).
@@ -818,7 +855,7 @@ DirController::saveState(Serializer &s) const
     s.writeU32(queued);
     forEachWaitingMsg([&](Addr region, const CoherenceMsg &m) {
         s.writeU64(region);
-        s.writeRaw(m);
+        m.save(s);
     });
 
     s.writeU8(bloomReaders ? 1 : 0);
@@ -826,6 +863,53 @@ DirController::saveState(Serializer &s) const
         bloomReaders->saveState(s);
         bloomWriters->saveState(s);
     }
+}
+
+bool
+DirController::restoreEntries(Deserializer &d)
+{
+    // Fail closed on anything saveState cannot have written: more
+    // entries than slots, slot indices out of range or not strictly
+    // ascending, flag bytes other than 0/1, a region that is unaligned
+    // or outside its slot's set, a sharer at or above numCores, or a
+    // word count other than regionWords() (0 only while the slot's
+    // first fill is still in flight).
+    const std::uint32_t count = d.readU32();
+    if (d.failed() || count > tags.size())
+        return false;
+    std::fill(tags.begin(), tags.end(), 0);
+    sidecars.clear();
+    const CoreSet cores = CoreSet::firstN(cfg.numCores);
+    std::uint64_t next_slot = 0;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        const Slot slot = d.readU32();
+        const Addr region = d.readU64();
+        const std::uint8_t filling = d.readU8();
+        const std::uint8_t dirty = d.readU8();
+        const std::uint64_t stamp = d.readU64();
+        if (d.failed() || slot < next_slot || slot >= tags.size() ||
+            filling > 1 || dirty > 1 || region % cfg.regionBytes != 0 ||
+            setIndexOf(region) != slot / cfg.l2Assoc)
+            return false;
+        next_slot = std::uint64_t(slot) + 1;
+
+        sidecarOf[slot] = static_cast<Slot>(sidecars.size());
+        EntryData &e = sidecars.emplace_back();
+        d.readRaw(e.readers);
+        d.readRaw(e.writers);
+        e.wordCount = d.readU8();
+        const bool words_ok = e.wordCount == cfg.regionWords() ||
+                              (e.wordCount == 0 && filling);
+        if (d.failed() || !words_ok || e.readers.minus(cores).any() ||
+            e.writers.minus(cores).any() ||
+            !d.readBytes(e.words.data(), std::size_t(e.wordCount) *
+                                             sizeof(std::uint64_t)))
+            return false;
+        tags[slot] = region | kValid | (filling ? kFilling : 0) |
+                     (dirty ? kDirty : 0);
+        lru[slot] = stamp;
+    }
+    return true;
 }
 
 bool
@@ -841,9 +925,8 @@ DirController::restoreState(Deserializer &d)
 
     if (d.readU32() != setsPerTile || d.readU32() != cfg.l2Assoc)
         return false;
-    for (auto &set : sets)
-        for (L2Entry &e : set)
-            d.readRaw(e);
+    if (!restoreEntries(d))
+        return false;
 
     const std::uint32_t txns = d.readU32();
     if (d.failed())

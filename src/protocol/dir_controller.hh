@@ -76,7 +76,7 @@ class DirController
         CoreSet writers;
         bool dirty = false;
     };
-    DirView view(Addr region);
+    DirView view(Addr region) const;
 
     /** Watchdog view of one in-flight transaction. */
     struct TxnView
@@ -92,7 +92,7 @@ class DirController
     std::vector<TxnView> activeTxns() const;
 
     /** Diagnostic description of a region's directory-side state. */
-    std::string describeRegion(Addr region);
+    std::string describeRegion(Addr region) const;
 
     /** True when a coherence transaction is active on @p region. */
     bool hasActiveTxn(Addr region) const { return active.contains(region); }
@@ -118,17 +118,20 @@ class DirController
     void
     forEachEntry(F &&fn) const
     {
-        for (unsigned s = 0; s < setsPerTile; ++s) {
-            for (const L2Entry &e : sets[s]) {
-                if (!e.valid)
-                    continue;
-                fn(EntrySnap{e.region, e.filling, e.dirty,
-                             e.readers, e.writers,
-                             e.lruStamp, s, e.words.data(),
-                             e.wordCount});
-            }
+        for (Slot s = 0; s < tags.size(); ++s) {
+            const std::uint64_t tag = tags[s];
+            if (!(tag & kValid))
+                continue;
+            const EntryData &e = dataAt(s);
+            fn(EntrySnap{tag & ~kFlagBits, (tag & kFilling) != 0,
+                         (tag & kDirty) != 0, e.readers, e.writers,
+                         lru[s], s / cfg.l2Assoc, e.words.data(),
+                         e.wordCount});
         }
     }
+
+    /** Number of valid L2 entries (each owns exactly one sidecar). */
+    std::size_t occupancy() const { return sidecars.size(); }
 
     /** Snapshot of one in-flight transaction. */
     struct TxnSnap
@@ -192,7 +195,7 @@ class DirController
         {
             s.writeU8(static_cast<std::uint8_t>(EventKind::DirSend));
             s.writeU16(dir->tileId);
-            s.writeRaw(msg);
+            msg.save(s);
         }
     };
 
@@ -219,25 +222,38 @@ class DirController
     bool restoreState(Deserializer &d);
 
   private:
-    /** One L2 block + directory entry. */
-    struct L2Entry
+    /** Slot index within the tile: set * l2Assoc + way. */
+    using Slot = L2SlotIndex;
+    static constexpr Slot kNoSlot = ~Slot(0);
+
+    /**
+     * Flags folded into the low bits of a slot's tag word. Regions are
+     * regionBytes-aligned and regionBytes is a multiple of the 8-byte
+     * word (SystemConfig::validate), so those three bits are always
+     * zero in the region itself. A slot never loses kValid once set:
+     * a recall hands the slot straight to the parent region.
+     */
+    static constexpr std::uint64_t kValid = 1;
+    /** Data words are being fetched from memory. */
+    static constexpr std::uint64_t kFilling = 2;
+    static constexpr std::uint64_t kDirty = 4;
+    static constexpr std::uint64_t kFlagBits = kValid | kFilling | kDirty;
+
+    /**
+     * The bulky half of one valid L2 entry, kept out of the tag scan:
+     * sharer sets and data words. Claimed (densely, in first-fill
+     * order) the first time a slot becomes valid and owned by that
+     * slot from then on. finishFill copies the words in from the
+     * memory image with one bulk memcpy and never allocates.
+     * wordCount is 0 until the first fill and regionWords() afterwards
+     * (it survives slot reuse, exactly like the size of the heap
+     * vector the inline array replaced, so protocheck fingerprints
+     * are unchanged).
+     */
+    struct EntryData
     {
-        bool valid = false;
-        /** Data words are being fetched from memory. */
-        bool filling = false;
-        bool dirty = false;
-        Addr region = 0;
-        std::uint64_t lruStamp = 0;
         CoreSet readers;
         CoreSet writers;
-        /**
-         * Data words, inline: fetchFromMemory fills them with one
-         * bulk memcpy from the memory image and never allocates.
-         * wordCount is 0 until the first fill and regionWords()
-         * afterwards (it survives slot reuse, exactly like the size
-         * of the heap vector this replaces, so protocheck
-         * fingerprints are unchanged).
-         */
         std::array<std::uint64_t, kMaxRegionWords> words;
         unsigned wordCount = 0;
     };
@@ -272,7 +288,20 @@ class DirController
     void sendMsg(CoherenceMsg msg, Cycle when);
 
     unsigned setIndexOf(Addr region) const;
-    L2Entry *lookup(Addr region);
+    /** The valid slot holding @p region, or kNoSlot. */
+    Slot lookup(Addr region) const;
+    Addr regionAt(Slot s) const { return tags[s] & ~kFlagBits; }
+    bool fillingAt(Slot s) const { return (tags[s] & kFilling) != 0; }
+    EntryData &dataAt(Slot s) { return sidecars[sidecarOf[s]]; }
+    const EntryData &dataAt(Slot s) const
+    {
+        return sidecars[sidecarOf[s]];
+    }
+    /** Make never-filled slot @p s valid for @p region: claim its
+     *  sidecar and stamp it. */
+    void claimSlot(Slot s, Addr region);
+    /** Read the sparse entry list written by saveState. */
+    bool restoreEntries(Deserializer &d);
     /** True when a region has an active txn or queued messages. */
     bool busy(Addr region) const;
 
@@ -290,26 +319,27 @@ class DirController
     void finishTxn(Addr region);
     void drainQueue(Addr region);
 
-    /** Abstract coverage state of a region's sharer sets. */
-    DirState absState(const L2Entry *entry) const;
+    /** Abstract coverage state of a slot's sharer sets (kNoSlot:
+     *  not present). */
+    DirState absState(Slot s) const;
     /** Record into the coverage matrix (no-op without a tracker). */
     void cov(DirState from, DirEvent ev, DirState to);
 
-    void patchPayload(L2Entry &entry, const MsgData &data);
-    void updateSetsFromResponse(L2Entry &entry, const CoherenceMsg &msg);
-    void recordOwnedCensus(const L2Entry &entry);
+    void patchPayload(Slot s, const MsgData &data);
+    void updateSetsFromResponse(Slot s, const CoherenceMsg &msg);
+    void recordOwnedCensus(Slot s);
 
     // Sharer-set transitions: every mutation goes through these so an
     // imprecise (Bloom) summary stays a superset of the exact sets.
-    void setReader(L2Entry &entry, CoreId core);
-    void clearReader(L2Entry &entry, CoreId core);
-    void setWriter(L2Entry &entry, CoreId core);
-    void clearWriter(L2Entry &entry, CoreId core);
-    /** Drop every tracked sharer of @p entry (slot reuse). */
-    void clearAllSharers(L2Entry &entry);
+    void setReader(Slot s, CoreId core);
+    void clearReader(Slot s, CoreId core);
+    void setWriter(Slot s, CoreId core);
+    void clearWriter(Slot s, CoreId core);
+    /** Drop every tracked sharer of slot @p s (slot reuse). */
+    void clearAllSharers(Slot s);
     /** Probe-target sets: exact, or the Bloom superset. */
-    CoreSet probeWriters(const L2Entry &entry) const;
-    CoreSet probeReaders(const L2Entry &entry) const;
+    CoreSet probeWriters(Slot s) const;
+    CoreSet probeReaders(Slot s) const;
 
     const SystemConfig &cfg;
     TileId tileId;
@@ -319,7 +349,16 @@ class DirController
     ConformanceCoverage *coverage;
 
     unsigned setsPerTile;
-    std::vector<std::vector<L2Entry>> sets;
+    // The L2 slice as parallel per-slot arrays, scanned tag-first: an
+    // 8-way set's tags are 64 contiguous bytes. Only tags is
+    // initialized; lru and sidecarOf are meaningful on valid slots
+    // alone, and sidecars is reserved for every slot up front but
+    // grows (without reallocating) one claim at a time, so resident
+    // memory follows the entries filled rather than the L2 capacity.
+    std::vector<std::uint64_t> tags;
+    std::unique_ptr<std::uint64_t[]> lru;
+    std::unique_ptr<Slot[]> sidecarOf;
+    std::vector<EntryData> sidecars;
 
     // Per-region transaction and wait-queue bookkeeping: flat
     // open-addressing tables plus a pooled FIFO arena, so the

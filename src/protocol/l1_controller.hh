@@ -101,7 +101,7 @@ class L1Controller
         {
             s.writeU8(static_cast<std::uint8_t>(EventKind::L1Send));
             s.writeU16(l1->coreId);
-            s.writeRaw(msg);
+            msg.save(s);
         }
     };
 

@@ -303,10 +303,8 @@ System::windowRollover(Cycle now)
     for (std::size_t i = 0; i < w.blockSizeHist.size(); ++i)
         w.blockSizeHist[i] = cur.l1.blockSizeHist[i] -
             winPrev.l1.blockSizeHist[i];
-    for (const auto &d : dirs) {
-        d->forEachEntry(
-            [&](const DirController::EntrySnap &) { ++w.dirOccupancy; });
-    }
+    for (const auto &d : dirs)
+        w.dirOccupancy += d->occupancy();
     windows.push_back(w);
     winPrev = cur;
 }

@@ -228,7 +228,7 @@ class System : public Router
         saveEvent(Serializer &s) const
         {
             s.writeU8(static_cast<std::uint8_t>(EventKind::SysDeliver));
-            s.writeRaw(msg);
+            msg.save(s);
         }
     };
 

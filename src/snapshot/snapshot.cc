@@ -3,7 +3,8 @@
  * System checkpoint/restore implementation: the byte layout lives
  * here and nowhere else (see snapshot.hh for the contract).
  *
- * Layout (version 1, all little-endian, dense):
+ * Layout (version 2, all little-endian; raw structs are written with
+ * their padding zeroed, so identical runs save identical bytes):
  *
  *   u32 magic "PZSN"        u32 version        u64 configFingerprint
  *   u8  engineMode (0 sequential, 1 sharded)
@@ -12,7 +13,13 @@
  *      (checkPeriod, watchdogBound)
  *   -- golden memory, backing memory image
  *   -- conformance coverage (per-shard trackers in sharded mode)
- *   -- cores, L1s (pending-completion flag inside), directory tiles
+ *   -- cores, L1s (pending-completion flag inside)
+ *   -- directory tiles, each: stats, LRU clock, occupancy horizon,
+ *      jitter RNG, (setsPerTile, l2Assoc), then a sparse entry list:
+ *      u32 count of valid slots, and per valid slot in ascending slot
+ *      order u32 slot, u64 region, u8 filling, u8 dirty, u64 LRU
+ *      stamp, readers, writers, u8 wordCount, wordCount data words;
+ *      then active transactions, queued requests, Bloom counters
  *   -- mesh (+ per-shard NetStats slabs in sharded mode)
  *   -- windowed-stats state (period, delta base, recorded samples)
  *   -- calendar queue(s): clock, nextSeq, kernel stats, then every

@@ -15,11 +15,13 @@
  * the counter never moves again. The window deliberately opens right
  * after the bounded footprint is first touched, so the fill-heavy
  * early phase — L2 misses streaming whole regions out of the memory
- * image — is measured too: directory fills land in the L2 entry's
- * inline word array and must not allocate. The workload keeps a
- * bounded, hot footprint (no cold pool) through a deliberately tiny
- * L1/L2, so evictions, writebacks, inclusive recalls and probe races
- * all stay active inside the measured window.
+ * image — is measured too: directory fills land in the entry's
+ * sidecar, claimed from a reservation made at construction, and must
+ * not allocate. The workload keeps a bounded, hot footprint (no cold
+ * pool) through a deliberately tiny L1/L2, so evictions, writebacks,
+ * inclusive recalls and probe races all stay active inside the
+ * measured window; a separate case grows the L2 footprint through
+ * the whole window on the full-size L2.
  */
 
 #include <gtest/gtest.h>
@@ -148,6 +150,104 @@ TEST(AllocRegression, MesiParallelSteadyStateIsAllocationFree)
 TEST(AllocRegression, ProtozoaMWParallelSteadyStateIsAllocationFree)
 {
     expectNoSteadyStateAllocs(ProtocolKind::ProtozoaMW, 2);
+}
+
+/**
+ * A footprint that keeps growing on the Table-4 2 MB/tile L2. Core c
+ * loads its own run of never-touched regions, one new region per
+ * load: global region indices [c*n, (c+1)*n), so every tile sees one
+ * new region per set and each load is an L2 miss that makes a slot
+ * valid and claims its sidecar. A quarter of the accesses are stores
+ * to a 64-region hot pool, which keeps probes, invalidations and
+ * writebacks in the mix; its memory pages exist after the first few
+ * hundred accesses, and loads create no pages.
+ */
+Workload
+growingFootprintWorkload(const SystemConfig &cfg,
+                         std::uint64_t accesses_per_core)
+{
+    const unsigned kHotRegions = 64;
+    const Addr hot_base = 0x40000000;
+    const Addr fresh_base = 0x80000000;
+    Rng rng(cfg.seed * 0x2545f4914f6cdd1dULL + 3);
+
+    Workload wl;
+    for (unsigned c = 0; c < cfg.numCores; ++c) {
+        std::vector<TraceRecord> recs;
+        recs.reserve(accesses_per_core);
+        Addr next_fresh = fresh_base + Addr(c) * accesses_per_core *
+                                           cfg.regionBytes;
+        for (std::uint64_t i = 0; i < accesses_per_core; ++i) {
+            TraceRecord rec;
+            rec.isWrite = rng.chance(0.25);
+            if (rec.isWrite) {
+                rec.addr = hot_base +
+                           rng.below(kHotRegions) * cfg.regionBytes;
+            } else {
+                rec.addr = next_fresh;
+                next_fresh += cfg.regionBytes;
+            }
+            rec.pc = 0x2000 + 4 * rng.below(16);
+            rec.gapInstrs = static_cast<std::uint16_t>(rng.range(1, 4));
+            recs.push_back(rec);
+        }
+        wl.push_back(std::make_unique<VectorTrace>(std::move(recs)));
+    }
+    return wl;
+}
+
+std::uint64_t
+l2Misses(System &sys)
+{
+    std::uint64_t misses = 0;
+    for (TileId t = 0; t < sys.config().l2Tiles; ++t)
+        misses += sys.dir(t).stats.l2Misses;
+    return misses;
+}
+
+/**
+ * The directory's claim: L2 entry storage is claimed on a slot's first
+ * fill from a reservation made at construction, so a run whose L2
+ * footprint grows all the way through the measured window (every
+ * fresh load claims a sidecar) still never allocates.
+ */
+TEST(AllocRegression, GrowingL2FootprintIsAllocationFree)
+{
+    const std::uint64_t kAccessesPerCore = 3000;
+    SystemConfig cfg;
+    cfg.protocol = ProtocolKind::ProtozoaMW;
+    cfg.seed = 19;
+    ASSERT_EQ(cfg.l2BytesPerTile, 2ull * 1024 * 1024);
+
+    Cycle total_cycles = 0;
+    {
+        System sys(cfg, growingFootprintWorkload(cfg, kAccessesPerCore));
+        sys.run();
+        total_cycles = sys.report().cycles;
+        EXPECT_EQ(sys.valueViolations(), 0u);
+    }
+    ASSERT_GT(total_cycles, 0u);
+
+    System sys(cfg, growingFootprintWorkload(cfg, kAccessesPerCore));
+    std::uint64_t at_window = 0;
+    std::uint64_t misses_at_window = 0;
+    sys.eventQueue().schedule(total_cycles / 4, [&] {
+        at_window = AllocHook::allocCount();
+        misses_at_window = l2Misses(sys);
+    });
+    sys.run();
+    const std::uint64_t at_end = AllocHook::allocCount();
+
+    EXPECT_EQ(sys.valueViolations(), 0u);
+    ASSERT_GT(at_window, 0u);
+    // The footprint really grows inside the window: well over half of
+    // the fresh-region loads miss in the L2 after it opens.
+    const std::uint64_t fresh_loads = cfg.numCores * kAccessesPerCore * 3 / 4;
+    EXPECT_GT(l2Misses(sys) - misses_at_window, fresh_loads / 2);
+    EXPECT_EQ(at_end - at_window, 0u)
+        << (at_end - at_window)
+        << " heap allocation(s) in the last three quarters of a "
+        << total_cycles << "-cycle run with a growing L2 footprint";
 }
 
 /**

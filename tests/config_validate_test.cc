@@ -2,12 +2,15 @@
  * @file
  * SystemConfig validation and geometry-scaling tests: the wide-mesh
  * rejection paths (core counts past kMaxCores, degenerate meshes,
- * undersized L2 tiles), the watchdog horizon's mesh scaling, and the
- * region -> home-tile slice hashes.
+ * undersized L2 tiles, zero L1 sets or L2 ways, L2 tiles with more
+ * entries than a slot index addresses), the watchdog horizon's mesh
+ * scaling, and the region -> home-tile slice hashes.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "common/config.hh"
@@ -49,6 +52,37 @@ TEST(ConfigValidateScaling, RejectsL2TileBelowOneSet)
     SystemConfig cfg;
     cfg.l2BytesPerTile = 256; // < 64-byte regions x 8 ways
     EXPECT_DEATH(cfg.validate(), "cannot hold");
+}
+
+TEST(ConfigValidateScaling, RejectsZeroL2Associativity)
+{
+    // Would divide by zero sizing the directory's sets.
+    SystemConfig cfg;
+    cfg.l2Assoc = 0;
+    EXPECT_DEATH(cfg.validate(), "l2Assoc must be at least 1");
+}
+
+TEST(ConfigValidateScaling, RejectsZeroL1Sets)
+{
+    // Would divide by zero on the first L1 set lookup.
+    SystemConfig cfg;
+    cfg.l1Sets = 0;
+    EXPECT_DEATH(cfg.validate(), "l1Sets must be at least 1");
+}
+
+TEST(ConfigValidateScaling, RejectsL2TilePastTheSlotIndex)
+{
+    // 2^32 64-byte entries per tile: one more than an L2 slot index
+    // can address (its all-ones value means "no slot").
+    SystemConfig cfg;
+    cfg.l2BytesPerTile = (std::uint64_t(1) << 32) * cfg.regionBytes;
+    EXPECT_DEATH(cfg.validate(), "slot index");
+
+    // The largest tile the index covers is accepted.
+    cfg.l2BytesPerTile =
+        std::uint64_t(std::numeric_limits<L2SlotIndex>::max()) *
+        cfg.regionBytes;
+    cfg.validate();
 }
 
 TEST(ConfigValidateScaling, RejectsNonPowerOfTwoBloomBuckets)

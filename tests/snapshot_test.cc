@@ -11,13 +11,20 @@
  *
  * The rejection half: corrupted, truncated, version-skewed and
  * config-mismatched images must be refused with a clear error — never
- * undefined behavior, never a half-restored System.
+ * undefined behavior, never a half-restored System. That includes
+ * each consistency rule of the sparse directory section.
+ *
+ * Images are deterministic (two identical runs save identical bytes)
+ * and hold only the valid L2 entries, so a 16-core image is a small
+ * fraction of the machine's L2 capacity.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -370,6 +377,195 @@ TEST(SnapshotReject, MissingFile)
     EXPECT_FALSE(
         fresh.restoreSnapshotFile("no_such_snapshot_file.pzsn", &err));
     EXPECT_FALSE(err.empty());
+}
+
+// ---- the sparse directory section ------------------------------------
+
+/**
+ * A mid-run image with the offsets of tile 0's directory entries. The
+ * entry layout is DirController::saveState's: u32 slot, u64 region,
+ * u8 filling, u8 dirty, u64 LRU stamp, readers, writers, u8 wordCount,
+ * then wordCount words.
+ */
+struct DirImage
+{
+    std::vector<std::uint8_t> bytes;
+    std::size_t countAt = 0;
+    std::vector<std::size_t> entryAt;
+    std::size_t endAt = 0;
+};
+
+constexpr std::size_t kFillingAt = 4 + 8;
+constexpr std::size_t kDirtyAt = kFillingAt + 1;
+constexpr std::size_t kReadersAt = kDirtyAt + 1 + 8;
+constexpr std::size_t kWordCountAt = kReadersAt + 2 * sizeof(CoreSet);
+constexpr std::size_t kWordsAt = kWordCountAt + 1;
+
+std::uint32_t
+slotsPerTile(const SystemConfig &cfg)
+{
+    const std::uint64_t sets =
+        cfg.l2BytesPerTile / cfg.regionBytes / cfg.l2Assoc;
+    return static_cast<std::uint32_t>(sets * cfg.l2Assoc);
+}
+
+std::uint32_t
+getU32(const std::vector<std::uint8_t> &b, std::size_t at)
+{
+    std::uint32_t v = 0;
+    std::memcpy(&v, &b[at], sizeof(v));
+    return v;
+}
+
+void
+putU32(std::vector<std::uint8_t> &b, std::size_t at, std::uint32_t v)
+{
+    std::memcpy(&b[at], &v, sizeof(v));
+}
+
+DirImage
+dirImage(const SystemConfig &cfg, Cycle stop)
+{
+    System donor(cfg, bench(cfg));
+    donor.runTo(stop);
+    Serializer img;
+    std::string err;
+    EXPECT_TRUE(donor.saveSnapshot(img, &err)) << err;
+
+    // Tile 0's section appears verbatim in the image; its entry count
+    // follows the stats, lruClock, busyUntil, 4 RNG words and the
+    // (setsPerTile, l2Assoc) geometry pair.
+    Serializer sec;
+    donor.dir(0).saveState(sec);
+    DirImage im;
+    im.bytes = img.bytes();
+    const auto at = std::search(im.bytes.begin(), im.bytes.end(),
+                                sec.bytes().begin(), sec.bytes().end());
+    EXPECT_NE(at, im.bytes.end());
+    if (at == im.bytes.end())
+        return im;
+    im.countAt = static_cast<std::size_t>(at - im.bytes.begin()) +
+                 sizeof(DirStats) + 8 + 8 + 4 * 8 + 4 + 4;
+    std::size_t off = im.countAt + 4;
+    for (std::uint32_t i = 0; i < getU32(im.bytes, im.countAt); ++i) {
+        im.entryAt.push_back(off);
+        off += kWordsAt +
+               im.bytes[off + kWordCountAt] * sizeof(std::uint64_t);
+    }
+    im.endAt = off;
+    return im;
+}
+
+TEST(SnapshotReject, DirEntryCountAboveCapacity)
+{
+    SystemConfig cfg;
+    cfg.seed = 3;
+    DirImage im = dirImage(cfg, 5000);
+    ASSERT_FALSE(im.entryAt.empty());
+    putU32(im.bytes, im.countAt, slotsPerTile(cfg) + 1);
+    expectRejected(cfg, im.bytes);
+}
+
+TEST(SnapshotReject, DirSlotOutOfRange)
+{
+    SystemConfig cfg;
+    cfg.seed = 3;
+    DirImage im = dirImage(cfg, 5000);
+    ASSERT_FALSE(im.entryAt.empty());
+    putU32(im.bytes, im.entryAt.back(), slotsPerTile(cfg));
+    expectRejected(cfg, im.bytes);
+}
+
+TEST(SnapshotReject, DirSlotsNotAscending)
+{
+    // Swap the first two entries whole: each stays self-consistent
+    // (its region still maps to its slot's set), only the order breaks.
+    SystemConfig cfg;
+    cfg.seed = 3;
+    DirImage im = dirImage(cfg, 5000);
+    ASSERT_GE(im.entryAt.size(), 2u);
+    const std::size_t a = im.entryAt[0];
+    const std::size_t b = im.entryAt[1];
+    const std::size_t end = im.entryAt.size() > 2 ? im.entryAt[2] : im.endAt;
+    std::rotate(im.bytes.begin() + a, im.bytes.begin() + b,
+                im.bytes.begin() + end);
+    expectRejected(cfg, im.bytes);
+}
+
+TEST(SnapshotReject, DirFlagByteNotZeroOrOne)
+{
+    SystemConfig cfg;
+    cfg.seed = 3;
+    const DirImage im = dirImage(cfg, 5000);
+    ASSERT_FALSE(im.entryAt.empty());
+    for (const std::size_t flag : {kFillingAt, kDirtyAt}) {
+        for (const std::uint8_t v : {std::uint8_t(2), std::uint8_t(0xff)}) {
+            std::vector<std::uint8_t> bytes = im.bytes;
+            bytes[im.entryAt[0] + flag] = v;
+            expectRejected(cfg, bytes);
+        }
+    }
+}
+
+TEST(SnapshotReject, DirSharerOutsideMachine)
+{
+    SystemConfig cfg;
+    cfg.seed = 3;
+    DirImage im = dirImage(cfg, 5000);
+    ASSERT_FALSE(im.entryAt.empty());
+    // Core numCores (16) as a reader of the first entry.
+    im.bytes[im.entryAt[0] + kReadersAt + cfg.numCores / 8] |=
+        std::uint8_t(1) << (cfg.numCores % 8);
+    expectRejected(cfg, im.bytes);
+}
+
+TEST(SnapshotReject, DirFilledEntryWithoutWords)
+{
+    // A settled (not filling) entry always holds regionWords() words;
+    // drop them and claim wordCount 0, keeping the stream aligned.
+    SystemConfig cfg;
+    cfg.seed = 3;
+    DirImage im = dirImage(cfg, 5000);
+    std::size_t victim = 0;
+    for (const std::size_t at : im.entryAt) {
+        if (im.bytes[at + kFillingAt] == 0) {
+            victim = at;
+            break;
+        }
+    }
+    ASSERT_NE(victim, 0u);
+    ASSERT_EQ(im.bytes[victim + kWordCountAt], cfg.regionWords());
+    im.bytes[victim + kWordCountAt] = 0;
+    im.bytes.erase(im.bytes.begin() + victim + kWordsAt,
+                   im.bytes.begin() + victim + kWordsAt +
+                       cfg.regionWords() * sizeof(std::uint64_t));
+    expectRejected(cfg, im.bytes);
+}
+
+TEST(SnapshotImage, IdenticalRunsSaveIdenticalBytes)
+{
+    SystemConfig cfg;
+    cfg.protocol = ProtocolKind::ProtozoaMW;
+    cfg.seed = 29;
+    const Serializer a = saveAt(cfg, 12000);
+    const Serializer b = saveAt(cfg, 12000);
+    EXPECT_EQ(a.bytes(), b.bytes());
+}
+
+TEST(SnapshotImage, SixteenCoreImageIsATenthOfTheDenseOne)
+{
+    // BENCH_stream.json's 16-core point: Table-4 machine, Protozoa-MW,
+    // apache at scale 0.21, checkpoint at cycle 50,000. The v1 image,
+    // which held every L2 slot, was 117,914,866 bytes.
+    SystemConfig cfg;
+    cfg.protocol = ProtocolKind::ProtozoaMW;
+    const BenchSpec &spec = findBenchmark("apache");
+    System donor(cfg, spec.gen(cfg, 0.21));
+    donor.runTo(50000);
+    Serializer img;
+    std::string err;
+    ASSERT_TRUE(donor.saveSnapshot(img, &err)) << err;
+    EXPECT_LE(img.size(), 117914866u / 10);
 }
 
 TEST(Snapshot, ConfigFingerprintSemantics)
