@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <new>
+
+// The poisoning macros are no-ops outside AddressSanitizer builds.
+#include <sanitizer/asan_interface.h>
 
 #include "common/log.hh"
 
@@ -29,27 +33,33 @@ AmoebaCache::AmoebaCache(const SystemConfig &cfg)
     : numSets(cfg.l1Sets), setBudget(cfg.l1BytesPerSet),
       regionBytes(cfg.regionBytes),
       regionShift(std::countr_zero(cfg.regionBytes)),
-      sets(cfg.l1Sets)
+      // Worst case for the slot pool: the set packed with minimum-size
+      // (one-word) blocks, so every later insert/evict is
+      // allocation-free.
+      slotCap(setBudget / blockCost(WordRange(0, 0)))
 {
     PROTO_ASSERT(setBudget >= blockCost(WordRange::full(cfg.regionWords())),
                  "set budget cannot hold a full region");
-
-    // Worst case for the slot pool: the set packed with minimum-size
-    // (one-word) blocks. Constructing all slots here makes every later
-    // insert/evict allocation-free.
-    const unsigned slotCap = setBudget / blockCost(WordRange(0, 0));
     PROTO_ASSERT(slotCap >= 1 && slotCap < 0xffff,
                  "set slot capacity %u out of range", slotCap);
-    for (auto &set : sets) {
-        set.slots.resize(slotCap);
-        set.order.reserve(slotCap);
-        set.freeSlots.reserve(slotCap);
-        set.slotRegion.assign(slotCap, 0);
-        set.slotCover.assign(slotCap, 0);
-        set.slotLru.assign(slotCap, 0);
-        for (unsigned i = slotCap; i-- > 0;)
-            set.freeSlots.push_back(static_cast<std::uint16_t>(i));
-    }
+    const std::size_t n = std::size_t(numSets) * slotCap;
+    PROTO_ASSERT(n <= 0xffffffffu, "%zu L1 slots do not fit a u32", n);
+    blocks = FixedArray<AmoebaBlock>(n);
+    tags.reset(new SlotTag[n]);
+    blockLru.reset(new std::uint64_t[n]);
+    order.reset(new std::uint16_t[n]);
+    meta = std::make_unique<SetMeta[]>(numSets);
+}
+
+AmoebaCache::~AmoebaCache()
+{
+    for (unsigned set = 0; set < numSets; ++set)
+        for (const std::uint16_t s : liveOrder(set))
+            blockAt(base(set) + s).~AmoebaBlock();
+    // Only claimed blocks can be poisoned; clear them, as the memory
+    // may next serve an unrelated allocation.
+    ASAN_UNPOISON_MEMORY_REGION(blocks.data(),
+                                blocksClaimed * sizeof(AmoebaBlock));
 }
 
 unsigned
@@ -67,13 +77,14 @@ AmoebaCache::setOf(Addr region) const
 AmoebaBlock *
 AmoebaCache::findCovering(Addr region, unsigned word)
 {
-    Set &set = sets[setOf(region)];
-    if (!((set.coverage >> word) & 1))
+    const unsigned set = setOf(region);
+    if (!((meta[set].coverage >> word) & 1))
         return nullptr;
-    for (const std::uint16_t s : set.order) {
-        if (set.slotRegion[s] == region &&
-            ((set.slotCover[s] >> word) & 1))
-            return &set.slots[s];
+    const std::size_t b = base(set);
+    for (const std::uint16_t s : liveOrder(set)) {
+        const SlotTag &t = tags[b + s];
+        if (t.region == region && ((t.cover >> word) & 1))
+            return &blocks[t.block];
     }
     return nullptr;
 }
@@ -81,32 +92,36 @@ AmoebaCache::findCovering(Addr region, unsigned word)
 void
 AmoebaCache::blocksOfRegion(Addr region, BlockPtrs &out)
 {
-    Set &set = sets[setOf(region)];
-    for (const std::uint16_t s : set.order) {
-        if (set.slotRegion[s] == region)
-            out.push_back(&set.slots[s]);
+    const unsigned set = setOf(region);
+    const std::size_t b = base(set);
+    for (const std::uint16_t s : liveOrder(set)) {
+        if (tags[b + s].region == region)
+            out.push_back(&blockAt(b + s));
     }
 }
 
 void
 AmoebaCache::overlapping(Addr region, const WordRange &r, BlockPtrs &out)
 {
-    Set &set = sets[setOf(region)];
+    const unsigned set = setOf(region);
     const WordMask m = r.mask();
-    if (!(set.coverage & m))
+    if (!(meta[set].coverage & m))
         return;
-    for (const std::uint16_t s : set.order) {
-        if (set.slotRegion[s] == region && (set.slotCover[s] & m))
-            out.push_back(&set.slots[s]);
+    const std::size_t b = base(set);
+    for (const std::uint16_t s : liveOrder(set)) {
+        const SlotTag &t = tags[b + s];
+        if (t.region == region && (t.cover & m))
+            out.push_back(&blocks[t.block]);
     }
 }
 
 bool
 AmoebaCache::hasRegion(Addr region)
 {
-    Set &set = sets[setOf(region)];
-    for (const std::uint16_t s : set.order) {
-        if (set.slotRegion[s] == region)
+    const unsigned set = setOf(region);
+    const std::size_t b = base(set);
+    for (const std::uint16_t s : liveOrder(set)) {
+        if (tags[b + s].region == region)
             return true;
     }
     return false;
@@ -115,9 +130,10 @@ AmoebaCache::hasRegion(Addr region)
 bool
 AmoebaCache::hasDirtyRegion(Addr region)
 {
-    Set &set = sets[setOf(region)];
-    for (const std::uint16_t s : set.order) {
-        if (set.slotRegion[s] == region && set.slots[s].dirty())
+    const unsigned set = setOf(region);
+    const std::size_t b = base(set);
+    for (const std::uint16_t s : liveOrder(set)) {
+        if (tags[b + s].region == region && blockAt(b + s).dirty())
             return true;
     }
     return false;
@@ -126,48 +142,65 @@ AmoebaCache::hasDirtyRegion(Addr region)
 bool
 AmoebaCache::hasWritableRegion(Addr region)
 {
-    Set &set = sets[setOf(region)];
-    for (const std::uint16_t s : set.order) {
-        if (set.slotRegion[s] == region &&
-            set.slots[s].state != BlockState::S)
+    const unsigned set = setOf(region);
+    const std::size_t b = base(set);
+    for (const std::uint16_t s : liveOrder(set)) {
+        if (tags[b + s].region == region &&
+            blockAt(b + s).state != BlockState::S)
             return true;
     }
     return false;
 }
 
 AmoebaBlock
-AmoebaCache::takeAt(Set &set, std::size_t pos)
+AmoebaCache::takeAt(unsigned set, unsigned pos)
 {
-    const std::uint16_t s = set.order[pos];
-    AmoebaBlock out = std::move(set.slots[s]);
-    set.slots[s] = AmoebaBlock();
-    set.slotCover[s] = 0;
-    set.order.erase(set.order.begin() +
-                    static_cast<std::ptrdiff_t>(pos));
-    set.freeSlots.push_back(s);
-    set.bytesUsed -= blockCost(out.range);
+    SetMeta &m = meta[set];
+    const std::size_t b = base(set);
+    std::uint16_t *run = order.get() + b;
+    const std::uint16_t s = run[pos];
+    AmoebaBlock *blk = &blockAt(b + s);
+    AmoebaBlock out = std::move(*blk);
+    blk->~AmoebaBlock();
+    // Under AddressSanitizer a freed block stays poisoned until a block
+    // is constructed there again, so a stale AmoebaBlock* kept across
+    // removeExact or an eviction faults on its next use instead of
+    // reading a destroyed object.
+    ASAN_POISON_MEMORY_REGION(blk, sizeof(AmoebaBlock));
+
+    std::copy(run + pos + 1, run + m.live, run + pos);
+    --m.live;
+    // Push onto the free stack at the back of the run.
+    run[slotCap - m.freeDepth()] = s;
+    m.bytesUsed -= blockCost(out.range);
     // Coverage has no per-bit refcount; rebuild it from the compact
     // masks of the survivors (removal is off the steady-state path).
     WordMask cov = 0;
-    for (const std::uint16_t live : set.order)
-        cov |= set.slotCover[live];
-    set.coverage = cov;
+    for (const std::uint16_t live : liveOrder(set))
+        cov |= tags[b + live].cover;
+    m.coverage = cov;
     return out;
 }
 
 void
 AmoebaCache::makeRoom(Addr region, const WordRange &r, Evicted &out)
 {
-    Set &set = sets[setOf(region)];
+    const unsigned set = setOf(region);
+    const SetMeta &m = meta[set];
     const unsigned need = blockCost(r);
 
-    while (set.bytesUsed + need > setBudget) {
-        PROTO_ASSERT(!set.order.empty(), "set over budget while empty");
-        std::size_t victim = 0;
-        for (std::size_t i = 1; i < set.order.size(); ++i) {
-            if (set.slotLru[set.order[i]] <
-                set.slotLru[set.order[victim]])
+    while (m.bytesUsed + need > setBudget) {
+        PROTO_ASSERT(m.live > 0, "set over budget while empty");
+        const std::size_t b = base(set);
+        const std::span<const std::uint16_t> live = liveOrder(set);
+        unsigned victim = 0;
+        std::uint64_t oldest = blockLru[tags[b + live[0]].block];
+        for (unsigned i = 1; i < live.size(); ++i) {
+            const std::uint64_t stamp = blockLru[tags[b + live[i]].block];
+            if (stamp < oldest) {
                 victim = i;
+                oldest = stamp;
+            }
         }
         out.push_back(takeAt(set, victim));
     }
@@ -176,45 +209,35 @@ AmoebaCache::makeRoom(Addr region, const WordRange &r, Evicted &out)
 AmoebaBlock *
 AmoebaCache::insert(AmoebaBlock blk)
 {
-    Set &set = sets[setOf(blk.region)];
-    const unsigned cost = blockCost(blk.range);
-    PROTO_ASSERT(set.bytesUsed + cost <= setBudget,
-                 "insert without room (set %u)", setOf(blk.region));
+    const unsigned set = setOf(blk.region);
     PROTO_ASSERT(blk.words.size() == blk.range.words(),
                  "block data size mismatch");
     const WordMask m = blk.range.mask();
-    if (set.coverage & m) {
-        for (const std::uint16_t s : set.order) {
-            PROTO_ASSERT(set.slotRegion[s] != blk.region ||
-                         !(set.slotCover[s] & m),
+    if (meta[set].coverage & m) {
+        const std::size_t b = base(set);
+        for (const std::uint16_t s : liveOrder(set)) {
+            PROTO_ASSERT(tags[b + s].region != blk.region ||
+                         !(tags[b + s].cover & m),
                          "overlapping insert into region %llx",
                          static_cast<unsigned long long>(blk.region));
         }
     }
-    PROTO_ASSERT(!set.freeSlots.empty(), "set slot pool exhausted");
     blk.lruStamp = ++lruClock;
-    const std::uint16_t s = set.freeSlots.back();
-    set.freeSlots.pop_back();
-    set.slotRegion[s] = blk.region;
-    set.slotCover[s] = m;
-    set.slotLru[s] = blk.lruStamp;
-    set.coverage |= m;
-    set.slots[s] = std::move(blk);
-    set.order.push_back(s);
-    set.bytesUsed += cost;
-    return &set.slots[s];
+    return placeBlock(std::move(blk));
 }
 
 AmoebaBlock
 AmoebaCache::removeExact(Addr region, const WordRange &r)
 {
-    Set &set = sets[setOf(region)];
+    const unsigned set = setOf(region);
     const WordMask m = r.mask();
-    for (std::size_t pos = 0; pos < set.order.size(); ++pos) {
-        const std::uint16_t s = set.order[pos];
+    const std::size_t b = base(set);
+    const std::span<const std::uint16_t> live = liveOrder(set);
+    for (unsigned pos = 0; pos < live.size(); ++pos) {
+        const SlotTag &t = tags[b + live[pos]];
         // A contiguous mask determines its range, so cover equality
         // is exact-range equality.
-        if (set.slotRegion[s] == region && set.slotCover[s] == m)
+        if (t.region == region && t.cover == m)
             return takeAt(set, pos);
     }
     panic("removeExact: block %llx %s not resident",
@@ -225,8 +248,7 @@ void
 AmoebaCache::touchLru(AmoebaBlock *blk)
 {
     blk->lruStamp = ++lruClock;
-    Set &set = sets[setOf(blk->region)];
-    set.slotLru[static_cast<std::size_t>(blk - set.slots.data())] =
+    blockLru[static_cast<std::size_t>(blk - blocks.data())] =
         blk->lruStamp;
 }
 
@@ -234,36 +256,46 @@ std::size_t
 AmoebaCache::blockCount() const
 {
     std::size_t n = 0;
-    for (const auto &set : sets)
-        n += set.order.size();
+    for (unsigned set = 0; set < numSets; ++set)
+        n += meta[set].live;
     return n;
 }
 
 unsigned
 AmoebaCache::setOccupancyBytes(unsigned set_index) const
 {
-    return sets[set_index].bytesUsed;
+    return meta[set_index].bytesUsed;
 }
 
-void
+AmoebaBlock *
 AmoebaCache::placeBlock(AmoebaBlock blk)
 {
-    Set &set = sets[setOf(blk.region)];
+    const unsigned set = setOf(blk.region);
+    SetMeta &m = meta[set];
     const unsigned cost = blockCost(blk.range);
-    PROTO_ASSERT(set.bytesUsed + cost <= setBudget,
-                 "restored block does not fit (set %u)",
-                 setOf(blk.region));
-    PROTO_ASSERT(!set.freeSlots.empty(), "set slot pool exhausted");
-    const WordMask m = blk.range.mask();
-    const std::uint16_t s = set.freeSlots.back();
-    set.freeSlots.pop_back();
-    set.slotRegion[s] = blk.region;
-    set.slotCover[s] = m;
-    set.slotLru[s] = blk.lruStamp;
-    set.coverage |= m;
-    set.slots[s] = std::move(blk);
-    set.order.push_back(s);
-    set.bytesUsed += cost;
+    PROTO_ASSERT(m.bytesUsed + cost <= setBudget,
+                 "insert without room (set %u)", set);
+    PROTO_ASSERT(m.freeDepth() > 0 || m.highWater < slotCap,
+                 "set slot pool exhausted");
+    const std::size_t b = base(set);
+    std::uint16_t *run = order.get() + b;
+    // The most recently freed slot first, else the next never-used
+    // one, which claims the next block of the cache-wide pool.
+    const bool fresh = m.freeDepth() == 0;
+    const std::uint16_t s =
+        fresh ? m.highWater++ : run[slotCap - m.freeDepth()];
+    if (fresh)
+        tags[b + s].block = blocksClaimed++;
+    run[m.live++] = s;
+    SlotTag &t = tags[b + s];
+    t.region = blk.region;
+    t.cover = blk.range.mask();
+    blockLru[t.block] = blk.lruStamp;
+    m.coverage |= t.cover;
+    m.bytesUsed += cost;
+    AmoebaBlock *slot = &blocks[t.block];
+    ASAN_UNPOISON_MEMORY_REGION(slot, sizeof(AmoebaBlock));
+    return ::new (static_cast<void *>(slot)) AmoebaBlock(std::move(blk));
 }
 
 void
@@ -271,12 +303,12 @@ AmoebaCache::saveState(Serializer &s) const
 {
     s.writeU64(lruClock);
     s.writeU32(numSets);
-    for (const auto &set : sets) {
-        s.writeU32(static_cast<std::uint32_t>(set.order.size()));
+    for (unsigned set = 0; set < numSets; ++set) {
+        s.writeU32(meta[set].live);
         // Walk in insertion order so restore reproduces the order
         // array (and hence every scan/victim tie-break) exactly.
-        for (const std::uint16_t slot : set.order) {
-            const AmoebaBlock &b = set.slots[slot];
+        for (const std::uint16_t slot : liveOrder(set)) {
+            const AmoebaBlock &b = blockAt(base(set) + slot);
             s.writeU64(b.region);
             s.writeRaw(b.range);
             s.writeU8(static_cast<std::uint8_t>(b.state));
@@ -301,7 +333,7 @@ AmoebaCache::restoreState(Deserializer &d)
         return false;
     for (unsigned si = 0; si < numSets; ++si) {
         const std::uint32_t n = d.readU32();
-        if (d.failed() || n > sets[si].slots.size())
+        if (d.failed() || n > slotCap)
             return false;
         for (std::uint32_t i = 0; i < n; ++i) {
             AmoebaBlock b;

@@ -10,12 +10,20 @@
  * set only.
  *
  * Storage layout: block payloads are inline (no per-block heap words),
- * and each set is a fixed slot pool — sized at construction for the
- * worst case of minimum-size blocks — plus a small order array that
- * preserves insertion order exactly like the former std::list, while
- * keeping block pointers stable across unrelated inserts and removals.
- * The multi-block snoop helpers fill caller-provided scratch buffers,
- * so the steady-state lookup/evict/insert loop allocates nothing.
+ * and the whole cache is a handful of flat arrays. Each set owns a run
+ * of slotCap slots (the worst case of minimum-size blocks), indexed
+ * set * slotCap + slot, holding the compact tags the scans read. The
+ * wide AmoebaBlock storage is claimed densely, cache-wide, the first
+ * time a slot is filled, and owned by that slot from then on; a set
+ * reuses its freed slots before claiming a new one. A cache therefore
+ * touches block memory only for the most blocks each set has ever
+ * held at once, packed together, and the rest of the worst-case
+ * reservation stays untouched (FixedArray). Blocks never move, so
+ * block pointers stay stable across unrelated inserts and removals,
+ * and a per-set order array preserves insertion order exactly like
+ * the former std::list. The multi-block snoop helpers fill
+ * caller-provided scratch buffers, so the steady-state
+ * lookup/evict/insert loop allocates nothing.
  *
  * The fixed-granularity baseline (MESI) is the degenerate case where
  * every block spans its whole region: with the default 288-byte sets
@@ -26,9 +34,11 @@
 #define PROTOZOA_CACHE_AMOEBA_CACHE_HH
 
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <span>
 
 #include "common/config.hh"
+#include "common/fixed_array.hh"
 #include "common/serialize.hh"
 #include "common/small_vec.hh"
 #include "common/types.hh"
@@ -86,6 +96,9 @@ class AmoebaCache
 {
   public:
     explicit AmoebaCache(const SystemConfig &cfg);
+    ~AmoebaCache();
+    AmoebaCache(const AmoebaCache &) = delete;
+    AmoebaCache &operator=(const AmoebaCache &) = delete;
 
     /** Per-block tag/metadata overhead charged against the set budget. */
     static constexpr unsigned kTagBytes = 8;
@@ -151,9 +164,9 @@ class AmoebaCache
     void
     forEach(F &&fn)
     {
-        for (auto &set : sets)
-            for (const std::uint16_t s : set.order)
-                fn(set.slots[s]);
+        for (unsigned set = 0; set < numSets; ++set)
+            for (const std::uint16_t s : liveOrder(set))
+                fn(blockAt(base(set) + s));
     }
 
     std::size_t blockCount() const;
@@ -174,46 +187,88 @@ class AmoebaCache
 
   private:
     /**
-     * One set: a fixed pool of block slots plus the insertion-order
-     * index array. Slot addresses never change, so block pointers
-     * remain stable exactly as with the former std::list; removing an
-     * order entry shifts only 16-bit indices.
-     *
-     * The scan-heavy lookups never touch the wide AmoebaBlock slots
-     * until a candidate matches: slotRegion/slotCover/slotLru mirror
-     * the tag, range mask, and LRU stamp of each live slot in compact
-     * parallel arrays, and `coverage` holds the OR of every live
-     * block's word mask so a snoop for words the set does not hold
-     * anywhere is rejected with a single AND. Entries of freed slots
-     * are stale but unreachable (scans walk `order` only).
+     * Per-set bookkeeping. The set's run of the order array holds the
+     * live slots in insertion order at its front ([0, live)) and the
+     * free stack at its back: slots freed below the high-water mark,
+     * most recent at index slotCap - freeDepth. live + freeDepth equals
+     * highWater, so the two never meet, and slots at or above
+     * highWater have never held a block.
      */
-    struct Set
+    struct SetMeta
     {
-        std::vector<AmoebaBlock> slots;
-        std::vector<std::uint16_t> order;
-        std::vector<std::uint16_t> freeSlots;
-        std::vector<Addr> slotRegion;
-        std::vector<WordMask> slotCover;
-        std::vector<std::uint64_t> slotLru;
-        unsigned bytesUsed = 0;
         /** OR of live blocks' range masks, across all regions. */
         WordMask coverage = 0;
+        unsigned bytesUsed = 0;
+        std::uint16_t live = 0;
+        std::uint16_t highWater = 0;
+
+        unsigned freeDepth() const { return highWater - live; }
+    };
+
+    /**
+     * What the scans read of one slot: the block's region and range
+     * mask, meaningful while the slot is live, and the index of the
+     * block the slot claimed on its first fill (kept for life).
+     */
+    struct SlotTag
+    {
+        Addr region;
+        WordMask cover;
+        std::uint32_t block;
     };
 
     static unsigned blockCost(const WordRange &r);
 
-    /** Remove order position @p pos of @p set; returns the block. */
-    AmoebaBlock takeAt(Set &set, std::size_t pos);
+    /** First flat index of @p set's slots (and of its order run). */
+    std::size_t base(unsigned set) const
+    {
+        return std::size_t(set) * slotCap;
+    }
+    /** The live slots of @p set, oldest insertion first. */
+    std::span<const std::uint16_t> liveOrder(unsigned set) const
+    {
+        return {order.get() + base(set), meta[set].live};
+    }
+    /** The block owned by (live) flat slot @p slot. */
+    AmoebaBlock &blockAt(std::size_t slot)
+    {
+        return blocks[tags[slot].block];
+    }
+    const AmoebaBlock &blockAt(std::size_t slot) const
+    {
+        return blocks[tags[slot].block];
+    }
 
-    /** Insert preserving blk.lruStamp (snapshot restore path). */
-    void placeBlock(AmoebaBlock blk);
+    /** Remove order position @p pos of @p set; returns the block. */
+    AmoebaBlock takeAt(unsigned set, unsigned pos);
+
+    /** Insert preserving blk.lruStamp (also the snapshot restore path). */
+    AmoebaBlock *placeBlock(AmoebaBlock blk);
 
     unsigned numSets;
     unsigned setBudget;
     unsigned regionBytes;
     unsigned regionShift;
+    /** Slots per set: the set budget packed with one-word blocks. */
+    unsigned slotCap;
+    /** Blocks [0, blocksClaimed) belong to slots; the rest are unused. */
+    std::uint32_t blocksClaimed = 0;
     std::uint64_t lruClock = 0;
-    std::vector<Set> sets;
+
+    /**
+     * The scan-heavy lookups never touch the wide blocks until a
+     * candidate matches: tags mirrors each slot's region and range
+     * mask, blockLru each block's LRU stamp for the victim scan, and
+     * SetMeta::coverage lets a snoop for words the set holds nowhere
+     * be rejected with a single AND. None of these is initialized for
+     * slots or blocks not yet in use. Blocks are constructed by
+     * placeBlock and destroyed by takeAt.
+     */
+    FixedArray<AmoebaBlock> blocks;
+    std::unique_ptr<SlotTag[]> tags;
+    std::unique_ptr<std::uint64_t[]> blockLru;
+    std::unique_ptr<std::uint16_t[]> order;
+    std::unique_ptr<SetMeta[]> meta;
 };
 
 } // namespace protozoa

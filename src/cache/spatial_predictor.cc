@@ -32,10 +32,13 @@ WordOnlyPredictor::predict(Pc, unsigned, const WordRange &need, unsigned)
     return need;
 }
 
-PcSpatialPredictor::PcSpatialPredictor(unsigned table_entries)
-    : table(table_entries)
+PcSpatialPredictor::PcSpatialPredictor(unsigned table_entries,
+                                       unsigned region_words)
+    : regionWords(region_words), table(table_entries)
 {
     PROTO_ASSERT(table_entries > 0, "empty predictor table");
+    static_assert(kMaxRegionWords < Entry::kUntrained,
+                  "extents must fit below the untrained marker");
 }
 
 PcSpatialPredictor::Entry &
@@ -51,7 +54,7 @@ PcSpatialPredictor::predict(Pc pc, unsigned miss_word,
                             const WordRange &need, unsigned region_words)
 {
     const Entry &e = entryFor(pc);
-    if (!e.valid)
+    if (!e.trained())
         return WordRange::full(region_words);
 
     const unsigned start = miss_word >= e.left ? miss_word - e.left : 0;
@@ -74,21 +77,64 @@ PcSpatialPredictor::learn(Pc pc, unsigned miss_word, WordMask touched,
              static_cast<unsigned>(std::countl_zero(touched));
     }
 
+    // Both extents lie inside the region, below kMaxRegionWords.
     const unsigned new_left = miss_word >= lo ? miss_word - lo : 0;
     const unsigned new_right = hi >= miss_word ? hi - miss_word : 0;
 
     Entry &e = entryFor(pc);
-    if (!e.valid) {
-        e.valid = true;
-        e.left = new_left;
-        e.right = new_right;
+    if (!e.trained()) {
+        e.left = static_cast<std::uint8_t>(new_left);
+        e.right = static_cast<std::uint8_t>(new_right);
         return;
     }
     // Grow immediately (spatial locality discovered), shrink by EWMA so
     // a single sparse use doesn't discard a useful wide granularity.
-    e.left = new_left > e.left ? new_left : (e.left + new_left) / 2;
-    e.right = new_right > e.right ? new_right
-                                  : (e.right + new_right) / 2;
+    e.left = static_cast<std::uint8_t>(
+        new_left > e.left ? new_left : (e.left + new_left) / 2);
+    e.right = static_cast<std::uint8_t>(
+        new_right > e.right ? new_right : (e.right + new_right) / 2);
+}
+
+void
+PcSpatialPredictor::saveState(Serializer &s) const
+{
+    std::uint32_t trained = 0;
+    for (const Entry &e : table)
+        trained += e.trained() ? 1 : 0;
+    s.writeU32(static_cast<std::uint32_t>(table.size()));
+    s.writeU32(trained);
+    for (std::uint32_t i = 0; i < table.size(); ++i) {
+        if (!table[i].trained())
+            continue;
+        s.writeU32(i);
+        s.writeU8(table[i].left);
+        s.writeU8(table[i].right);
+    }
+}
+
+bool
+PcSpatialPredictor::restoreState(Deserializer &d)
+{
+    // Reject a table of another size, more entries than the table
+    // holds, indices out of range or not strictly ascending, and
+    // extents outside the region. Restores in place: no allocation.
+    const std::uint32_t size = d.readU32();
+    const std::uint32_t count = d.readU32();
+    if (d.failed() || size != table.size() || count > size)
+        return false;
+    std::fill(table.begin(), table.end(), Entry{});
+    std::uint64_t next = 0;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        const std::uint32_t index = d.readU32();
+        const std::uint8_t left = d.readU8();
+        const std::uint8_t right = d.readU8();
+        if (d.failed() || index < next || index >= size ||
+            left >= regionWords || right >= regionWords)
+            return false;
+        next = std::uint64_t(index) + 1;
+        table[index] = Entry{left, right};
+    }
+    return true;
 }
 
 std::unique_ptr<SpatialPredictor>
@@ -100,7 +146,8 @@ makePredictor(const SystemConfig &cfg)
       case PredictorKind::Fixed:
         return std::make_unique<FixedPredictor>(cfg.fixedFetchWords);
       case PredictorKind::PcSpatial:
-        return std::make_unique<PcSpatialPredictor>();
+        return std::make_unique<PcSpatialPredictor>(1024,
+                                                    cfg.regionWords());
       case PredictorKind::WordOnly:
         return std::make_unique<WordOnlyPredictor>();
     }

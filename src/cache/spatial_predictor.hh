@@ -102,7 +102,8 @@ class WordOnlyPredictor : public SpatialPredictor
 class PcSpatialPredictor : public SpatialPredictor
 {
   public:
-    explicit PcSpatialPredictor(unsigned table_entries = 1024);
+    explicit PcSpatialPredictor(unsigned table_entries = 1024,
+                                unsigned region_words = kMaxRegionWords);
 
     WordRange predict(Pc pc, unsigned miss_word, const WordRange &need,
                       unsigned region_words) override;
@@ -110,33 +111,31 @@ class PcSpatialPredictor : public SpatialPredictor
     void learn(Pc pc, unsigned miss_word, WordMask touched,
                const WordRange &range) override;
 
-    void
-    saveState(Serializer &s) const override
-    {
-        s.writeVecRaw(table);
-    }
-
-    bool
-    restoreState(Deserializer &d) override
-    {
-        std::vector<Entry> t;
-        if (!d.readVecRaw(t) || t.size() != table.size())
-            return false;
-        table = std::move(t);
-        return true;
-    }
+    /**
+     * Sparse: u32 table size, u32 count of trained entries, then per
+     * trained entry in ascending index order u32 index, u8 left,
+     * u8 right.
+     */
+    void saveState(Serializer &s) const override;
+    /** Fails closed on anything saveState cannot have written. */
+    bool restoreState(Deserializer &d) override;
 
   private:
+    /** Learned extents, in words, around the miss word; both stay
+     *  below the region's word count, so a byte holds either. */
     struct Entry
     {
-        bool valid = false;
-        /** Learned extents, in words, around the miss word. */
-        unsigned left = 0;
-        unsigned right = 0;
+        static constexpr std::uint8_t kUntrained = 0xff;
+        std::uint8_t left = kUntrained;
+        std::uint8_t right = 0;
+
+        bool trained() const { return left != kUntrained; }
     };
 
     Entry &entryFor(Pc pc);
 
+    /** Region size the snapshot's extents are checked against. */
+    unsigned regionWords;
     std::vector<Entry> table;
 };
 

@@ -21,10 +21,10 @@ DirController::DirController(TileId id, const SystemConfig &config,
     setsPerTile = static_cast<unsigned>(blocks / cfg.l2Assoc);
     PROTO_ASSERT(setsPerTile > 0, "L2 tile too small");
     const std::size_t slots = std::size_t(setsPerTile) * cfg.l2Assoc;
-    tags.assign(slots, 0);
-    lru.reset(new std::uint64_t[slots]);
-    sidecarOf.reset(new Slot[slots]);
-    sidecars.reserve(slots);
+    tags = FixedArray<std::uint64_t>(slots);
+    lru = FixedArray<std::uint64_t>(slots);
+    sidecarOf = FixedArray<Slot>(slots);
+    sidecars = FixedArray<EntryData>(slots);
 
     if (cfg.directory == DirectoryKind::TaglessBloom) {
         bloomReaders = std::make_unique<CountingBloomSharers>(
@@ -169,10 +169,9 @@ DirController::claimSlot(Slot s, Addr region)
     PROTO_ASSERT((region & kFlagBits) == 0,
                  "region %llx not word aligned",
                  static_cast<unsigned long long>(region));
-    // Never reallocates: capacity covers every slot, and each slot
-    // claims once.
-    sidecarOf[s] = static_cast<Slot>(sidecars.size());
-    sidecars.emplace_back();
+    // Capacity covers every slot, and each slot claims once.
+    sidecarOf[s] = sidecarCount;
+    sidecars[sidecarCount++] = EntryData{};
     tags[s] = region | kValid | kFilling;
     lru[s] = ++lruClock;
 }
@@ -825,7 +824,7 @@ DirController::saveState(Serializer &s) const
     // only the first wordCount of them are written.
     s.writeU32(setsPerTile);
     s.writeU32(cfg.l2Assoc);
-    s.writeU32(static_cast<std::uint32_t>(sidecars.size()));
+    s.writeU32(sidecarCount);
     for (Slot slot = 0; slot < tags.size(); ++slot) {
         const std::uint64_t tag = tags[slot];
         if (!(tag & kValid))
@@ -874,11 +873,11 @@ DirController::restoreEntries(Deserializer &d)
     // or outside its slot's set, a sharer at or above numCores, or a
     // word count other than regionWords() (0 only while the slot's
     // first fill is still in flight).
+    PROTO_ASSERT(sidecarCount == 0,
+                 "directory restore requires a fresh tile");
     const std::uint32_t count = d.readU32();
     if (d.failed() || count > tags.size())
         return false;
-    std::fill(tags.begin(), tags.end(), 0);
-    sidecars.clear();
     const CoreSet cores = CoreSet::firstN(cfg.numCores);
     std::uint64_t next_slot = 0;
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -893,8 +892,8 @@ DirController::restoreEntries(Deserializer &d)
             return false;
         next_slot = std::uint64_t(slot) + 1;
 
-        sidecarOf[slot] = static_cast<Slot>(sidecars.size());
-        EntryData &e = sidecars.emplace_back();
+        sidecarOf[slot] = sidecarCount;
+        EntryData &e = sidecars[sidecarCount++];
         d.readRaw(e.readers);
         d.readRaw(e.writers);
         e.wordCount = d.readU8();

@@ -38,6 +38,7 @@
 #include "common/config.hh"
 #include "common/core_mask.hh"
 #include "common/event_queue.hh"
+#include "common/fixed_array.hh"
 #include "common/flat_table.hh"
 #include "common/rng.hh"
 #include "common/serialize.hh"
@@ -131,7 +132,7 @@ class DirController
     }
 
     /** Number of valid L2 entries (each owns exactly one sidecar). */
-    std::size_t occupancy() const { return sidecars.size(); }
+    std::size_t occupancy() const { return sidecarCount; }
 
     /** Snapshot of one in-flight transaction. */
     struct TxnSnap
@@ -217,7 +218,8 @@ class DirController
     };
 
     /** Serialize / restore all mutable tile state (L2 sets, active
-     *  transactions, wait queues, Bloom counters, occupancy, stats). */
+     *  transactions, wait queues, Bloom counters, occupancy, stats).
+     *  Restore requires a freshly constructed tile. */
     void saveState(Serializer &s) const;
     bool restoreState(Deserializer &d);
 
@@ -350,15 +352,18 @@ class DirController
 
     unsigned setsPerTile;
     // The L2 slice as parallel per-slot arrays, scanned tag-first: an
-    // 8-way set's tags are 64 contiguous bytes. Only tags is
-    // initialized; lru and sidecarOf are meaningful on valid slots
+    // 8-way set's tags are 64 contiguous bytes. A zero tag is an
+    // invalid slot; lru and sidecarOf are meaningful on valid slots
     // alone, and sidecars is reserved for every slot up front but
-    // grows (without reallocating) one claim at a time, so resident
-    // memory follows the entries filled rather than the L2 capacity.
-    std::vector<std::uint64_t> tags;
-    std::unique_ptr<std::uint64_t[]> lru;
-    std::unique_ptr<Slot[]> sidecarOf;
-    std::vector<EntryData> sidecars;
+    // claimed one entry at a time (the first sidecarCount are in use).
+    // All four are FixedArrays, so the kernel backs only the pages
+    // written and resident memory follows the entries filled rather
+    // than the L2 capacity.
+    FixedArray<std::uint64_t> tags;
+    FixedArray<std::uint64_t> lru;
+    FixedArray<Slot> sidecarOf;
+    FixedArray<EntryData> sidecars;
+    Slot sidecarCount = 0;
 
     // Per-region transaction and wait-queue bookkeeping: flat
     // open-addressing tables plus a pooled FIFO arena, so the

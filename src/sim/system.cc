@@ -566,48 +566,44 @@ System::report() const
 System::InvAcc &
 System::invFindOrCreate(Addr region)
 {
-    auto mixAddr = [](Addr key) {
+    // Linear probing: the slot holding `key` in this epoch, else the
+    // free slot that ends its probe run.
+    auto probe = [this](Addr key) {
         std::uint64_t z = key + 0x9e3779b97f4a7c15ULL;
         z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
         z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
+        const std::size_t mask = invTable.size() - 1;
+        std::size_t i = static_cast<std::size_t>(z ^ (z >> 31)) & mask;
+        while (invTable[i].epoch == invEpoch && invTable[i].region != key)
+            i = (i + 1) & mask;
+        return i;
     };
-    for (;;) {
-        std::size_t i = static_cast<std::size_t>(mixAddr(region)) &
-                        (invTable.size() - 1);
-        std::size_t probes = 0;
-        while (invTable[i].epoch == invEpoch) {
-            if (invTable[i].region == region)
-                return invTable[i];
-            i = (i + 1) & (invTable.size() - 1);
-            // Growth happens during warmup only: once the resident
-            // block population peaks, the table size is sticky and
-            // the check allocates nothing.
-            if (++probes * 2 > invTable.size())
-                break;
-        }
-        if (invTable[i].epoch != invEpoch) {
-            InvAcc &acc = invTable[i];
-            acc.region = region;
-            acc.epoch = invEpoch;
-            acc.all = acc.multi = acc.cur = acc.writerWords = 0;
-            acc.distinctCores = 0;
-            acc.writers = CoreSet();
-            return acc;
-        }
+    std::size_t i = probe(region);
+    if (invTable[i].epoch == invEpoch)
+        return invTable[i];
+
+    // A region new to this check. The table stays at most half full,
+    // so probe runs stay short. Growth happens during warmup only:
+    // once the resident block population peaks, the table size is
+    // sticky and the check allocates nothing.
+    if ((invStamped.size() + 1) * 2 > invTable.size()) {
         std::vector<InvAcc> old = std::move(invTable);
         invTable.assign(old.size() * 2, InvAcc());
-        for (InvAcc &acc : old) {
-            if (acc.epoch != invEpoch)
-                continue;
-            std::size_t j = static_cast<std::size_t>(
-                                mixAddr(acc.region)) &
-                            (invTable.size() - 1);
-            while (invTable[j].epoch == invEpoch)
-                j = (j + 1) & (invTable.size() - 1);
-            invTable[j] = acc;
+        invStamped.reserve(invTable.size() / 2);
+        // Re-place the stamped slots and record where each one moved.
+        for (std::uint32_t &k : invStamped) {
+            const std::size_t j = probe(old[k].region);
+            invTable[j] = old[k];
+            k = static_cast<std::uint32_t>(j);
         }
+        i = probe(region);
     }
+    InvAcc &acc = invTable[i];
+    acc = InvAcc();
+    acc.region = region;
+    acc.epoch = invEpoch;
+    invStamped.push_back(static_cast<std::uint32_t>(i));
+    return acc;
 }
 
 std::optional<std::string>
@@ -625,9 +621,12 @@ System::checkCoherenceInvariant()
     // as a contiguous run; folding the per-core aggregate into
     // `multi` at core boundaries yields the words held by two or more
     // distinct cores — no sorting, no per-pair scan.
-    if (invTable.empty())
-        invTable.assign(1024, InvAcc());
+    if (invTable.empty()) {
+        invTable.assign(16, InvAcc());
+        invStamped.reserve(invTable.size() / 2);
+    }
     ++invEpoch;
+    invStamped.clear();
     for (CoreId c = 0; c < cfg.numCores; ++c) {
         l1s[c]->cacheStorage().forEach([&](const AmoebaBlock &blk) {
             InvAcc &acc = invFindOrCreate(blk.region);
@@ -657,9 +656,8 @@ System::checkCoherenceInvariant()
     // take the minimum before building the message.
     bool found = false;
     Addr badRegion = 0;
-    for (InvAcc &acc : invTable) {
-        if (acc.epoch != invEpoch)
-            continue;
+    for (const std::uint32_t k : invStamped) {
+        const InvAcc &acc = invTable[k];
         const WordMask multi = acc.multi | (acc.all & acc.cur);
         const bool violation =
             (single_writer && acc.writers.count() > 1) ||

@@ -356,8 +356,9 @@ class System : public Router
      * coverage folded core by core (blocks stream in core-major
      * order), so conflicts fall out of a few ANDs per region with no
      * sorting and no per-pair scan. Slots are recycled across checks
-     * via the epoch stamp; the table only grows (warmup), never
-     * clears.
+     * via the epoch stamp; the table starts small and only grows
+     * (warmup), never clears. invStamped lists the slots stamped in
+     * the current epoch, so a check visits only the regions it saw.
      */
     struct InvAcc
     {
@@ -374,6 +375,7 @@ class System : public Router
         CoreSet writers;
     };
     std::vector<InvAcc> invTable;
+    std::vector<std::uint32_t> invStamped;
     std::uint64_t invEpoch = 0;
 
     /** One resident L1 block (violation fallback path only). */

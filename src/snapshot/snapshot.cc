@@ -3,7 +3,7 @@
  * System checkpoint/restore implementation: the byte layout lives
  * here and nowhere else (see snapshot.hh for the contract).
  *
- * Layout (version 2, all little-endian; raw structs are written with
+ * Layout (version 3, all little-endian; raw structs are written with
  * their padding zeroed, so identical runs save identical bytes):
  *
  *   u32 magic "PZSN"        u32 version        u64 configFingerprint
@@ -13,7 +13,11 @@
  *      (checkPeriod, watchdogBound)
  *   -- golden memory, backing memory image
  *   -- conformance coverage (per-shard trackers in sharded mode)
- *   -- cores, L1s (pending-completion flag inside)
+ *   -- cores, L1s (pending-completion flag inside), each L1 holding
+ *      its cache's resident blocks per set in insertion order, then a
+ *      sparse predictor table: u32 table size, u32 count of trained
+ *      entries, and per trained entry in ascending index order
+ *      u32 index, u8 left extent, u8 right extent (PcSpatial only)
  *   -- directory tiles, each: stats, LRU clock, occupancy horizon,
  *      jitter RNG, (setsPerTile, l2Assoc), then a sparse entry list:
  *      u32 count of valid slots, and per valid slot in ascending slot

@@ -315,6 +315,35 @@ TEST(AllocRegression, StreamedSteadyStateIsAllocationFree)
     std::remove(path.c_str());
 }
 
+/** Heap allocations made by constructing and destroying one System. */
+std::uint64_t
+constructionAllocs(const SystemConfig &cfg)
+{
+    Workload wl = hotPoolWorkload(cfg, 0);
+    const std::uint64_t before = AllocHook::allocCount();
+    {
+        System sys(cfg, std::move(wl));
+    }
+    return AllocHook::allocCount() - before;
+}
+
+/**
+ * The L1's claim: each cache is a fixed handful of flat arrays, so the
+ * number of heap allocations a System makes does not grow with the
+ * number of L1 sets (it used to be 1 + 6 * l1Sets per L1).
+ */
+TEST(AllocRegression, L1SetCountDoesNotScaleConstructionAllocs)
+{
+    SystemConfig small;
+    small.l1Sets = 64;
+    SystemConfig large;
+    large.l1Sets = 1024;
+    const std::uint64_t a = constructionAllocs(small);
+    const std::uint64_t b = constructionAllocs(large);
+    EXPECT_EQ(a, b);
+    EXPECT_LT(a, 1000u);
+}
+
 TEST(AllocRegression, HookCountsAreLive)
 {
     const std::uint64_t before = AllocHook::allocCount();

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/amoeba_cache.hh"
 
 namespace protozoa {
@@ -245,6 +247,121 @@ TEST(AmoebaCache, ForEachVisitsEverything)
     cache.forEach([&](const AmoebaBlock &) { ++count; });
     EXPECT_EQ(count, 3u);
 }
+
+/** Every resident block's region, in forEach order. */
+std::vector<Addr>
+residentRegions(AmoebaCache &cache)
+{
+    std::vector<Addr> out;
+    cache.forEach([&](const AmoebaBlock &b) { out.push_back(b.region); });
+    return out;
+}
+
+TEST(AmoebaCacheSlots, FreedSlotIsReusedBeforeHighWaterAdvances)
+{
+    AmoebaCache cache(tinyCfg());
+    AmoebaBlock *a = cache.insert(makeBlock(regionInSet0(0), WordRange(0, 7)));
+    AmoebaBlock *b = cache.insert(makeBlock(regionInSet0(1), WordRange(0, 7)));
+    AmoebaBlock *c = cache.insert(makeBlock(regionInSet0(2), WordRange(0, 7)));
+    // A set's slots are contiguous and claimed in order.
+    EXPECT_EQ(b, a + 1);
+    EXPECT_EQ(c, a + 2);
+
+    cache.removeExact(regionInSet0(1), WordRange(0, 7));   // frees b
+    cache.removeExact(regionInSet0(0), WordRange(0, 7));   // frees a
+
+    // Last freed, first reused; only then does the set claim a slot it
+    // never used before.
+    EXPECT_EQ(cache.insert(makeBlock(regionInSet0(3), WordRange(0, 7))), a);
+    EXPECT_EQ(cache.insert(makeBlock(regionInSet0(4), WordRange(0, 7))), b);
+    EXPECT_EQ(cache.insert(makeBlock(regionInSet0(5), WordRange(0, 0))),
+              a + 3);
+}
+
+TEST(AmoebaCacheSlots, UntouchedBlocksKeepTheirAddresses)
+{
+    // Fill set 0 with eight 3-word blocks (32 B each, 256 of 288 B),
+    // keep a pointer to each, then evict and reinsert around them.
+    AmoebaCache cache(tinyCfg());
+    std::vector<AmoebaBlock *> ptrs;
+    for (unsigned i = 0; i < 8; ++i) {
+        AmoebaBlock blk = makeBlock(regionInSet0(i), WordRange(1, 3));
+        blk.words[0] = 100 + i;
+        ptrs.push_back(cache.insert(std::move(blk)));
+    }
+    // Blocks 2 and 5 stay recent; 0, 1, 3, 4, 6, 7 are the LRU order.
+    cache.touchLru(ptrs[2]);
+    cache.touchLru(ptrs[5]);
+
+    // A full region (72 B) needs 40 B more than is free: two victims.
+    AmoebaCache::Evicted evicted;
+    cache.makeRoom(regionInSet0(8), WordRange(0, 7), evicted);
+    ASSERT_EQ(evicted.size(), 2u);
+    EXPECT_EQ(evicted[0].region, regionInSet0(0));
+    EXPECT_EQ(evicted[1].region, regionInSet0(1));
+    cache.insert(makeBlock(regionInSet0(8), WordRange(0, 7)));
+    cache.removeExact(regionInSet0(6), WordRange(1, 3));
+    cache.insert(makeBlock(regionInSet0(9), WordRange(0, 1)));
+
+    for (const unsigned i : {2u, 3u, 4u, 5u, 7u}) {
+        EXPECT_EQ(cache.findCovering(regionInSet0(i), 2), ptrs[i]) << i;
+        EXPECT_EQ(ptrs[i]->region, regionInSet0(i));
+        EXPECT_EQ(ptrs[i]->wordAt(1), 100u + i);
+    }
+}
+
+TEST(AmoebaCacheSlots, ForEachFollowsInsertionOrderAfterRemovals)
+{
+    AmoebaCache cache(tinyCfg());
+    const Addr other = regionInSet0(0) + 64;   // set 1
+    for (unsigned i = 0; i < 4; ++i)
+        cache.insert(makeBlock(regionInSet0(i), WordRange(0, 7)));
+    cache.insert(makeBlock(other, WordRange(0, 3)));
+    EXPECT_EQ(residentRegions(cache),
+              (std::vector<Addr>{regionInSet0(0), regionInSet0(1),
+                                 regionInSet0(2), regionInSet0(3), other}));
+
+    // Removing from the middle keeps the survivors' relative order; a
+    // reinsert into a reused slot goes to the back of its set.
+    cache.removeExact(regionInSet0(1), WordRange(0, 7));
+    EXPECT_EQ(residentRegions(cache),
+              (std::vector<Addr>{regionInSet0(0), regionInSet0(2),
+                                 regionInSet0(3), other}));
+    cache.insert(makeBlock(regionInSet0(5), WordRange(0, 7)));
+    cache.removeExact(regionInSet0(0), WordRange(0, 7));
+    cache.insert(makeBlock(regionInSet0(1), WordRange(2, 3)));
+    EXPECT_EQ(residentRegions(cache),
+              (std::vector<Addr>{regionInSet0(2), regionInSet0(3),
+                                 regionInSet0(5), regionInSet0(1), other}));
+
+    // Evictions take the LRU block and keep the order of the rest.
+    AmoebaCache::Evicted evicted;
+    cache.makeRoom(regionInSet0(6), WordRange(0, 7), evicted);
+    ASSERT_EQ(evicted.size(), 1u);
+    EXPECT_EQ(evicted[0].region, regionInSet0(2));
+    cache.insert(makeBlock(regionInSet0(6), WordRange(0, 7)));
+    EXPECT_EQ(residentRegions(cache),
+              (std::vector<Addr>{regionInSet0(3), regionInSet0(5),
+                                 regionInSet0(1), regionInSet0(6), other}));
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// Freed slots are poisoned, so a stale block pointer kept across a
+// removal is caught instead of silently reading a destroyed block.
+TEST(AmoebaCacheDeath, StaleBlockPointerIsPoisoned)
+{
+    AmoebaCache cache(tinyCfg());
+    const Addr r = regionInSet0(1);
+    AmoebaBlock *stale = cache.insert(makeBlock(r, WordRange(2, 4)));
+    cache.removeExact(r, WordRange(2, 4));
+    EXPECT_DEATH(
+        {
+            volatile Addr seen = stale->region;
+            (void)seen;
+        },
+        "use-after-poison");
+}
+#endif
 
 } // namespace
 } // namespace protozoa

@@ -202,5 +202,43 @@ TEST(InvariantChecker, DetectsViolationsWhenSeeded)
     EXPECT_NE(err->find("SWMR"), std::string::npos);
 }
 
+/**
+ * The sweep visits only the accumulator slots stamped in the current
+ * check. Here the violating region is the first one core 0 streams
+ * in; two hundred more regions follow before core 1's conflicting
+ * copy, so the (small) table grows after the violator was stamped
+ * and the list of stamped slots must follow it to its new place.
+ */
+TEST(InvariantChecker, ViolationStampedBeforeTableGrowthIsReported)
+{
+    SystemConfig cfg;
+    cfg.protocol = ProtocolKind::ProtozoaMW;
+    System sys(cfg, emptyWorkload(cfg.numCores));
+
+    auto mk = [&](CoreId core, Addr region, unsigned start,
+                  unsigned end, BlockState st) {
+        AmoebaBlock blk;
+        blk.region = region;
+        blk.range = WordRange(start, end);
+        blk.state = st;
+        blk.words.assign(blk.range.words(), 0);
+        sys.l1(core).cacheStorage().insert(blk);
+    };
+
+    // 0x8000 maps to L1 set 0, so core 0 streams it first; the filler
+    // regions occupy sets 1..200.
+    const Addr bad = 0x8000;
+    mk(0, bad, 0, 3, BlockState::M);
+    for (unsigned i = 1; i <= 200; ++i)
+        mk(0, bad + Addr(i) * cfg.regionBytes, 0, 7, BlockState::S);
+    mk(1, bad, 3, 4, BlockState::S);
+
+    for (int check = 0; check < 2; ++check) {
+        const auto err = sys.checkCoherenceInvariant();
+        ASSERT_TRUE(err.has_value()) << "check " << check;
+        EXPECT_NE(err->find("region 0x8000:"), std::string::npos) << *err;
+    }
+}
+
 } // namespace
 } // namespace protozoa

@@ -12,7 +12,8 @@
  * The rejection half: corrupted, truncated, version-skewed and
  * config-mismatched images must be refused with a clear error — never
  * undefined behavior, never a half-restored System. That includes
- * each consistency rule of the sparse directory section.
+ * each consistency rule of the sparse directory and predictor
+ * sections.
  *
  * Images are deterministic (two identical runs save identical bytes)
  * and hold only the valid L2 entries, so a 16-core image is a small
@@ -540,6 +541,112 @@ TEST(SnapshotReject, DirFilledEntryWithoutWords)
                    im.bytes.begin() + victim + kWordsAt +
                        cfg.regionWords() * sizeof(std::uint64_t));
     expectRejected(cfg, im.bytes);
+}
+
+// ---- the sparse predictor section ------------------------------------
+
+/**
+ * A mid-run image with the offset of core 0's predictor section
+ * (PcSpatialPredictor::saveState): u32 table size, u32 count of
+ * trained entries, then per entry u32 index, u8 left, u8 right.
+ */
+struct PredImage
+{
+    std::vector<std::uint8_t> bytes;
+    std::size_t sizeAt = 0;
+    std::uint32_t tableSize = 0;
+    std::uint32_t count = 0;
+
+    std::size_t entryAt(std::uint32_t i) const
+    {
+        return sizeAt + 8 + std::size_t(i) * (4 + 1 + 1);
+    }
+};
+
+PredImage
+predImage(const SystemConfig &cfg, Cycle stop)
+{
+    System donor(cfg, bench(cfg));
+    donor.runTo(stop);
+    Serializer img;
+    std::string err;
+    EXPECT_TRUE(donor.saveSnapshot(img, &err)) << err;
+
+    Serializer sec;
+    donor.l1(0).predictorPolicy().saveState(sec);
+    PredImage im;
+    im.bytes = img.bytes();
+    const auto at = std::search(im.bytes.begin(), im.bytes.end(),
+                                sec.bytes().begin(), sec.bytes().end());
+    EXPECT_NE(at, im.bytes.end());
+    if (at == im.bytes.end())
+        return im;
+    im.sizeAt = static_cast<std::size_t>(at - im.bytes.begin());
+    im.tableSize = getU32(im.bytes, im.sizeAt);
+    im.count = getU32(im.bytes, im.sizeAt + 4);
+    return im;
+}
+
+SystemConfig
+predCfg()
+{
+    SystemConfig cfg;
+    cfg.protocol = ProtocolKind::ProtozoaMW;
+    cfg.seed = 3;
+    return cfg;
+}
+
+constexpr Cycle kPredStop = 50000;
+
+TEST(SnapshotReject, PredictorTableSizeMismatch)
+{
+    const PredImage im = predImage(predCfg(), kPredStop);
+    ASSERT_GE(im.count, 2u);
+    for (const std::uint32_t size : {im.tableSize - 1, im.tableSize + 1}) {
+        std::vector<std::uint8_t> bytes = im.bytes;
+        putU32(bytes, im.sizeAt, size);
+        expectRejected(predCfg(), bytes);
+    }
+}
+
+TEST(SnapshotReject, PredictorCountAboveTableSize)
+{
+    PredImage im = predImage(predCfg(), kPredStop);
+    ASSERT_GE(im.count, 2u);
+    putU32(im.bytes, im.sizeAt + 4, im.tableSize + 1);
+    expectRejected(predCfg(), im.bytes);
+}
+
+TEST(SnapshotReject, PredictorIndexOutOfRange)
+{
+    PredImage im = predImage(predCfg(), kPredStop);
+    ASSERT_GE(im.count, 2u);
+    putU32(im.bytes, im.entryAt(im.count - 1), im.tableSize);
+    expectRejected(predCfg(), im.bytes);
+}
+
+TEST(SnapshotReject, PredictorIndicesNotAscending)
+{
+    // Swap the first two entries whole: each stays in range, only the
+    // order breaks.
+    PredImage im = predImage(predCfg(), kPredStop);
+    ASSERT_GE(im.count, 2u);
+    std::rotate(im.bytes.begin() + im.entryAt(0),
+                im.bytes.begin() + im.entryAt(1),
+                im.bytes.begin() + im.entryAt(2));
+    expectRejected(predCfg(), im.bytes);
+}
+
+TEST(SnapshotReject, PredictorExtentOutsideRegion)
+{
+    const PredImage im = predImage(predCfg(), kPredStop);
+    ASSERT_GE(im.count, 2u);
+    for (const std::size_t extent : {std::size_t(4), std::size_t(5)}) {
+        std::vector<std::uint8_t> bytes = im.bytes;
+        bytes[im.entryAt(0) + extent] =
+            static_cast<std::uint8_t>(predCfg().regionWords());
+        expectRejected(predCfg(), bytes);
+    }
 }
 
 TEST(SnapshotImage, IdenticalRunsSaveIdenticalBytes)

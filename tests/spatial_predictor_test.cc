@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/spatial_predictor.hh"
+#include "common/rng.hh"
 
 namespace protozoa {
 namespace {
@@ -163,6 +164,56 @@ TEST(PcSpatialPredictor, DistinctPcsAreIndependent)
     // A different PC is still cold.
     EXPECT_EQ(p.predict(0x200, 0, WordRange(0, 0), kRegionWords),
               WordRange(0, 7));
+}
+
+/**
+ * Sparse snapshot round trip. The table index is the low bits of
+ * (pc >> 2) times an odd constant, so PCs 4k for k below the table
+ * size hit every index exactly once.
+ */
+TEST(PcSpatialPredictor, SnapshotRoundTripPredictsIdentically)
+{
+    constexpr unsigned kEntries = 1024;
+    PcSpatialPredictor trained(kEntries, kRegionWords);
+    Rng rng(41);
+    for (unsigned i = 0; i < 700; ++i) {
+        const Pc pc = 4 * rng.below(kEntries);
+        const unsigned miss = static_cast<unsigned>(rng.below(kRegionWords));
+        const auto touched = static_cast<WordMask>(rng.below(256));
+        trained.learn(pc, miss, touched, WordRange(0, kRegionWords - 1));
+    }
+    Serializer img;
+    trained.saveState(img);
+
+    // Restore over a differently trained table: every entry, trained
+    // or not, must come from the image.
+    PcSpatialPredictor restored(kEntries, kRegionWords);
+    for (unsigned k = 0; k < kEntries; k += 3)
+        restored.learn(4 * k, 4, 0b10000, WordRange(0, kRegionWords - 1));
+    Deserializer d(img.bytes().data(), img.size());
+    ASSERT_TRUE(restored.restoreState(d));
+    EXPECT_TRUE(d.atEnd());
+
+    unsigned cold = 0;
+    for (unsigned k = 0; k < kEntries; ++k) {
+        for (unsigned miss = 0; miss < kRegionWords; ++miss) {
+            const WordRange need(miss, miss);
+            EXPECT_EQ(restored.predict(4 * k, miss, need, kRegionWords),
+                      trained.predict(4 * k, miss, need, kRegionWords))
+                << "index of pc " << 4 * k << ", miss word " << miss;
+        }
+        cold += trained.predict(4 * k, 3, WordRange(3, 3), kRegionWords) ==
+                WordRange::full(kRegionWords);
+    }
+    // Both trained and untrained entries were compared.
+    EXPECT_GT(cold, 0u);
+    EXPECT_LT(cold, kEntries);
+
+    // Only trained entries are written: 6 bytes each after the header.
+    Serializer again;
+    restored.saveState(again);
+    EXPECT_EQ(again.bytes(), img.bytes());
+    EXPECT_LT(img.size(), 8 + 6 * std::size_t(kEntries));
 }
 
 TEST(MakePredictor, FactorySelectsPolicy)
