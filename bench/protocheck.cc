@@ -9,8 +9,9 @@
  * Exits nonzero on any invariant violation (printing the minimized
  * counterexample) or when a run blows its state budget.
  *
- *   protocheck --tier fast                      # PR-gating CI entry
- *   protocheck --tier deep --max-states 2000000 # scheduled CI entry
+ *   protocheck --tier fast                      # PR-gating CI entries,
+ *   protocheck --tier deep --max-states 200000  #   on every push
+ *   protocheck --tier all --max-states 2000000  # nightly CI entry
  *   protocheck --tier large                     # 64/256-core meshes
  *   protocheck --scenario evict-vs-partial-probe --protocol mw -v
  *   protocheck --no-por --scenario upgrade-race # full enumeration

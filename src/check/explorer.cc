@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 
@@ -562,7 +563,7 @@ class Run
         front.clear();
         sys.mesh().forEachParkedChannel(
             [&](unsigned src, unsigned dst,
-                const std::deque<Mesh::Parked> &chan) {
+                std::span<const Mesh::Parked> chan) {
                 const Mesh::Parked &p = chan.front();
                 ChannelInfo ci;
                 ci.src = src;
@@ -615,13 +616,6 @@ ExploreResult
 explore(const Scenario &s, ProtocolKind proto, const ExploreLimits &lim)
 {
     ExploreResult res;
-    // The PcSpatial predictor folds the whole access history into its
-    // table, which the fingerprint does not cover; two fingerprints
-    // may then collide across genuinely different futures. Fall back
-    // to budget-bounded search without memoization (sleep sets do not
-    // depend on fingerprints and stay active).
-    const bool memo_ok =
-        lim.memo && s.predictor != PredictorKind::PcSpatial;
     // Fingerprint -> intersection of the sleep masks it was expanded
     // under. A revisit is covered iff its sleep mask is a superset of
     // the stored mask: prior visits explored every enabled channel
@@ -714,11 +708,11 @@ explore(const Scenario &s, ProtocolKind proto, const ExploreLimits &lim)
         }
 
         std::uint64_t fp = 0;
-        if (memo_ok || lim.collectFingerprints)
+        if (lim.memo || lim.collectFingerprints)
             fp = run->fingerprint();
         if (lim.collectFingerprints)
             seen.emplace(fp, true);
-        if (!leaf && memo_ok) {
+        if (!leaf && lim.memo) {
             auto [it, fresh] = memo.try_emplace(fp, sleep);
             if (!fresh) {
                 if (it->second.isSubsetOf(sleep)) {

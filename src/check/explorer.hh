@@ -83,17 +83,17 @@ struct ExploreLimits
     /** Sleep-set partial-order reduction (off = full enumeration). */
     bool por = true;
     /**
-     * Fingerprint memoization. Off, every interleaving is walked to
-     * a leaf, so schedulesCompleted counts the schedules the search
+     * Fingerprint memoization (state_fingerprint.hh lists what the
+     * fingerprint covers). Off, every interleaving is walked to a
+     * leaf, so schedulesCompleted counts the schedules the search
      * actually enumerated — the honest denominator when measuring
-     * POR's reduction. (Automatically off under PcSpatial, whose
-     * predictor history the fingerprint does not cover.)
+     * POR's reduction.
      */
     bool memo = true;
     /**
      * Collect every visited quiescent fingerprint in
-     * ExploreResult::fingerprints (POR soundness tests; costs a hash
-     * per state even for scenarios that cannot memoize).
+     * ExploreResult::fingerprints (POR and memoization soundness
+     * tests; costs a hash per state even with memoization off).
      */
     bool collectFingerprints = false;
     /**

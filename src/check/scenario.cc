@@ -307,10 +307,7 @@ buildLibrary()
         s.stresses = {"mw-split", "swmr", "value"};
         s.deep = true;
         s.numCores = 2;
-        // PcSpatial folds the access history into its pattern table,
-        // which the state fingerprint does not cover, so memoization
-        // is off for this scenario: the run measures raw search-tree
-        // size. Distinct pcs per (core, word) stream keep the
+        // Distinct pcs per (core, word) stream keep the PcSpatial
         // predictor's table non-trivial.
         s.predictor = PredictorKind::PcSpatial;
         s.accesses = {
@@ -331,13 +328,12 @@ buildLibrary()
     {
         // Three cores stride over three regions homed on three
         // different tiles under the PcSpatial predictor, ending in
-        // cross reads. The predictor folds access history into its
-        // pattern table, so memoization is (soundly) unavailable and
-        // the runs measure raw search-tree size: the streams are
-        // pairwise independent almost everywhere, so sleep sets
-        // collapse the schedule space to near one order per
-        // dependent suffix, while full enumeration of the
-        // interleaved streams exhausts any CI state budget.
+        // cross reads. The streams are pairwise independent almost
+        // everywhere, so sleep sets collapse the schedule space to
+        // near one order per dependent suffix, while full
+        // enumeration of the interleaved streams exhausts any CI
+        // state budget. Memoization then merges the confluent
+        // orders that POR leaves.
         Scenario s;
         s.name = "pcspatial-stride-3core";
         s.note = "3 striding cores, 3 home tiles, PcSpatial (deep)";

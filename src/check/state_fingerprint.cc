@@ -1,8 +1,11 @@
 #include "check/state_fingerprint.hh"
 
 #include <algorithm>
+#include <cstring>
+#include <span>
 #include <tuple>
 
+#include "common/serialize.hh"
 #include "sim/system.hh"
 
 namespace protozoa::check {
@@ -21,6 +24,19 @@ struct Hasher
         z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
         h = z ^ (z >> 31);
     }
+
+    /** Length, then the bytes in little-endian 8-byte words. */
+    void
+    feedBytes(const std::vector<std::uint8_t> &bytes)
+    {
+        feed(bytes.size());
+        for (std::size_t at = 0; at < bytes.size(); at += 8) {
+            std::uint64_t w = 0;
+            std::memcpy(&w, bytes.data() + at,
+                        std::min<std::size_t>(8, bytes.size() - at));
+            feed(w);
+        }
+    }
 };
 
 /** One L1 block, keyed for canonical (set, LRU-rank) ordering. */
@@ -34,6 +50,18 @@ struct BlockSnap
 void
 feedL1(Hasher &hx, L1Controller &l1, const SystemConfig &cfg)
 {
+    // Only PcSpatial learns: a dying block trains it on the block's
+    // fetchPc and missWord, and its table steers every later miss.
+    // The other predictors are stateless and never read either field.
+    const bool learns = cfg.predictor == PredictorKind::PcSpatial;
+    if (learns) {
+        // saveState writes the trained entries in ascending index
+        // order: canonical bytes of the whole table.
+        Serializer table;
+        l1.predictorPolicy().saveState(table);
+        hx.feedBytes(table.bytes());
+    }
+
     AmoebaCache &cache = l1.cacheStorage();
     std::vector<BlockSnap> blocks;
     cache.forEach([&](const AmoebaBlock &b) {
@@ -54,6 +82,10 @@ feedL1(Hasher &hx, L1Controller &l1, const SystemConfig &cfg)
         hx.feed((std::uint64_t(b.range.start) << 8) | b.range.end);
         hx.feed(static_cast<std::uint64_t>(b.state));
         hx.feed(b.touched);
+        if (learns) {
+            hx.feed(b.fetchPc);
+            hx.feed(b.missWord);
+        }
         for (unsigned w = 0; w < b.words.size(); ++w)
             hx.feed(b.words[w]);
     }
@@ -112,7 +144,6 @@ feedL1(Hasher &hx, L1Controller &l1, const SystemConfig &cfg)
                 (std::uint64_t(wb.last) << 1) |
                 std::uint64_t(wb.demoteOwner));
     }
-    (void)cfg;
 }
 
 void
@@ -219,7 +250,7 @@ fingerprintSystem(System &sys, const std::vector<Addr> &regions,
     // Parked messages: channels in ascending (src,dst) order, FIFO
     // within a channel — the canonical in-flight multiset.
     sys.mesh().forEachParkedChannel(
-        [&](unsigned src, unsigned dst, const std::deque<Mesh::Parked> &chan) {
+        [&](unsigned src, unsigned dst, std::span<const Mesh::Parked> chan) {
             hx.feed((std::uint64_t(src) << 32) | dst);
             hx.feed(chan.size());
             for (const Mesh::Parked &p : chan)

@@ -19,9 +19,12 @@
  * FIFO order preserved, channels in canonical ascending order), and
  * the golden/main-memory words of the scenario's region footprint.
  *
- * Not covered: predictor history. The PcSpatial predictor folds the
- * whole access history into its table, so the explorer disables
- * memoization for scenarios that use it.
+ * Under the PcSpatial predictor, also the state it learns from: each
+ * L1's trained table entries (PcSpatialPredictor::saveState's bytes,
+ * ascending index order) and each block's fetchPc and missWord, which
+ * the L1 hands to the predictor when the block dies. The other
+ * predictors are stateless and never read those two fields, so their
+ * fingerprints leave them out and split states as before.
  */
 
 #ifndef PROTOZOA_CHECK_STATE_FINGERPRINT_HH

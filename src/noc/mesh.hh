@@ -32,12 +32,14 @@
 #include <cstdlib>
 #include <deque>
 #include <functional>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/config.hh"
 #include "common/event_queue.hh"
+#include "common/fixed_array.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/serialize.hh"
@@ -59,10 +61,9 @@ class Mesh
           jitterMax(cfg.faultJitterMax),
           reorderProb(cfg.faultReorderProb),
           faultSeed(cfg.seed ^ 0x6d657368ULL),  // "mesh"
-          lastArrival(static_cast<std::size_t>(cols) * rows * cols * rows, 0)
+          lastArrival(channelCount()),
+          pairSeq(faultInjection ? channelCount() : 0)
     {
-        if (faultInjection)
-            pairSeq.assign(lastArrival.size(), 0);
         if (cfg.scheduleOracle)
             enableScheduleOracle();
     }
@@ -131,8 +132,8 @@ class Mesh
         const Cycle latency = 1 + hopLatency * h +
             flitSerialization * (flits > 0 ? flits - 1 : 0);
 
-        auto &chan = parked[static_cast<std::size_t>(src) * nodes + dst];
         Parked p;
+        p.channel = src * nodes + dst;
         p.hash = msg.fingerprint();
         p.type = msgTypeName(msg.type);
         p.region = msg.region;
@@ -140,8 +141,11 @@ class Mesh
         p.dstIsDir = msg.dstIsDir;
         p.isData = msg.type == MsgType::DATA;
         p.msg = std::move(msg);
-        chan.push_back(std::move(p));
-        ++parkedTotal;
+        // Behind the channel's last message: FIFO within the channel.
+        const auto at = std::upper_bound(
+            parked.begin(), parked.end(), p.channel,
+            [](std::uint32_t c, const Parked &q) { return c < q.channel; });
+        parked.insert(at, std::move(p));
         return latency;
     }
 
@@ -299,6 +303,8 @@ class Mesh
     /** One message parked under the schedule oracle. */
     struct Parked
     {
+        /** Channel id, src * nodes + dst. */
+        std::uint32_t channel = 0;
         /** The parked message itself — delivered via the deliver
          *  hook when the explorer fires this channel head. Holding
          *  the message (not a type-erased closure) is what lets the
@@ -322,21 +328,16 @@ class Mesh
     /**
      * Divert every subsequent send() into per-(src,dst) parking
      * channels; deliveries then happen only via deliverParked(). The
-     * oracle costs one branch when disabled and allocates nothing
-     * until enabled, so the measurement path stays untouched.
+     * oracle costs one branch when disabled, and an empty channel
+     * costs nothing: only parked messages are stored, so the
+     * measurement path stays untouched.
      */
-    void
-    enableScheduleOracle()
-    {
-        oracleOn = true;
-        parked.resize(static_cast<std::size_t>(cols) * rows * cols *
-                      rows);
-    }
+    void enableScheduleOracle() { oracleOn = true; }
 
     bool scheduleOracleEnabled() const { return oracleOn; }
 
     /** Messages currently parked across all channels. */
-    std::size_t parkedMessages() const { return parkedTotal; }
+    std::size_t parkedMessages() const { return parked.size(); }
 
     /**
      * Install the delivery sink for parked messages: deliverParked()
@@ -350,20 +351,25 @@ class Mesh
     }
 
     /**
-     * Visit every non-empty channel in ascending (src,dst) order —
-     * the canonical enumeration the explorer's choice indices and the
-     * state fingerprint both rely on.
+     * Visit every non-empty channel in ascending (src,dst) order, as
+     * its messages in FIFO order — the canonical enumeration the
+     * explorer's choice indices and the state fingerprint both rely
+     * on.
      */
     template <typename F>
     void
     forEachParkedChannel(F &&fn) const
     {
         const unsigned nodes = cols * rows;
-        for (std::size_t i = 0; i < parked.size(); ++i) {
-            if (parked[i].empty())
-                continue;
-            fn(static_cast<unsigned>(i / nodes),
-               static_cast<unsigned>(i % nodes), parked[i]);
+        for (auto it = parked.begin(); it != parked.end();) {
+            const auto end =
+                std::find_if(it, parked.end(), [&](const Parked &p) {
+                    return p.channel != it->channel;
+                });
+            fn(it->channel / nodes, it->channel % nodes,
+               std::span<const Parked>(
+                   &*it, static_cast<std::size_t>(end - it)));
+            it = end;
         }
     }
 
@@ -371,12 +377,18 @@ class Mesh
     void
     deliverParked(unsigned src, unsigned dst)
     {
-        auto &chan = parkedChannel(src, dst);
-        PROTO_ASSERT(!chan.empty(), "delivering from an empty channel");
+        const unsigned nodes = cols * rows;
+        PROTO_ASSERT(oracleOn, "schedule oracle is not enabled");
+        PROTO_ASSERT(src < nodes && dst < nodes, "channel out of range");
+        const std::uint32_t id = src * nodes + dst;
+        const auto head = std::lower_bound(
+            parked.begin(), parked.end(), id,
+            [](const Parked &p, std::uint32_t c) { return p.channel < c; });
+        PROTO_ASSERT(head != parked.end() && head->channel == id,
+                     "delivering from an empty channel");
         PROTO_ASSERT(deliverHook, "deliverParked without a deliver hook");
-        CoherenceMsg msg = std::move(chan.front().msg);
-        chan.pop_front();
-        --parkedTotal;
+        CoherenceMsg msg = std::move(head->msg);
+        parked.erase(head);
         eventq.schedule(0, [this, m = std::move(msg)]() mutable {
             deliverHook(std::move(m));
         });
@@ -390,14 +402,21 @@ class Mesh
     clearStats()
     {
         stats = NetStats();
-        std::fill(lastArrival.begin(), lastArrival.end(), 0);
+        std::fill(lastArrival.data(),
+                  lastArrival.data() + lastArrival.size(), 0);
     }
 
     /**
-     * Serialize all mutable mesh state: counters, the per-pair FIFO
-     * clamp and jitter-draw matrices, and (under the oracle) every
-     * parked channel. In-flight *tracking* deques are diagnostics only
-     * and are not saved.
+     * Serialize all mutable mesh state: counters, the non-zero entries
+     * of the per-pair FIFO clamp and jitter-draw matrices, and (under
+     * the oracle) every non-empty parked channel. In-flight *tracking*
+     * deques are diagnostics only and are not saved.
+     *
+     * Each matrix is u32 size, u32 count of non-zero entries, then per
+     * entry in ascending index order u32 index, u64 value. The parked
+     * section is u32 count of non-empty channels, then per channel in
+     * ascending id order u32 id (src * nodes + dst), u32 message count
+     * (at least 1), and the messages in FIFO order.
      */
     void
     saveState(Serializer &s) const
@@ -405,79 +424,113 @@ class Mesh
         static_assert(std::is_trivially_copyable<NetStats>::value,
                       "NetStats must stay raw-serializable");
         s.writeRaw(stats);
-        s.writeVecRaw(lastArrival);
-        s.writeVecRaw(pairSeq);
+        saveSparse(s, lastArrival);
+        saveSparse(s, pairSeq);
         s.writeU8(oracleOn ? 1 : 0);
-        if (oracleOn) {
-            s.writeU32(static_cast<std::uint32_t>(parked.size()));
-            for (const auto &chan : parked) {
+        if (!oracleOn)
+            return;
+        std::uint32_t chans = 0;
+        forEachParkedChannel(
+            [&](unsigned, unsigned, std::span<const Parked>) { ++chans; });
+        s.writeU32(chans);
+        forEachParkedChannel(
+            [&](unsigned, unsigned, std::span<const Parked> chan) {
+                s.writeU32(chan.front().channel);
                 s.writeU32(static_cast<std::uint32_t>(chan.size()));
                 for (const Parked &p : chan) {
                     p.msg.save(s);
                     s.writeU64(p.hash);
                 }
-            }
-        }
+            });
     }
 
     /**
      * Restore into a freshly constructed mesh of the same geometry and
-     * fault configuration. Parked-message metadata (type name, region,
+     * fault configuration (matrix entries the image does not list keep
+     * their zero). Fails closed on a size mismatch, an index or channel
+     * id out of range or not strictly ascending, a zero matrix value
+     * and an empty channel. Parked-message metadata (type name, region,
      * range, data flag) is recomputed from the message content.
      */
     bool
     restoreState(Deserializer &d)
     {
-        NetStats st;
-        if (!d.readRaw(st))
-            return false;
-        std::vector<Cycle> la;
-        std::vector<std::uint64_t> ps;
-        if (!d.readVecRaw(la) || la.size() != lastArrival.size())
-            return false;
-        if (!d.readVecRaw(ps) || ps.size() != pairSeq.size())
+        if (!d.readRaw(stats) || !restoreSparse(d, lastArrival) ||
+            !restoreSparse(d, pairSeq))
             return false;
         std::uint8_t oracle = 0;
         if (!d.readRaw(oracle) || (oracle != 0) != oracleOn)
             return false;
-        stats = st;
-        lastArrival = std::move(la);
-        pairSeq = std::move(ps);
-        if (oracleOn) {
-            std::uint32_t chans = 0;
-            if (!d.readRaw(chans) || chans != parked.size())
+        if (!oracleOn)
+            return true;
+        parked.clear();
+        const std::uint32_t chans = d.readU32();
+        std::uint64_t next = 0;
+        for (std::uint32_t c = 0; c < chans; ++c) {
+            const std::uint32_t id = d.readU32();
+            const std::uint32_t n = d.readU32();
+            if (d.failed() || id < next || id >= channelCount() || n == 0)
                 return false;
-            parkedTotal = 0;
-            for (auto &chan : parked) {
-                chan.clear();
-                std::uint32_t n = 0;
-                if (!d.readRaw(n))
+            next = std::uint64_t(id) + 1;
+            for (std::uint32_t i = 0; i < n; ++i) {
+                Parked p;
+                p.channel = id;
+                if (!d.readRaw(p.msg) || !d.readRaw(p.hash))
                     return false;
-                for (std::uint32_t i = 0; i < n; ++i) {
-                    Parked p;
-                    if (!d.readRaw(p.msg) || !d.readRaw(p.hash))
-                        return false;
-                    p.type = msgTypeName(p.msg.type);
-                    p.region = p.msg.region;
-                    p.range = p.msg.range;
-                    p.dstIsDir = p.msg.dstIsDir;
-                    p.isData = p.msg.type == MsgType::DATA;
-                    chan.push_back(std::move(p));
-                    ++parkedTotal;
-                }
+                p.type = msgTypeName(p.msg.type);
+                p.region = p.msg.region;
+                p.range = p.msg.range;
+                p.dstIsDir = p.msg.dstIsDir;
+                p.isData = p.msg.type == MsgType::DATA;
+                parked.push_back(std::move(p));
             }
         }
         return !d.failed();
     }
 
   private:
-    std::deque<Parked> &
-    parkedChannel(unsigned src, unsigned dst)
+    /** (src,dst) pairs: nodes squared. */
+    std::size_t
+    channelCount() const
     {
-        const unsigned nodes = cols * rows;
-        PROTO_ASSERT(oracleOn, "schedule oracle is not enabled");
-        PROTO_ASSERT(src < nodes && dst < nodes, "channel out of range");
-        return parked[static_cast<std::size_t>(src) * nodes + dst];
+        return static_cast<std::size_t>(cols) * rows * cols * rows;
+    }
+
+    template <typename T>
+    static void
+    saveSparse(Serializer &s, const FixedArray<T> &a)
+    {
+        std::uint32_t nonzero = 0;
+        for (std::size_t i = 0; i < a.size(); ++i)
+            nonzero += a[i] != 0 ? 1 : 0;
+        s.writeU32(static_cast<std::uint32_t>(a.size()));
+        s.writeU32(nonzero);
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            if (a[i] == 0)
+                continue;
+            s.writeU32(static_cast<std::uint32_t>(i));
+            s.writeU64(a[i]);
+        }
+    }
+
+    template <typename T>
+    static bool
+    restoreSparse(Deserializer &d, FixedArray<T> &a)
+    {
+        const std::uint32_t size = d.readU32();
+        const std::uint32_t count = d.readU32();
+        if (d.failed() || size != a.size() || count > size)
+            return false;
+        std::uint64_t next = 0;
+        for (std::uint32_t i = 0; i < count; ++i) {
+            const std::uint32_t index = d.readU32();
+            const std::uint64_t value = d.readU64();
+            if (d.failed() || index < next || index >= size || value == 0)
+                return false;
+            next = std::uint64_t(index) + 1;
+            a[index] = static_cast<T>(value);
+        }
+        return true;
     }
 
     /** Drop tracked messages that were delivered before @p now. */
@@ -525,9 +578,10 @@ class Mesh
 
     NetStats stats;
     /** Flat nodes*nodes matrix of last delivery cycle per (src,dst). */
-    std::vector<Cycle> lastArrival;
-    /** Flat nodes*nodes matrix of jitter draws made per (src,dst). */
-    std::vector<std::uint64_t> pairSeq;
+    FixedArray<Cycle> lastArrival;
+    /** Flat nodes*nodes matrix of jitter draws made per (src,dst);
+     *  empty without fault injection. */
+    FixedArray<std::uint64_t> pairSeq;
 
     bool tracking = false;
     /** Per-source sent-but-undelivered messages, in send order
@@ -535,9 +589,9 @@ class Mesh
     std::vector<std::deque<QueuedMsg>> inFlight;
 
     bool oracleOn = false;
-    /** Flat nodes*nodes array of parked-delivery channels (oracle). */
-    std::vector<std::deque<Parked>> parked;
-    std::size_t parkedTotal = 0;
+    /** Parked messages (oracle), sorted by channel id and FIFO within
+     *  a channel; an empty channel holds nothing. */
+    std::vector<Parked> parked;
     /** Delivery sink for parked messages (set by System). */
     std::function<void(CoherenceMsg &&)> deliverHook;
 };

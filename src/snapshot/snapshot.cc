@@ -3,7 +3,7 @@
  * System checkpoint/restore implementation: the byte layout lives
  * here and nowhere else (see snapshot.hh for the contract).
  *
- * Layout (version 3, all little-endian; raw structs are written with
+ * Layout (version 4, all little-endian; raw structs are written with
  * their padding zeroed, so identical runs save identical bytes):
  *
  *   u32 magic "PZSN"        u32 version        u64 configFingerprint
@@ -24,7 +24,14 @@
  *      order u32 slot, u64 region, u8 filling, u8 dirty, u64 LRU
  *      stamp, readers, writers, u8 wordCount, wordCount data words;
  *      then active transactions, queued requests, Bloom counters
- *   -- mesh (+ per-shard NetStats slabs in sharded mode)
+ *   -- mesh: NetStats, then the per-(src,dst) lastArrival and pairSeq
+ *      matrices, each as u32 size, u32 count of non-zero entries, and
+ *      per non-zero entry in ascending index order u32 index, u64
+ *      value; u8 schedule-oracle flag, and under the oracle u32 count
+ *      of non-empty parked channels, then per channel in ascending id
+ *      order (src * nodes + dst) u32 id, u32 message count (at least
+ *      1) and per message in FIFO order the message and its u64 hash
+ *      (+ per-shard NetStats slabs in sharded mode)
  *   -- windowed-stats state (period, delta base, recorded samples)
  *   -- calendar queue(s): clock, nextSeq, kernel stats, then every
  *      pending event as (when, seq, EventKind, payload) sorted by

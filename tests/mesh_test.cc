@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/config.hh"
@@ -149,6 +151,51 @@ TEST(Mesh, ClearStatsResetsFifoState)
     // With the FIFO clamp reset the fast message is free to arrive
     // on its natural (earlier) schedule.
     EXPECT_EQ(order, (std::vector<int>{2, 1}));
+}
+
+// Under the schedule oracle only non-empty channels exist: they are
+// visited in ascending (src,dst) order, each as its FIFO, and a
+// delivery takes the head of the chosen channel.
+TEST(Mesh, ParkedChannelsAscendingAndFifo)
+{
+    EventQueue eq;
+    SystemConfig cfg = cfg4x4();
+    cfg.scheduleOracle = true;
+    Mesh mesh(eq, cfg);
+    std::vector<Addr> delivered;
+    mesh.setDeliverHook(
+        [&](CoherenceMsg &&m) { delivered.push_back(m.region); });
+    const auto park = [&](unsigned src, unsigned dst, Addr region) {
+        CoherenceMsg m;
+        m.region = region;
+        mesh.park(src, dst, 8, std::move(m));
+    };
+    park(9, 3, 0x100);
+    park(0, 15, 0x200);
+    park(9, 3, 0x300);
+    park(0, 1, 0x400);
+    EXPECT_EQ(mesh.parkedMessages(), 4u);
+
+    std::vector<std::vector<Addr>> chans;
+    std::vector<std::pair<unsigned, unsigned>> ids;
+    mesh.forEachParkedChannel(
+        [&](unsigned src, unsigned dst, std::span<const Mesh::Parked> c) {
+            ids.emplace_back(src, dst);
+            chans.emplace_back();
+            for (const Mesh::Parked &p : c)
+                chans.back().push_back(p.region);
+        });
+    const std::vector<std::pair<unsigned, unsigned>> want_ids = {
+        {0, 1}, {0, 15}, {9, 3}};
+    EXPECT_EQ(ids, want_ids);
+    const std::vector<std::vector<Addr>> want_chans = {
+        {0x400}, {0x200}, {0x100, 0x300}};
+    EXPECT_EQ(chans, want_chans);
+
+    mesh.deliverParked(9, 3);
+    eq.run();
+    EXPECT_EQ(delivered, (std::vector<Addr>{0x100}));
+    EXPECT_EQ(mesh.parkedMessages(), 3u);
 }
 
 // In-flight tracking backs the deadlock watchdog's message census: a

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 #include "check/explorer.hh"
 #include "check/minimizer.hh"
@@ -66,6 +67,63 @@ fingerprintAfterStores(bool swapIssueOrder, Addr a0, Addr a1,
 
 constexpr Addr kBase = 0x40000000;
 
+/** Deliver the first channel's head until nothing is parked. */
+void
+settle(System &sys)
+{
+    for (;;) {
+        sys.eventQueue().run();
+        bool any = false;
+        unsigned src = 0;
+        unsigned dst = 0;
+        sys.mesh().forEachParkedChannel(
+            [&](unsigned s, unsigned d, std::span<const Mesh::Parked>) {
+                if (!any) {
+                    any = true;
+                    src = s;
+                    dst = d;
+                }
+            });
+        if (!any)
+            return;
+        sys.mesh().deliverParked(src, dst);
+    }
+}
+
+/**
+ * Build a 2-core oracle-enabled system under @p predictor, let core 0
+ * load @p words of region kBase in order, all from @p pc (the first
+ * misses and fetches the block, the rest hit), settle, and
+ * fingerprint. A non-zero @p trainPc also trains core 0's predictor
+ * entry for that pc.
+ */
+std::uint64_t
+fingerprintAfterLoads(PredictorKind predictor, Pc pc,
+                      const std::vector<unsigned> &words, Pc trainPc = 0)
+{
+    Scenario s;
+    s.name = "fp-predictor";
+    s.numCores = 2;
+    s.predictor = predictor;
+    // Not MESI: System replaces MESI's predictor with FullRegion.
+    const SystemConfig cfg = s.toConfig(ProtocolKind::ProtozoaMW);
+    System sys(cfg, emptyWorkload(cfg.numCores));
+    for (const unsigned w : words) {
+        bool done = false;
+        MemAccess acc;
+        acc.addr = kBase + static_cast<Addr>(w) * kWordBytes;
+        acc.pc = pc;
+        sys.l1(0).requestAccess(acc, [&](std::uint64_t) { done = true; });
+        settle(sys);
+        EXPECT_TRUE(done);
+    }
+    if (trainPc != 0)
+        sys.l1(0).predictorPolicy().learn(trainPc, 0, 1, WordRange(0, 0));
+    const std::vector<unsigned> progress{
+        static_cast<unsigned>(words.size()), 0};
+    return fingerprintSystem(sys, {kBase}, progress);
+}
+
 } // namespace
 
 TEST(StateFingerprint, PermutedIssueOrderHashesEqual)
@@ -89,6 +147,34 @@ TEST(StateFingerprint, DifferentExtentsHashDistinct)
         fingerprintAfterStores(false, kBase, kBase + 64 + 8, 0xa1, 0xb2);
     EXPECT_NE(a, b);
     EXPECT_NE(a, c);
+}
+
+TEST(StateFingerprint, PcSpatialCoversWhatTheRunLearnsFrom)
+{
+    // Everything that steers PcSpatial's future fetches: its trained
+    // entries, and the fetchPc and missWord a resident block trains
+    // it on when it dies.
+    const PredictorKind pred = PredictorKind::PcSpatial;
+    const std::uint64_t base = fingerprintAfterLoads(pred, 0x1000, {0, 1});
+    EXPECT_EQ(base, fingerprintAfterLoads(pred, 0x1000, {0, 1}));
+    EXPECT_NE(base, fingerprintAfterLoads(pred, 0x1000, {0, 1}, 0x5000))
+        << "one trained predictor entry";
+    EXPECT_NE(base, fingerprintAfterLoads(pred, 0x2000, {0, 1}))
+        << "fetchPc";
+    EXPECT_NE(base, fingerprintAfterLoads(pred, 0x1000, {1, 0}))
+        << "missWord";
+}
+
+TEST(StateFingerprint, StatelessPredictorIgnoresTrainingInputs)
+{
+    // FullRegion never learns, so fetchPc and missWord alone must not
+    // split states.
+    const PredictorKind pred = PredictorKind::FullRegion;
+    const std::uint64_t base = fingerprintAfterLoads(pred, 0x1000, {0, 1});
+    EXPECT_EQ(base, fingerprintAfterLoads(pred, 0x2000, {0, 1}))
+        << "fetchPc";
+    EXPECT_EQ(base, fingerprintAfterLoads(pred, 0x1000, {1, 0}))
+        << "missWord";
 }
 
 TEST(Explorer, UpgradeRaceCleanUnderAllProtocols)
@@ -247,9 +333,8 @@ TEST(Explorer, PorReducesSchedulesAtLeast3x)
 }
 
 /**
- * The 12-access PcSpatial stride scenario is only explorable because
- * of POR: the predictor's history makes memoization unsound (and the
- * explorer disables it), so full enumeration must walk every
+ * POR alone on the 12-access PcSpatial stride scenario, with
+ * memoization off on both sides: full enumeration must walk every
  * interleaving of the three access streams and exhausts the CI state
  * budget, while the reduced search completes well inside it.
  */
@@ -258,11 +343,14 @@ TEST(Explorer, PorCompletesWhereFullEnumerationCannot)
     const Scenario *s = findScenario("pcspatial-stride-3core");
     ASSERT_NE(s, nullptr);
     ASSERT_GE(s->accesses.size(), 10u);
-    const ExploreResult por = explore(*s, ProtocolKind::ProtozoaMW);
+    ExploreLimits porOnly;
+    porOnly.memo = false;
+    const ExploreResult por =
+        explore(*s, ProtocolKind::ProtozoaMW, porOnly);
     EXPECT_FALSE(por.violation.has_value());
     EXPECT_FALSE(por.budgetExhausted);
-    EXPECT_EQ(por.memoHits, 0u); // PcSpatial: memoization is off
-    ExploreLimits noPor;
+    EXPECT_EQ(por.memoHits, 0u);
+    ExploreLimits noPor = porOnly;
     noPor.por = false;
     const ExploreResult full =
         explore(*s, ProtocolKind::ProtozoaMW, noPor);

@@ -12,7 +12,7 @@
  * The rejection half: corrupted, truncated, version-skewed and
  * config-mismatched images must be refused with a clear error — never
  * undefined behavior, never a half-restored System. That includes
- * each consistency rule of the sparse directory and predictor
+ * each consistency rule of the sparse directory, predictor and mesh
  * sections.
  *
  * Images are deterministic (two identical runs save identical bytes)
@@ -26,10 +26,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "check/state_fingerprint.hh"
 #include "common/serialize.hh"
+#include "protocol_driver.hh"
 #include "protozoa/protozoa.hh"
 #include "snapshot/snapshot.hh"
 #include "stats_digest.hh"
@@ -255,13 +259,19 @@ saveAt(const SystemConfig &cfg, Cycle stop)
 
 /** Restore must fail with a non-empty error; the target is discarded. */
 void
-expectRejected(const SystemConfig &cfg, const std::vector<std::uint8_t> &img)
+expectRefusedBy(System &fresh, const std::vector<std::uint8_t> &img)
 {
-    System fresh(cfg, bench(cfg));
     Deserializer d(img.data(), img.size());
     std::string err;
     EXPECT_FALSE(fresh.restoreSnapshot(d, &err));
     EXPECT_FALSE(err.empty());
+}
+
+void
+expectRejected(const SystemConfig &cfg, const std::vector<std::uint8_t> &img)
+{
+    System fresh(cfg, bench(cfg));
+    expectRefusedBy(fresh, img);
 }
 
 TEST(SnapshotReject, BadMagic)
@@ -647,6 +657,271 @@ TEST(SnapshotReject, PredictorExtentOutsideRegion)
             static_cast<std::uint8_t>(predCfg().regionWords());
         expectRejected(predCfg(), bytes);
     }
+}
+
+// ---- the sparse mesh section -----------------------------------------
+
+/**
+ * An image with the offsets inside its mesh section (Mesh::saveState):
+ * NetStats; the lastArrival and pairSeq matrices, each u32 size, u32
+ * count of non-zero entries, then per entry u32 index, u64 value;
+ * u8 oracle; and under the oracle u32 channel count, then per channel
+ * u32 id, u32 message count and the messages.
+ */
+struct MeshImage
+{
+    std::vector<std::uint8_t> bytes;
+    /** lastArrival's size field. */
+    std::size_t arrivalAt = 0;
+    std::uint32_t arrivalSize = 0;
+    std::uint32_t arrivalCount = 0;
+    /** Each parked channel's id field. */
+    std::vector<std::size_t> channelAt;
+    /** One past the last channel. */
+    std::size_t endAt = 0;
+
+    std::size_t entryAt(std::uint32_t i) const
+    {
+        return arrivalAt + 8 + std::size_t(i) * (4 + 8);
+    }
+};
+
+constexpr std::size_t kParkedBytes = sizeof(CoherenceMsg) + 8;
+
+MeshImage
+meshImage(System &donor)
+{
+    Serializer img;
+    std::string err;
+    EXPECT_TRUE(donor.saveSnapshot(img, &err)) << err;
+
+    Serializer sec;
+    donor.mesh().saveState(sec);
+    MeshImage im;
+    im.bytes = img.bytes();
+    const auto at = std::search(im.bytes.begin(), im.bytes.end(),
+                                sec.bytes().begin(), sec.bytes().end());
+    EXPECT_NE(at, im.bytes.end());
+    if (at == im.bytes.end())
+        return im;
+    im.arrivalAt =
+        static_cast<std::size_t>(at - im.bytes.begin()) + sizeof(NetStats);
+    im.arrivalSize = getU32(im.bytes, im.arrivalAt);
+    im.arrivalCount = getU32(im.bytes, im.arrivalAt + 4);
+    const std::size_t seqAt = im.entryAt(im.arrivalCount);
+    std::size_t off = seqAt + 8 + getU32(im.bytes, seqAt + 4) * (4 + 8);
+    if (im.bytes[off++] == 0)
+        return im;
+    const std::uint32_t chans = getU32(im.bytes, off);
+    off += 4;
+    for (std::uint32_t c = 0; c < chans; ++c) {
+        im.channelAt.push_back(off);
+        off += 8 + getU32(im.bytes, off + 4) * kParkedBytes;
+    }
+    im.endAt = off;
+    return im;
+}
+
+SystemConfig
+pairCfg()
+{
+    SystemConfig cfg;
+    cfg.seed = 3;
+    return cfg;
+}
+
+/** A mid-run 16-core image: most lastArrival entries are non-zero. */
+MeshImage
+pairImage()
+{
+    System donor(pairCfg(), bench(pairCfg()));
+    donor.runTo(5000);
+    return meshImage(donor);
+}
+
+/** The explorer's scheduling mode on a 4x1 mesh. */
+SystemConfig
+oracleCfg()
+{
+    SystemConfig cfg;
+    cfg.numCores = 4;
+    cfg.l2Tiles = 4;
+    cfg.meshCols = 4;
+    cfg.meshRows = 1;
+    cfg.scheduleOracle = true;
+    return cfg;
+}
+
+/** Distinct region stored to by core @p c. */
+Addr
+oracleAddr(CoreId c)
+{
+    return 0x40000000 + static_cast<Addr>(c) * 5 * 64;
+}
+
+/**
+ * A store from every core, run until the event queue is dry: a
+ * quiescent point with each core's request parked on its own channel.
+ */
+void
+parkStores(System &sys)
+{
+    for (CoreId c = 0; c < sys.config().numCores; ++c) {
+        MemAccess acc;
+        acc.addr = oracleAddr(c);
+        acc.isWrite = true;
+        acc.storeValue = 0xa0 + c;
+        acc.pc = 0x3000;
+        sys.l1(c).requestAccess(acc, [](std::uint64_t) {});
+    }
+    sys.eventQueue().run();
+}
+
+MeshImage
+oracleImage()
+{
+    const SystemConfig cfg = oracleCfg();
+    System donor(cfg, emptyWorkload(cfg.numCores));
+    parkStores(donor);
+    return meshImage(donor);
+}
+
+void
+expectOracleRejected(const std::vector<std::uint8_t> &img)
+{
+    const SystemConfig cfg = oracleCfg();
+    System fresh(cfg, emptyWorkload(cfg.numCores));
+    expectRefusedBy(fresh, img);
+}
+
+/** Every parked message as (src, dst, hash), in enumeration order. */
+std::vector<std::tuple<unsigned, unsigned, std::uint64_t>>
+parkedFrontier(System &sys)
+{
+    std::vector<std::tuple<unsigned, unsigned, std::uint64_t>> out;
+    sys.mesh().forEachParkedChannel(
+        [&](unsigned src, unsigned dst, std::span<const Mesh::Parked> chan) {
+            for (const Mesh::Parked &p : chan)
+                out.emplace_back(src, dst, p.hash);
+        });
+    return out;
+}
+
+TEST(SnapshotReject, MeshPairIndexOutOfRange)
+{
+    MeshImage im = pairImage();
+    ASSERT_GE(im.arrivalCount, 2u);
+    putU32(im.bytes, im.entryAt(im.arrivalCount - 1), im.arrivalSize);
+    expectRejected(pairCfg(), im.bytes);
+}
+
+TEST(SnapshotReject, MeshPairIndicesNotAscending)
+{
+    const MeshImage im = pairImage();
+    ASSERT_GE(im.arrivalCount, 3u);
+    // Swap the first two entries whole: each stays in range and
+    // non-zero, only the order breaks.
+    std::vector<std::uint8_t> swapped = im.bytes;
+    std::rotate(swapped.begin() + im.entryAt(0),
+                swapped.begin() + im.entryAt(1),
+                swapped.begin() + im.entryAt(2));
+    expectRejected(pairCfg(), swapped);
+    // Repeat the first index.
+    std::vector<std::uint8_t> repeated = im.bytes;
+    putU32(repeated, im.entryAt(1), getU32(im.bytes, im.entryAt(0)));
+    expectRejected(pairCfg(), repeated);
+}
+
+TEST(SnapshotReject, MeshPairZeroValue)
+{
+    MeshImage im = pairImage();
+    ASSERT_GE(im.arrivalCount, 1u);
+    std::fill_n(im.bytes.begin() + im.entryAt(0) + 4, 8, 0);
+    expectRejected(pairCfg(), im.bytes);
+}
+
+TEST(SnapshotReject, MeshMatrixSizeMismatch)
+{
+    const SystemConfig cfg = pairCfg();
+    const MeshImage im = pairImage();
+    ASSERT_EQ(im.arrivalSize, cfg.numCores * cfg.numCores);
+    for (const std::uint32_t size :
+         {im.arrivalSize - 1, im.arrivalSize + 1}) {
+        std::vector<std::uint8_t> bytes = im.bytes;
+        putU32(bytes, im.arrivalAt, size);
+        expectRejected(cfg, bytes);
+    }
+}
+
+TEST(SnapshotReject, MeshChannelIdOutOfRange)
+{
+    MeshImage im = oracleImage();
+    ASSERT_GE(im.channelAt.size(), 2u);
+    const std::uint32_t nodes = oracleCfg().numCores;
+    putU32(im.bytes, im.channelAt.back(), nodes * nodes);
+    expectOracleRejected(im.bytes);
+}
+
+TEST(SnapshotReject, MeshChannelsNotAscending)
+{
+    const MeshImage im = oracleImage();
+    ASSERT_GE(im.channelAt.size(), 2u);
+    // Swap the first two channels whole: each stays self-consistent,
+    // only the order breaks.
+    const std::size_t end =
+        im.channelAt.size() > 2 ? im.channelAt[2] : im.endAt;
+    std::vector<std::uint8_t> swapped = im.bytes;
+    std::rotate(swapped.begin() + im.channelAt[0],
+                swapped.begin() + im.channelAt[1],
+                swapped.begin() + end);
+    expectOracleRejected(swapped);
+    // Repeat the first channel's id.
+    std::vector<std::uint8_t> repeated = im.bytes;
+    putU32(repeated, im.channelAt[1], getU32(im.bytes, im.channelAt[0]));
+    expectOracleRejected(repeated);
+}
+
+TEST(SnapshotReject, MeshEmptyChannel)
+{
+    // Claim 0 messages for the first channel and drop them, keeping
+    // the stream aligned.
+    MeshImage im = oracleImage();
+    ASSERT_GE(im.channelAt.size(), 2u);
+    const std::size_t at = im.channelAt[0];
+    const std::uint32_t n = getU32(im.bytes, at + 4);
+    ASSERT_GE(n, 1u);
+    putU32(im.bytes, at + 4, 0);
+    im.bytes.erase(im.bytes.begin() + at + 8,
+                   im.bytes.begin() + at + 8 + n * kParkedBytes);
+    expectOracleRejected(im.bytes);
+}
+
+TEST(SnapshotImage, OracleImageRestoresParkedChannels)
+{
+    // An explorer image: a quiescent point with messages parked on
+    // several channels must restore to the same frontier and the same
+    // state fingerprint.
+    const SystemConfig cfg = oracleCfg();
+    System donor(cfg, emptyWorkload(cfg.numCores));
+    parkStores(donor);
+    const auto frontier = parkedFrontier(donor);
+    ASSERT_GE(frontier.size(), 2u);
+    Serializer img;
+    std::string err;
+    ASSERT_TRUE(donor.saveSnapshot(img, &err)) << err;
+
+    System fresh(cfg, emptyWorkload(cfg.numCores));
+    Deserializer d(img.bytes().data(), img.size());
+    ASSERT_TRUE(fresh.restoreSnapshot(d, &err)) << err;
+    EXPECT_EQ(parkedFrontier(fresh), frontier);
+    EXPECT_EQ(fresh.mesh().parkedMessages(), frontier.size());
+
+    std::vector<Addr> regions;
+    for (CoreId c = 0; c < cfg.numCores; ++c)
+        regions.push_back(oracleAddr(c));
+    const std::vector<unsigned> progress(cfg.numCores, 0);
+    EXPECT_EQ(check::fingerprintSystem(fresh, regions, progress),
+              check::fingerprintSystem(donor, regions, progress));
 }
 
 TEST(SnapshotImage, IdenticalRunsSaveIdenticalBytes)
