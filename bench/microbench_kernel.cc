@@ -1,22 +1,15 @@
 /**
  * @file
  * Kernel micro-benchmark: events/sec of the calendar/bucket scheduler
- * vs the previous binary-heap + std::function kernel, on a workload
- * mix shaped like the simulator's (mostly small fixed latencies, a
- * 300-cycle memory tier, and a long tail past the ring horizon), with
- * CoherenceMsg-sized callback captures.
- *
- * The legacy scheduler is replicated here verbatim-in-spirit so the
- * comparison stays in one binary under identical flags; the numbers
- * are recorded in EXPERIMENTS.md.
+ * on a workload mix shaped like the simulator's (mostly small fixed
+ * latencies, a 300-cycle memory tier, and a long tail past the ring
+ * horizon), with CoherenceMsg-sized callback captures, plus end-to-end
+ * System throughput.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <vector>
 
 #include "common/event_queue.hh"
 #include "common/rng.hh"
@@ -24,64 +17,6 @@
 
 namespace protozoa {
 namespace {
-
-/**
- * The pre-calendar kernel: one global binary heap of heap-allocated
- * std::function callbacks (the seed implementation of EventQueue).
- */
-class LegacyEventQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    Cycle now() const { return curCycle; }
-
-    void
-    schedule(Cycle delay, Callback cb)
-    {
-        events.push(Event{curCycle + delay, nextSeq++, std::move(cb)});
-    }
-
-    bool
-    step()
-    {
-        if (events.empty())
-            return false;
-        Event ev = std::move(events.top().self());
-        events.pop();
-        curCycle = ev.when;
-        ev.cb();
-        return true;
-    }
-
-    void
-    run()
-    {
-        while (step()) {
-        }
-    }
-
-  private:
-    struct Event
-    {
-        Cycle when;
-        std::uint64_t seq;
-        mutable Callback cb;
-
-        /** Move-enable top(): same trick, without the const_cast. */
-        Event &self() const { return const_cast<Event &>(*this); }
-
-        bool
-        operator>(const Event &o) const
-        {
-            return when != o.when ? when > o.when : seq > o.seq;
-        }
-    };
-
-    std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
-    Cycle curCycle = 0;
-    std::uint64_t nextSeq = 0;
-};
 
 /**
  * Simulator-shaped delay mix (see mesh/L1/memory latencies): one raw
@@ -110,10 +45,9 @@ struct Payload
  * Self-rescheduling event chain: each firing touches its payload and
  * schedules a successor, exactly like a controller pipeline stage.
  */
-template <typename Queue>
 struct Chain
 {
-    Queue *q;
+    EventQueue *q;
     Rng *rng;
     std::uint64_t *sink;
     std::uint64_t remaining;
@@ -132,18 +66,17 @@ struct Chain
     }
 };
 
-template <typename Queue>
 void
-runKernelMix(benchmark::State &state)
+BM_CalendarKernel(benchmark::State &state)
 {
     constexpr unsigned kChains = 64;
     constexpr std::uint64_t kHops = 64;
     for (auto _ : state) {
-        Queue q;
+        EventQueue q;
         Rng rng(1);
         std::uint64_t sink = 0;
         for (unsigned c = 0; c < kChains; ++c) {
-            Chain<Queue> chain{&q, &rng, &sink, kHops, Payload{}};
+            Chain chain{&q, &rng, &sink, kHops, Payload{}};
             chain.payload.words[0] = c + 1;
             q.schedule(mixedDelay(rng), std::move(chain));
         }
@@ -156,29 +89,15 @@ runKernelMix(benchmark::State &state)
         static_cast<double>(state.iterations()) * kChains * (kHops + 1),
         benchmark::Counter::kIsRate);
 }
-
-void
-BM_LegacyHeapKernel(benchmark::State &state)
-{
-    runKernelMix<LegacyEventQueue>(state);
-}
-BENCHMARK(BM_LegacyHeapKernel);
-
-void
-BM_CalendarKernel(benchmark::State &state)
-{
-    runKernelMix<EventQueue>(state);
-}
 BENCHMARK(BM_CalendarKernel);
 
 // Trivial empty-capture variant isolating pure scheduler overhead.
 // The queue is built once: each iteration schedules and drains 4096
 // events on it, so construction stays out of the timed loop.
-template <typename Queue>
 void
-runTrivial(benchmark::State &state)
+BM_CalendarKernelTrivial(benchmark::State &state)
 {
-    Queue q;
+    EventQueue q;
     for (auto _ : state) {
         Rng rng(2);
         for (int i = 0; i < 4096; ++i)
@@ -190,19 +109,6 @@ runTrivial(benchmark::State &state)
     state.counters["events/s"] = benchmark::Counter(
         static_cast<double>(state.iterations()) * 4096,
         benchmark::Counter::kIsRate);
-}
-
-void
-BM_LegacyHeapKernelTrivial(benchmark::State &state)
-{
-    runTrivial<LegacyEventQueue>(state);
-}
-BENCHMARK(BM_LegacyHeapKernelTrivial);
-
-void
-BM_CalendarKernelTrivial(benchmark::State &state)
-{
-    runTrivial<EventQueue>(state);
 }
 BENCHMARK(BM_CalendarKernelTrivial);
 

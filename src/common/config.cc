@@ -1,19 +1,6 @@
 #include "common/config.hh"
 
-#include <cstdlib>
-
 namespace protozoa {
-
-unsigned
-envSimThreads(unsigned fallback)
-{
-    if (const char *env = std::getenv("PROTOZOA_SIM_THREADS")) {
-        const long v = std::atol(env);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
-    return fallback;
-}
 
 const char *
 protocolName(ProtocolKind kind)

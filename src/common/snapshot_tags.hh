@@ -23,7 +23,7 @@ namespace protozoa {
 constexpr std::uint32_t kSnapshotMagic = 0x4e535a50u;
 
 /** Bump on any serialized-layout change. */
-constexpr std::uint32_t kSnapshotVersion = 4;
+constexpr std::uint32_t kSnapshotVersion = 5;
 
 /**
  * Discriminator for every event class that can be in flight at a
@@ -38,8 +38,7 @@ enum class EventKind : std::uint8_t {
     L1Send = 4,        ///< L1 pipeline handing msg to router  {coreId, CoherenceMsg}
     DirSend = 5,       ///< directory pipeline ditto           {tileId, CoherenceMsg}
     DirFill = 6,       ///< memory fill completing at the dir  {tileId, region}
-    MeshDeliver = 7,   ///< in-flight mesh message (sequential){CoherenceMsg}
-    SysDeliver = 8,    ///< in-flight delivery (sharded path)  {CoherenceMsg}
+    Deliver = 8,       ///< in-flight mesh message delivery    {CoherenceMsg}
     InvariantTick = 9, ///< periodic coherence sweep           {}
     WatchdogTick = 10, ///< deadlock watchdog scan             {}
     WindowTick = 11,   ///< windowed-stats epoch rollover      {}

@@ -8,10 +8,6 @@ namespace protozoa {
 void
 WordStore::readRange(Addr addr, std::uint64_t *dst, unsigned nwords) const
 {
-    if (conc) {
-        concReadRange(addr, dst, nwords);
-        return;
-    }
     Addr wa = wordAlign(addr);
     while (nwords > 0) {
         const unsigned w0 = wordIndex(wa);
@@ -32,10 +28,6 @@ WordStore::readRange(Addr addr, std::uint64_t *dst, unsigned nwords) const
 void
 WordStore::writeRange(Addr addr, const std::uint64_t *src, unsigned nwords)
 {
-    if (conc) {
-        concWriteRange(addr, src, nwords);
-        return;
-    }
     Addr wa = wordAlign(addr);
     while (nwords > 0) {
         const unsigned w0 = wordIndex(wa);
@@ -51,47 +43,6 @@ WordStore::writeRange(Addr addr, const std::uint64_t *src, unsigned nwords)
         written += static_cast<std::size_t>(
             std::popcount(run & ~unsigned(page.written)));
         page.written |= static_cast<std::uint16_t>(run);
-        src += chunk;
-        wa += Addr(chunk) * kWordBytes;
-        nwords -= chunk;
-    }
-}
-
-// Concurrent-mode range ops: chunk at page boundaries (like the plain
-// paths above) and take each page's stripe lock around the sub-store
-// operation, so a range spanning two pages may touch two stripes but
-// never holds two locks at once.
-
-void
-WordStore::concReadRange(Addr addr, std::uint64_t *dst,
-                         unsigned nwords) const
-{
-    Addr wa = wordAlign(addr);
-    while (nwords > 0) {
-        const unsigned w0 = wordIndex(wa);
-        const unsigned chunk = std::min(nwords, kPageWords - w0);
-        auto &s = Concurrent::stripeFor(conc->stripes, pageBase(wa));
-        s.lock.lock();
-        s.store.readRange(wa, dst, chunk);
-        s.lock.unlock();
-        dst += chunk;
-        wa += Addr(chunk) * kWordBytes;
-        nwords -= chunk;
-    }
-}
-
-void
-WordStore::concWriteRange(Addr addr, const std::uint64_t *src,
-                          unsigned nwords)
-{
-    Addr wa = wordAlign(addr);
-    while (nwords > 0) {
-        const unsigned w0 = wordIndex(wa);
-        const unsigned chunk = std::min(nwords, kPageWords - w0);
-        auto &s = Concurrent::stripeFor(conc->stripes, pageBase(wa));
-        s.lock.lock();
-        s.store.writeRange(wa, src, chunk);
-        s.lock.unlock();
         src += chunk;
         wa += Addr(chunk) * kWordBytes;
         nwords -= chunk;

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/log.hh"
-#include "sim/sharded_engine.hh"
 
 namespace protozoa {
 
@@ -27,44 +26,19 @@ System::System(const SystemConfig &config, Workload workload)
     net->setDeliverHook(
         [this](CoherenceMsg &&m) { deliver(std::move(m)); });
 
-    // The schedule oracle records and replays a single global event
-    // order, so it always runs on the sequential kernel.
-    const unsigned simThreads =
-        net->scheduleOracleEnabled() ? 0 : cfg.resolvedSimThreads();
-    const bool sharded = simThreads > 0;
-    if (sharded) {
-        golden.enableConcurrent();
-        memImage.enableConcurrent();
-        shardNet.resize(cfg.numCores);
-        for (CoreId c = 0; c < cfg.numCores; ++c) {
-            shardQs.push_back(std::make_unique<EventQueue>());
-            shardCov.push_back(std::make_unique<ConformanceCoverage>(
-                cfg.protocol, knobProfileOf(cfg)));
-        }
-    }
-    auto queueFor = [&](unsigned node) -> EventQueue & {
-        return sharded ? *shardQs[node] : eventq;
-    };
-    auto covFor = [&](unsigned node) {
-        return sharded ? shardCov[node].get() : coverage.get();
-    };
-
     for (CoreId c = 0; c < cfg.numCores; ++c) {
         l1s.push_back(std::make_unique<L1Controller>(
-            c, cfg, queueFor(c), *this, &golden, covFor(c)));
+            c, cfg, eventq, *this, &golden, coverage.get()));
     }
     for (TileId t = 0; t < cfg.l2Tiles; ++t) {
         dirs.push_back(std::make_unique<DirController>(
-            t, cfg, queueFor(t), *this, memImage, covFor(t)));
+            t, cfg, eventq, *this, memImage, coverage.get()));
     }
     for (CoreId c = 0; c < cfg.numCores; ++c) {
         cores.push_back(std::make_unique<CoreModel>(
-            c, queueFor(c), *l1s[c], *traces[c],
+            c, eventq, *l1s[c], *traces[c],
             [this](CoreId id) { onCoreDone(id); }));
     }
-
-    if (sharded)
-        engine = std::make_unique<ShardedEngine>(*this, simThreads);
 
     // The configured bound is calibrated for the paper's 4x4 mesh;
     // bigger fabrics get a geometry-scaled horizon (explicit
@@ -78,13 +52,9 @@ System::~System() = default;
 void
 System::send(CoherenceMsg msg)
 {
-    if (engine) {
-        engineSend(std::move(msg));
-        return;
-    }
     armWatchdog();
     if (filter && !filter(msg)) {
-        dropped.fetch_add(1, std::memory_order_relaxed);
+        ++dropped;
         return;
     }
     const unsigned bytes = msg.sizeBytes(cfg.controlBytes);
@@ -107,9 +77,8 @@ System::send(CoherenceMsg msg)
     if (net->scheduleOracleEnabled()) {
         delay = net->park(src, dst, bytes, std::move(msg));
     } else {
-        const Cycle arrival = net->routeMessage(src, dst, bytes,
-                                                eventq.now(),
-                                                net->statsSlab());
+        const Cycle arrival =
+            net->routeMessage(src, dst, bytes, eventq.now());
         delay = arrival - eventq.now();
         eventq.scheduleAt(arrival, DeliverEvent{this, std::move(msg)});
     }
@@ -127,57 +96,11 @@ System::send(CoherenceMsg msg)
     }
 }
 
-/**
- * Sharded-mode send. The caller is the source tile's controller,
- * running on that shard's thread, so the source shard's clock and
- * per-pair mesh state (FIFO clamp, jitter counters) are touched only
- * from here. Same-tile traffic (an L1 and its co-located bank) stays a
- * local calendar event; cross-tile traffic enters the destination's
- * inbox channel and is folded in at the next window boundary.
- */
-void
-System::engineSend(CoherenceMsg msg)
-{
-    if (filter && !filter(msg)) {
-        dropped.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-    const unsigned src = msg.srcNode;
-    const unsigned dst = msg.dstNode;
-    PROTO_ASSERT(ShardedEngine::runningShard() == src,
-                 "message injected off its source shard's thread");
-
-    EventQueue &q = *shardQs[src];
-    const Cycle now = q.now();
-    const Cycle arrival = net->routeMessage(
-        src, dst, msg.sizeBytes(cfg.controlBytes), now,
-        shardNet[src].stats);
-
-    if (net->trackingEnabled()) {
-        Mesh::QueuedMsg qm;
-        qm.src = src;
-        qm.dst = dst;
-        qm.arrival = arrival;
-        qm.type = msgTypeName(msg.type);
-        qm.region = msg.region;
-        qm.range = msg.range;
-        qm.dstIsDir = msg.dstIsDir;
-        net->noteQueued(qm, now);
-    }
-
-    if (dst == src) {
-        q.scheduleAt(arrival, DeliverEvent{this, std::move(msg)});
-    } else {
-        engine->postCrossShard(src, dst, arrival, std::move(msg));
-    }
-}
-
 void
 System::onCoreDone(CoreId)
 {
-    const unsigned prev =
-        coresRunning.fetch_sub(1, std::memory_order_acq_rel);
-    PROTO_ASSERT(prev > 0, "core finished twice");
+    PROTO_ASSERT(coresRunning > 0, "core finished twice");
+    --coresRunning;
 }
 
 void
@@ -216,23 +139,18 @@ System::runTo(Cycle stop_at, Cycle max_cycles)
 {
     if (!started) {
         started = true;
-        coresRunning.store(cfg.numCores, std::memory_order_relaxed);
+        coresRunning = cfg.numCores;
         for (auto &core : cores)
             core->start();
 
-        // In sharded mode the engine itself services the periodic
-        // check and the stats window at boundaries (they need all
-        // shards quiescent).
-        if (checkPeriod > 0 && !engine)
+        if (checkPeriod > 0)
             scheduleInvariantCheck();
-        if (windowPeriod > 0 && !engine)
+        if (windowPeriod > 0)
             eventq.schedule(windowPeriod, WindowTickEvent{this});
     }
 
     const auto wall_start = std::chrono::steady_clock::now();
-    if (engine) {
-        engine->run(max_cycles, stop_at);
-    } else if (stop_at == kNoStop) {
+    if (stop_at == kNoStop) {
         eventq.run(max_cycles);
     } else {
         eventq.runUntil(stop_at);
@@ -244,18 +162,16 @@ System::runTo(Cycle stop_at, Cycle max_cycles)
 
     // A bounded run may stop mid-workload; only a drained run
     // finalizes.
-    if (stop_at != kNoStop &&
-        coresRunning.load(std::memory_order_acquire) != 0)
+    if (stop_at != kNoStop && coresRunning != 0)
         return;
-    PROTO_ASSERT(coresRunning.load(std::memory_order_acquire) == 0,
-                 "event queue drained with live cores");
+    PROTO_ASSERT(coresRunning == 0, "event queue drained with live cores");
 
     if (!finalized) {
         for (auto &l1c : l1s)
             l1c->finalizeStats();
         // Close the trailing partial stats window.
         if (windowPeriod > 0)
-            windowRollover(engine ? report().cycles : eventq.now());
+            windowRollover(eventq.now());
         finalized = true;
         if (windowPeriod > 0 && !windowPath.empty())
             writeWindowJson();
@@ -374,8 +290,7 @@ System::enableWatchdog(Cycle bound, WatchdogHandler handler)
 void
 System::armWatchdog()
 {
-    // Sharded runs drive the scan from the engine's window service.
-    if (engine || watchdogBound == 0 || watchdogArmed || watchdogTripped)
+    if (watchdogBound == 0 || watchdogArmed || watchdogTripped)
         return;
     watchdogArmed = true;
     const Cycle interval = std::max<Cycle>(watchdogBound / 2, 1);
@@ -506,56 +421,17 @@ System::dumpRegionDiagnostic(Addr region)
     return os.str();
 }
 
-ConformanceCoverage &
-System::conformance()
-{
-    // Sharded mode records into per-shard trackers; rebuild the
-    // aggregate from scratch on every call so repeated queries never
-    // double-count and always see the latest transitions.
-    if (!shardCov.empty()) {
-        coverage = std::make_unique<ConformanceCoverage>(
-            cfg.protocol, knobProfileOf(cfg));
-        for (const auto &c : shardCov)
-            coverage->merge(*c);
-    }
-    return *coverage;
-}
-
-unsigned
-System::engineThreads() const
-{
-    return engine ? engine->threadCount() : 0;
-}
-
-EventQueue &
-System::shardQueue(unsigned s)
-{
-    PROTO_ASSERT(engine && s < shardQs.size(),
-                 "shardQueue() outside sharded mode");
-    return *shardQs[s];
-}
-
 RunStats
 System::report() const
 {
     RunStats out;
-    if (engine) {
-        // Deterministic ascending-shard merge: kernel counters are
-        // sums/maxes of per-shard values, themselves identical for
-        // every thread count.
-        for (const auto &q : shardQs)
-            out.kernel.merge(q->kernelStats());
-    } else {
-        out.kernel = eventq.kernelStats();
-    }
+    out.kernel = eventq.kernelStats();
     out.kernel.wallSeconds = runWallSeconds;
     for (const auto &l1c : l1s)
         out.l1.merge(l1c->stats);
     for (const auto &d : dirs)
         out.dir.merge(d->stats);
     out.net.merge(net->netStats());
-    for (const auto &slab : shardNet)
-        out.net.merge(slab.stats);
     for (const auto &core : cores) {
         out.instructions += core->instructions();
         out.cycles = std::max(out.cycles, core->finishCycle());

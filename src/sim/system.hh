@@ -13,7 +13,6 @@
 #ifndef PROTOZOA_SIM_SYSTEM_HH
 #define PROTOZOA_SIM_SYSTEM_HH
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -35,8 +34,6 @@
 #include "workload/trace.hh"
 
 namespace protozoa {
-
-class ShardedEngine;
 
 class System : public Router
 {
@@ -149,9 +146,8 @@ class System : public Router
     /** Load-value violations flagged by the golden-memory oracle. */
     std::uint64_t valueViolations() const { return golden.violations(); }
 
-    /** Per-run transition-coverage matrix (always recording). In
-     *  sharded mode this merges the per-shard trackers on demand. */
-    ConformanceCoverage &conformance();
+    /** Per-run transition-coverage matrix (always recording). */
+    ConformanceCoverage &conformance() { return *coverage; }
 
     /** Backing memory image (protocheck golden-word fingerprinting). */
     WordStore &memoryImage() { return memImage; }
@@ -196,27 +192,21 @@ class System : public Router
     DirController &dir(TileId t) { return *dirs[t]; }
     CoreModel &core(CoreId c) { return *cores[c]; }
     Mesh &mesh() { return *net; }
-    /** Sequential-engine calendar queue (unused in sharded mode). */
     EventQueue &eventQueue() { return eventq; }
     GoldenMemory &goldenMemory() { return golden; }
     const SystemConfig &config() const { return cfg; }
 
-    /** True when the sharded parallel engine drives this system
-     *  (cfg.simThreads / PROTOZOA_SIM_THREADS > 0, no schedule
-     *  oracle). */
-    bool parallelEngine() const { return engine != nullptr; }
-
-    /** Worker threads the sharded engine will use (0 = sequential). */
-    unsigned engineThreads() const;
-
-    /** Shard @p s's calendar queue (sharded mode only). */
-    EventQueue &shardQueue(unsigned s);
+    /**
+     * Always false: every System runs on the one sequential event
+     * queue. Kept only because the benchmark harness still checks it;
+     * the next change to the benchmark deletes the check and this stub.
+     */
+    bool parallelEngine() const { return false; }
 
     // --- saveable events (snapshot subsystem) ------------------------
 
-    /** In-flight delivery of one coherence message (either engine:
-     *  sequential mesh arrivals and sharded local/cross-shard
-     *  deliveries all land here). */
+    /** In-flight delivery of one coherence message to its
+     *  destination controller. */
     struct DeliverEvent
     {
         System *sys;
@@ -227,12 +217,12 @@ class System : public Router
         void
         saveEvent(Serializer &s) const
         {
-            s.writeU8(static_cast<std::uint8_t>(EventKind::SysDeliver));
+            s.writeU8(static_cast<std::uint8_t>(EventKind::Deliver));
             msg.save(s);
         }
     };
 
-    /** Periodic whole-system coherence sweep (sequential engine). */
+    /** Periodic whole-system coherence sweep. */
     struct InvariantTickEvent
     {
         System *sys;
@@ -247,7 +237,7 @@ class System : public Router
         }
     };
 
-    /** Deadlock-watchdog scan (sequential engine). */
+    /** Deadlock-watchdog scan. */
     struct WatchdogTickEvent
     {
         System *sys;
@@ -262,7 +252,7 @@ class System : public Router
         }
     };
 
-    /** Windowed-stats epoch rollover (sequential engine). */
+    /** Windowed-stats epoch rollover. */
     struct WindowTickEvent
     {
         System *sys;
@@ -277,8 +267,6 @@ class System : public Router
     };
 
   private:
-    friend class ShardedEngine;
-
     void onCoreDone(CoreId c);
     void scheduleInvariantCheck();
     /** InvariantTickEvent body: sweep + reschedule while cores run. */
@@ -289,14 +277,10 @@ class System : public Router
     void watchdogScan(Cycle now);
     /** WindowTickEvent body: rollover + reschedule while cores run. */
     void windowTick();
-    /** Record one WindowSample at the current cycle (both engines). */
+    /** Record one WindowSample at cycle @p now. */
     void windowRollover(Cycle now);
     void writeWindowJson() const;
-    /** Sharded-mode send: route via the source shard's clock, deliver
-     *  locally or through the destination shard's inbox channel. */
-    void engineSend(CoherenceMsg msg);
-    /** Hand an arrived cross-shard message to its destination
-     *  controller (runs on the destination shard's thread). */
+    /** Hand an arrived message to its destination controller. */
     void
     deliver(CoherenceMsg m)
     {
@@ -313,28 +297,13 @@ class System : public Router
     GoldenMemory golden;
     WordStore memImage;
 
-    /**
-     * Sharded-engine state (empty in sequential mode): one calendar
-     * queue and one padded NetStats slab per tile, plus per-shard
-     * conformance trackers so the hot recording path never crosses
-     * threads. conformance() folds the trackers together on demand.
-     */
-    std::vector<std::unique_ptr<EventQueue>> shardQs;
-    struct alignas(64) NetSlab
-    {
-        NetStats stats;
-    };
-    std::vector<NetSlab> shardNet;
-    std::vector<std::unique_ptr<ConformanceCoverage>> shardCov;
-    std::unique_ptr<ShardedEngine> engine;
-
     Workload traces;
     std::vector<std::unique_ptr<L1Controller>> l1s;
     std::vector<std::unique_ptr<DirController>> dirs;
     std::vector<std::unique_ptr<CoreModel>> cores;
 
-    /** Decremented from shard threads in parallel runs. */
-    std::atomic<unsigned> coresRunning{0};
+    /** Cores whose trace has not drained yet. */
+    unsigned coresRunning = 0;
     /** First runTo()/run() call has started the cores. */
     bool started = false;
     bool finalized = false;
@@ -398,7 +367,7 @@ class System : public Router
     std::uint64_t watchdogFired = 0;
 
     MessageFilter filter;
-    std::atomic<std::uint64_t> dropped{0};
+    std::uint64_t dropped = 0;
 };
 
 } // namespace protozoa

@@ -3,16 +3,15 @@
  * System checkpoint/restore implementation: the byte layout lives
  * here and nowhere else (see snapshot.hh for the contract).
  *
- * Layout (version 4, all little-endian; raw structs are written with
+ * Layout (version 5, all little-endian; raw structs are written with
  * their padding zeroed, so identical runs save identical bytes):
  *
  *   u32 magic "PZSN"        u32 version        u64 configFingerprint
- *   u8  engineMode (0 sequential, 1 sharded)
  *   -- system misc: started, finalized, coresRunning, invariant and
  *      watchdog records, dropped-message count, runtime-enable knobs
  *      (checkPeriod, watchdogBound)
  *   -- golden memory, backing memory image
- *   -- conformance coverage (per-shard trackers in sharded mode)
+ *   -- conformance coverage
  *   -- cores, L1s (pending-completion flag inside), each L1 holding
  *      its cache's resident blocks per set in insertion order, then a
  *      sparse predictor table: u32 table size, u32 count of trained
@@ -31,12 +30,10 @@
  *      of non-empty parked channels, then per channel in ascending id
  *      order (src * nodes + dst) u32 id, u32 message count (at least
  *      1) and per message in FIFO order the message and its u64 hash
- *      (+ per-shard NetStats slabs in sharded mode)
  *   -- windowed-stats state (period, delta base, recorded samples)
- *   -- calendar queue(s): clock, nextSeq, kernel stats, then every
+ *   -- calendar queue: clock, nextSeq, kernel stats, then every
  *      pending event as (when, seq, EventKind, payload) sorted by
- *      (when, seq); sharded mode prefixes the engine's service
- *      cadence and writes one queue section per shard
+ *      (when, seq)
  *
  * Any layout change here or in a component's saveState/saveEvent must
  * bump kSnapshotVersion (snapshot_tags.hh).
@@ -53,7 +50,6 @@
 #include "common/serialize.hh"
 #include "common/snapshot_tags.hh"
 #include "sim/core_model.hh"
-#include "sim/sharded_engine.hh"
 #include "sim/system.hh"
 
 namespace protozoa {
@@ -237,8 +233,7 @@ restoreQueue(System &sys, EventQueue &q, Deserializer &d,
                            DirController::FillEvent{&sys.dir(t), region});
             break;
         }
-        case EventKind::MeshDeliver:
-        case EventKind::SysDeliver: {
+        case EventKind::Deliver: {
             CoherenceMsg msg;
             if (!d.readRaw(msg))
                 return setError(error, "corrupt delivery event");
@@ -272,10 +267,6 @@ restoreQueue(System &sys, EventQueue &q, Deserializer &d,
 std::uint64_t
 configFingerprint(const SystemConfig &cfg)
 {
-    // simThreads is deliberately excluded: a sharded snapshot restores
-    // under any worker count (the shard structure, not the thread
-    // count, defines the state). The engine *mode* is checked by its
-    // own header byte.
     std::uint64_t h = 0x70726f746f7a6f61ULL; // "protozoa"
     fold(h, static_cast<std::uint64_t>(cfg.protocol));
     fold(h, static_cast<std::uint64_t>(cfg.predictor));
@@ -318,38 +309,25 @@ configFingerprint(const SystemConfig &cfg)
 bool
 System::saveSnapshot(Serializer &s, std::string *error) const
 {
-    if (engine && !engine->quiescent()) {
-        return setError(error,
-                        "sharded engine has undrained channels; "
-                        "snapshot only at a runTo() stop boundary");
-    }
-
     s.writeU32(kSnapshotMagic);
     s.writeU32(kSnapshotVersion);
     s.writeU64(configFingerprint(cfg));
-    s.writeU8(engine ? 1 : 0);
 
     s.writeU8(started ? 1 : 0);
     s.writeU8(finalized ? 1 : 0);
-    s.writeU32(coresRunning.load(std::memory_order_relaxed));
+    s.writeU32(coresRunning);
     s.writeU64(invariantErrors);
     s.writeString(firstInvariantError);
     s.writeU8(watchdogArmed ? 1 : 0);
     s.writeU8(watchdogTripped ? 1 : 0);
     s.writeU64(watchdogFired);
-    s.writeU64(dropped.load(std::memory_order_relaxed));
+    s.writeU64(dropped);
     s.writeU64(checkPeriod);
     s.writeU64(watchdogBound);
 
     golden.saveState(s);
     memImage.saveState(s);
-
-    if (engine) {
-        for (const auto &cov : shardCov)
-            cov->saveState(s);
-    } else {
-        coverage->saveState(s);
-    }
+    coverage->saveState(s);
 
     for (const auto &core : cores)
         core->saveState(s);
@@ -359,10 +337,6 @@ System::saveSnapshot(Serializer &s, std::string *error) const
         dc->saveState(s);
 
     net->saveState(s);
-    if (engine) {
-        for (const NetSlab &slab : shardNet)
-            s.writeRaw(slab.stats);
-    }
 
     static_assert(std::is_trivially_copyable_v<WindowSample>,
                   "WindowSample must stay raw-serializable");
@@ -370,19 +344,7 @@ System::saveSnapshot(Serializer &s, std::string *error) const
     s.writeRaw(winPrev);
     s.writeVecRaw(windows);
 
-    if (engine) {
-        s.writeU64(engine->checkCadence());
-        s.writeU64(engine->watchdogCadence());
-        s.writeU64(engine->windowCadence());
-        for (const auto &q : shardQs) {
-            if (!saveQueue(*q, s, error))
-                return false;
-        }
-    } else {
-        if (!saveQueue(eventq, s, error))
-            return false;
-    }
-    return true;
+    return saveQueue(eventq, s, error);
 }
 
 bool
@@ -407,27 +369,19 @@ System::restoreSnapshot(Deserializer &d, std::string *error)
         return setError(error,
                         "snapshot was taken under a different system "
                         "configuration");
-    const std::uint8_t mode = d.readU8();
     if (d.failed())
         return setError(error, "snapshot truncated in header");
-    if ((mode != 0) != (engine != nullptr)) {
-        return setError(error,
-                        mode ? "snapshot is from the sharded engine; "
-                               "this system runs the sequential one"
-                             : "snapshot is from the sequential engine; "
-                               "this system runs the sharded one");
-    }
 
     started = d.readU8() != 0;
     finalized = d.readU8() != 0;
-    coresRunning.store(d.readU32(), std::memory_order_relaxed);
+    coresRunning = d.readU32();
     invariantErrors = d.readU64();
     if (!d.readString(firstInvariantError))
         return setError(error, "snapshot truncated in system section");
     watchdogArmed = d.readU8() != 0;
     watchdogTripped = d.readU8() != 0;
     watchdogFired = d.readU64();
-    dropped.store(d.readU64(), std::memory_order_relaxed);
+    dropped = d.readU64();
     checkPeriod = d.readU64();
     watchdogBound = d.readU64();
     if (d.failed())
@@ -444,14 +398,8 @@ System::restoreSnapshot(Deserializer &d, std::string *error)
     if (!memImage.restoreState(d))
         return setError(error, "corrupt memory-image section");
 
-    if (engine) {
-        for (auto &cov : shardCov) {
-            if (!cov->restoreState(d))
-                return setError(error, "corrupt coverage section");
-        }
-    } else if (!coverage->restoreState(d)) {
+    if (!coverage->restoreState(d))
         return setError(error, "corrupt coverage section");
-    }
 
     for (auto &core : cores) {
         if (!core->restoreState(d))
@@ -471,31 +419,13 @@ System::restoreSnapshot(Deserializer &d, std::string *error)
 
     if (!net->restoreState(d))
         return setError(error, "corrupt mesh section");
-    if (engine) {
-        for (NetSlab &slab : shardNet) {
-            if (!d.readRaw(slab.stats))
-                return setError(error, "corrupt net-slab section");
-        }
-    }
 
     windowPeriod = d.readU64();
     if (!d.readRaw(winPrev) || !d.readVecRaw(windows))
         return setError(error, "corrupt window-stats section");
 
-    if (engine) {
-        const Cycle check = d.readU64();
-        const Cycle watchdog = d.readU64();
-        const Cycle window = d.readU64();
-        if (d.failed())
-            return setError(error, "snapshot truncated in cadence");
-        engine->setResumeCadence(check, watchdog, window);
-        for (auto &q : shardQs) {
-            if (!restoreQueue(*this, *q, d, error))
-                return false;
-        }
-    } else if (!restoreQueue(*this, eventq, d, error)) {
+    if (!restoreQueue(*this, eventq, d, error))
         return false;
-    }
 
     if (d.failed())
         return setError(error, "snapshot truncated");

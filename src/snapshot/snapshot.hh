@@ -4,17 +4,16 @@
  *
  * A snapshot is a dense little-endian binary image of every piece of
  * mutable simulation state: header (magic, format version, config
- * fingerprint, engine mode), the two value stores, conformance
- * coverage, every core / L1 / directory tile, the mesh, the windowed
- * stats series, and finally the calendar queue(s) — clock, sequence
- * counter, kernel stats, and every pending event as a (when, seq,
- * EventKind, payload) record sorted by (when, seq).
+ * fingerprint), the two value stores, conformance coverage, every
+ * core / L1 / directory tile, the mesh, the windowed stats series, and
+ * finally the calendar queue — clock, sequence counter, kernel stats,
+ * and every pending event as a (when, seq, EventKind, payload) record
+ * sorted by (when, seq).
  *
  * The contract is digest-locked resumption: save at cycle C, restore
- * into a freshly constructed System (same SystemConfig, same engine
- * mode, nothing run yet), run to completion, and the stats digest is
- * bit-identical to the uninterrupted run — for both the sequential and
- * the sharded engine. Snapshots are only taken at quiescent points
+ * into a freshly constructed System (same SystemConfig, nothing run
+ * yet), run to completion, and the stats digest is bit-identical to
+ * the uninterrupted run. Snapshots are only taken at quiescent points
  * (between events at a runTo() stop boundary), so no C++ closure is
  * ever on the wire: every pending event is one of the saveable named
  * event structs tagged in common/snapshot_tags.hh, and the restore

@@ -14,8 +14,8 @@
  *    and can detect truncation/corruption at chunk granularity.
  *
  *  - TraceWriter, an append-records-incrementally writer (text or
- *    binary) replacing the consume-the-workload `writeTrace` API: a
- *    capture tool can emit records as they happen with O(chunk) memory.
+ *    binary) and the one way to write a trace: a capture tool can emit
+ *    records as they happen with O(chunk) memory.
  *
  *  - StreamingTraceFile / StreamingTraceSource: per-core TraceSource
  *    views over one shared chunked reader. Each core scans the file
@@ -25,8 +25,7 @@
  *    after the first decode and the steady-state refill loop performs
  *    zero allocations (alloc_regression_test locks this). All mutable
  *    state is per-ring and the fd has no shared position, so distinct
- *    cores' sources may be pulled from distinct threads (the sharded
- *    engine's shards).
+ *    cores' sources may be pulled from distinct threads.
  *
  *  - GeneratorTraceSource: chunk-indexed deterministic generation, so
  *    synthetic archetypes run unbounded with O(chunk) memory and can
@@ -72,10 +71,8 @@ std::uint32_t crc32(const void *data, std::size_t n);
 
 /**
  * Incremental trace writer: append records one at a time, in any core
- * order, with O(cores * chunk) memory. This replaces the draining
- * `writeTrace(ostream, Workload)` overload (now deprecated), which
- * required the whole workload materialized and consumed it as a side
- * effect.
+ * order, with O(cores * chunk) memory. The text format is the one
+ * readTrace() (workload/trace_io.hh) parses.
  */
 class TraceWriter
 {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "workload/streaming_trace.hh"
 
 namespace protozoa {
 
@@ -65,30 +64,6 @@ readTraceFile(const std::string &path, unsigned num_cores)
     if (!in)
         fatal("cannot open trace file '%s'", path.c_str());
     return readTrace(in, num_cores);
-}
-
-void
-writeTrace(std::ostream &out, Workload workload)
-{
-    // Deprecated draining wrapper: kept for existing callers, now a
-    // thin loop over the incremental TraceWriter.
-    TraceWriter w(out, TraceWriter::Format::Text,
-                  static_cast<unsigned>(workload.size()));
-    for (unsigned c = 0; c < workload.size(); ++c) {
-        TraceRecord rec;
-        while (workload[c]->next(rec))
-            w.append(c, rec);
-    }
-    w.finish();
-}
-
-void
-writeTraceFile(const std::string &path, Workload workload)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open trace file '%s' for writing", path.c_str());
-    writeTrace(out, std::move(workload));
 }
 
 } // namespace protozoa

@@ -3,8 +3,9 @@
  * SystemConfig validation and geometry-scaling tests: the wide-mesh
  * rejection paths (core counts past kMaxCores, degenerate meshes,
  * undersized L2 tiles, zero L1 sets or L2 ways, L2 tiles with more
- * entries than a slot index addresses), the watchdog horizon's mesh
- * scaling, and the region -> home-tile slice hashes.
+ * entries than a slot index addresses), the refusal of the removed
+ * sharded engine's thread count, the watchdog horizon's mesh scaling,
+ * and the region -> home-tile slice hashes.
  */
 
 #include <gtest/gtest.h>
@@ -91,6 +92,16 @@ TEST(ConfigValidateScaling, RejectsNonPowerOfTwoBloomBuckets)
     cfg.directory = DirectoryKind::TaglessBloom;
     cfg.bloomBuckets = 100;
     EXPECT_DEATH(cfg.validate(), "power of two");
+}
+
+TEST(ConfigValidate, RejectsSimThreadsOfTheRemovedEngine)
+{
+    SystemConfig cfg;
+    cfg.simThreads = 4;
+    EXPECT_DEATH(cfg.validate(), "sharded parallel engine was removed");
+
+    cfg.simThreads = 0;
+    cfg.validate();
 }
 
 TEST(ConfigValidateScaling, AcceptsWideMeshes)

@@ -331,9 +331,8 @@ TEST(Mesh, JitterIsDeterministicPerSeed)
 // The injector draws from a counter-based hash of (seed, pair, seq),
 // so a pair's fault schedule depends only on how many messages that
 // pair has carried — not on how sends across different pairs happen to
-// interleave globally. This is what lets the sharded parallel engine
-// (where per-shard execution order is not a single global sequence)
-// reproduce exactly the fault schedules of a sequential run.
+// interleave globally. A protocol change that reorders sends on other
+// pairs therefore leaves each pair's fault schedule unchanged.
 TEST(Mesh, JitterScheduleIsOrderIndependentAcrossPairs)
 {
     // Two interleavings of the same per-pair send sequences: pairwise

@@ -5,9 +5,7 @@
  * System (same config, nothing run yet), run to completion, and the
  * full stats digest is bit-identical to the uninterrupted run. The
  * tests exercise that contract across all four protocols, with fault
- * jitter on and off, at randomized checkpoint cycles, under both
- * engines (and across *different* worker-thread counts for the sharded
- * engine: thread count is an execution resource, not simulated state).
+ * jitter on and off, at randomized checkpoint cycles.
  *
  * The rejection half: corrupted, truncated, version-skewed and
  * config-mismatched images must be refused with a clear error — never
@@ -202,48 +200,6 @@ TEST(Snapshot, StreamingWorkloadRoundTrip)
     EXPECT_EQ(want, digestOf(fresh.report()));
 }
 
-// ---- sharded engine ---------------------------------------------------
-
-TEST(Snapshot, ShardedRoundTripAcrossThreadCounts)
-{
-    // A sharded snapshot carries simulated state only; restoring under
-    // a different worker count must reproduce the same digest. (The
-    // config fingerprint deliberately excludes simThreads.)
-    SystemConfig cfg;
-    cfg.protocol = ProtocolKind::ProtozoaMW;
-    cfg.simThreads = 2;
-    cfg.seed = 13;
-    const std::uint64_t want = digestOf(referenceRun(cfg));
-
-    System donor(cfg, bench(cfg));
-    donor.runTo(12000);
-    Serializer img;
-    std::string err;
-    ASSERT_TRUE(donor.saveSnapshot(img, &err)) << err;
-
-    for (unsigned threads : {1u, 2u, 4u}) {
-        SystemConfig rcfg = cfg;
-        rcfg.simThreads = threads;
-        System fresh(rcfg, bench(rcfg));
-        Deserializer d(img.bytes().data(), img.size());
-        ASSERT_TRUE(fresh.restoreSnapshot(d, &err))
-            << err << " (threads=" << threads << ")";
-        fresh.run();
-        EXPECT_EQ(want, digestOf(fresh.report()))
-            << "sharded restore diverged at " << threads << " threads";
-    }
-}
-
-TEST(Snapshot, ShardedJitterRoundTrip)
-{
-    SystemConfig cfg;
-    cfg.protocol = ProtocolKind::MESI;
-    cfg.simThreads = 4;
-    cfg.faultInjection = true;
-    cfg.seed = 17;
-    roundTrip(cfg, 25000, "canneal");
-}
-
 // ---- rejection: corrupt / truncated / skewed images -------------------
 
 Serializer
@@ -289,13 +245,20 @@ TEST(SnapshotReject, VersionSkew)
     SystemConfig cfg;
     cfg.seed = 3;
     Serializer img = saveAt(cfg, 5000);
-    std::vector<std::uint8_t> bytes = img.bytes();
-    bytes[4] += 1; // version field follows the magic
-    System fresh(cfg, bench(cfg));
-    Deserializer d(bytes.data(), bytes.size());
-    std::string err;
-    EXPECT_FALSE(fresh.restoreSnapshot(d, &err));
-    EXPECT_NE(err.find("format"), std::string::npos) << err;
+    // The version field follows the magic. A newer image and a v4
+    // image (which still carried the engine-mode byte) are both
+    // refused before any section is read.
+    for (const std::uint32_t ver : {kSnapshotVersion + 1, 4u}) {
+        std::vector<std::uint8_t> bytes = img.bytes();
+        std::memcpy(&bytes[4], &ver, sizeof(ver));
+        System fresh(cfg, bench(cfg));
+        Deserializer d(bytes.data(), bytes.size());
+        std::string err;
+        EXPECT_FALSE(fresh.restoreSnapshot(d, &err));
+        EXPECT_NE(err.find("format v" + std::to_string(ver)),
+                  std::string::npos)
+            << err;
+    }
 }
 
 TEST(SnapshotReject, ConfigMismatch)
@@ -311,21 +274,6 @@ TEST(SnapshotReject, ConfigMismatch)
     std::string err;
     EXPECT_FALSE(fresh.restoreSnapshot(d, &err));
     EXPECT_NE(err.find("configuration"), std::string::npos) << err;
-}
-
-TEST(SnapshotReject, EngineModeMismatch)
-{
-    SystemConfig cfg;
-    cfg.seed = 3;
-    Serializer img = saveAt(cfg, 5000); // sequential donor
-
-    SystemConfig sharded = cfg;
-    sharded.simThreads = 2;
-    System fresh(sharded, bench(sharded));
-    Deserializer d(img.bytes().data(), img.size());
-    std::string err;
-    EXPECT_FALSE(fresh.restoreSnapshot(d, &err));
-    EXPECT_FALSE(err.empty());
 }
 
 TEST(SnapshotReject, UsedTargetRefused)
@@ -956,10 +904,6 @@ TEST(Snapshot, ConfigFingerprintSemantics)
     SystemConfig b = a;
     EXPECT_EQ(configFingerprint(a), configFingerprint(b));
 
-    b.simThreads = 8; // execution resource, not simulated state
-    EXPECT_EQ(configFingerprint(a), configFingerprint(b));
-
-    b = a;
     b.seed = a.seed + 1;
     EXPECT_NE(configFingerprint(a), configFingerprint(b));
 

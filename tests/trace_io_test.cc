@@ -1,7 +1,8 @@
 /**
  * @file
- * Unit tests for trace file I/O: format round-trip, comment and
- * error handling, and end-to-end simulation from a parsed trace.
+ * Unit tests for trace file I/O: text round-trip through TraceWriter
+ * and readTrace, comment and error handling, and end-to-end simulation
+ * from a parsed trace.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 
 #include "common/rng.hh"
 #include "protozoa/protozoa.hh"
+#include "workload/streaming_trace.hh"
 #include "workload/trace_io.hh"
 
 namespace protozoa {
@@ -60,7 +62,16 @@ TEST(TraceIo, RoundTrip)
                      0x80);
 
     std::ostringstream out;
-    writeTrace(out, tb.build());
+    {
+        Workload wl = tb.build();
+        TraceWriter w(out, TraceWriter::Format::Text, cfg.numCores);
+        for (unsigned c = 0; c < cfg.numCores; ++c) {
+            TraceRecord rec;
+            while (wl[c]->next(rec))
+                w.append(c, rec);
+        }
+        w.finish();
+    }
 
     std::istringstream in(out.str());
     Workload restored = readTrace(in, cfg.numCores);
@@ -149,7 +160,8 @@ TEST(TraceIo, RandomizedRoundTripProperty)
     const unsigned cores = 4;
     std::vector<std::vector<TraceRecord>> original(cores);
 
-    Workload wl;
+    std::ostringstream out;
+    TraceWriter w(out, TraceWriter::Format::Text, cores);
     for (unsigned c = 0; c < cores; ++c) {
         const std::size_t n = 50 + rng.below(100);
         for (std::size_t i = 0; i < n; ++i) {
@@ -160,13 +172,11 @@ TEST(TraceIo, RandomizedRoundTripProperty)
             rec.gapInstrs = static_cast<std::uint16_t>(rng.below(
                 0x10000));
             original[c].push_back(rec);
+            w.append(c, rec);
         }
-        wl.push_back(std::make_unique<VectorTrace>(
-            std::vector<TraceRecord>(original[c])));
     }
+    w.finish();
 
-    std::ostringstream out;
-    writeTrace(out, std::move(wl));
     std::istringstream in(out.str());
     Workload restored = readTrace(in, cores);
 
