@@ -132,11 +132,14 @@ BM_MeshSend(benchmark::State &state)
 {
     EventQueue eq;
     SystemConfig cfg;
-    Mesh mesh(eq, cfg);
+    Mesh mesh(cfg);
     Rng rng(4);
     for (auto _ : state) {
-        mesh.send(static_cast<unsigned>(rng.below(16)),
-                  static_cast<unsigned>(rng.below(16)), 72, [] {});
+        const Cycle arrival =
+            mesh.routeMessage(static_cast<unsigned>(rng.below(16)),
+                              static_cast<unsigned>(rng.below(16)), 72,
+                              eq.now());
+        eq.scheduleAt(arrival, [] {});
         while (eq.step()) {
         }
     }

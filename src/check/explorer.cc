@@ -1,7 +1,6 @@
 #include "check/explorer.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -42,7 +41,7 @@ struct ChannelInfo
     unsigned src = 0;
     unsigned dst = 0;
     bool dstIsDir = false;
-    const char *type = "?";
+    MsgType type = MsgType::ACK;
     Addr region = 0;
     WordRange range;
     /** Golden-memory words (footprint-region-major word bits). */
@@ -252,7 +251,7 @@ class Run
         step.src = ci.src;
         step.dst = ci.dst;
         std::ostringstream os;
-        os << ci.type << " region=0x" << std::hex << ci.region
+        os << msgTypeName(ci.type) << " region=0x" << std::hex << ci.region
            << std::dec << " words=" << ci.range.toString() << " n"
            << ci.src << " -> " << (ci.dstIsDir ? "dir" : "l1")
            << ci.dst;
@@ -264,7 +263,7 @@ class Run
     void
     step(unsigned k)
     {
-        sys.mesh().deliverParked(front[k].src, front[k].dst);
+        sys.deliverParked(front[k].src, front[k].dst);
         quiesce();
     }
 
@@ -484,10 +483,11 @@ class Run
      * requesting core, which can be any node.
      */
     CoreSet
-    l1EmitTargets(const char *type) const
+    l1EmitTargets(MsgType type) const
     {
-        if (cfg.threeHop && (std::strncmp(type, "FWD", 3) == 0 ||
-                             std::strcmp(type, "INV") == 0))
+        if (cfg.threeHop &&
+            (type == MsgType::FWD_GETS || type == MsgType::FWD_GETX ||
+             type == MsgType::INV))
             return allNodes | homeTiles;
         return homeTiles;
     }
@@ -506,13 +506,11 @@ class Run
      * bounded only by the filter, so it pessimizes to every core.
      */
     CoreSet
-    dirEmitTargets(unsigned tile, Addr region, unsigned src,
-                   const char *type)
+    dirEmitTargets(unsigned tile, Addr region, unsigned src, MsgType type)
     {
         DirController &d = sys.dir(static_cast<TileId>(tile));
-        const bool request = std::strcmp(type, "GETS") == 0 ||
-                             std::strcmp(type, "GETX") == 0 ||
-                             std::strcmp(type, "PUT") == 0;
+        const bool request = type == MsgType::GETS ||
+                             type == MsgType::GETX || type == MsgType::PUT;
         // A request for a region with an active transaction parks in
         // the deferral queue — no emissions at all. The classification
         // is stable for as long as this head can stay asleep: any
@@ -522,7 +520,7 @@ class Run
             return CoreSet();
         CoreSet m;
         m.set(static_cast<CoreId>(src));
-        if (std::strcmp(type, "PUT") == 0)
+        if (type == MsgType::PUT)
             return m;
         if (cfg.directory == DirectoryKind::TaglessBloom)
             return allNodes | homeTiles;
@@ -564,24 +562,24 @@ class Run
         sys.mesh().forEachParkedChannel(
             [&](unsigned src, unsigned dst,
                 std::span<const Mesh::Parked> chan) {
-                const Mesh::Parked &p = chan.front();
+                const CoherenceMsg &m = chan.front().msg;
                 ChannelInfo ci;
                 ci.src = src;
                 ci.dst = dst;
-                ci.dstIsDir = p.dstIsDir;
-                ci.type = p.type;
-                ci.region = p.region;
-                ci.range = p.range;
-                if (p.dstIsDir) {
-                    ci.image = imageFootprint(p.region, dst);
-                    ci.emit =
-                        dirEmitTargets(dst, p.region, src, p.type);
+                ci.dstIsDir = m.dstIsDir;
+                ci.type = m.type;
+                ci.region = m.region;
+                ci.range = m.range;
+                if (m.dstIsDir) {
+                    ci.image = imageFootprint(m.region, dst);
+                    ci.emit = dirEmitTargets(dst, m.region, src, m.type);
                 } else {
-                    if (p.isData)
+                    // A DATA grant completes the core's access and can
+                    // chain into its next ones.
+                    if (m.type == MsgType::DATA)
                         ci.golden = goldenFootprint(
-                            static_cast<CoreId>(dst), p.region,
-                            p.range);
-                    ci.emit = l1EmitTargets(p.type);
+                            static_cast<CoreId>(dst), m.region, m.range);
+                    ci.emit = l1EmitTargets(m.type);
                 }
                 front.push_back(ci);
             });

@@ -57,13 +57,13 @@ buildRepro(const Scenario &s, ProtocolKind proto, const Violation &v)
     os << "cfg.predictor = " << predictorEnumName(s.predictor) << ";\n";
     if (s.predictor == PredictorKind::Fixed)
         os << "cfg.fixedFetchWords = " << s.fixedFetchWords << ";\n";
-    os << "cfg.numCores = " << s.numCores << ";\n";
-    os << "cfg.l2Tiles = " << s.numCores << ";\n";
-    os << "cfg.meshCols = " << s.numCores << ";\n";
-    os << "cfg.meshRows = 1;\n";
+    const SystemConfig full = s.toConfig(proto);
+    os << "cfg.numCores = " << full.numCores << ";\n";
+    os << "cfg.l2Tiles = " << full.l2Tiles << ";\n";
+    os << "cfg.meshCols = " << full.meshCols << ";\n";
+    os << "cfg.meshRows = " << full.meshRows << ";\n";
     os << "cfg.regionBytes = " << s.regionBytes << ";\n";
     os << "cfg.l1Sets = " << s.l1Sets << ";\n";
-    const SystemConfig full = s.toConfig(proto);
     os << "cfg.l1BytesPerSet = " << full.l1BytesPerSet << ";\n";
     os << "cfg.l2BytesPerTile = " << s.l2BytesPerTile << ";\n";
     os << "cfg.l2Assoc = " << s.l2Assoc << ";\n";

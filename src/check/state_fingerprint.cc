@@ -5,6 +5,7 @@
 #include <span>
 #include <tuple>
 
+#include "common/rng.hh"
 #include "common/serialize.hh"
 #include "sim/system.hh"
 
@@ -16,14 +17,7 @@ struct Hasher
 {
     std::uint64_t h = 0x70726f746f7a6f61ULL; // "protozoa"
 
-    void
-    feed(std::uint64_t v)
-    {
-        std::uint64_t z = (h ^ v) + 0x9e3779b97f4a7c15ULL;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        h = z ^ (z >> 31);
-    }
+    void feed(std::uint64_t v) { h = mix64(h ^ v); }
 
     /** Length, then the bytes in little-endian 8-byte words. */
     void
@@ -254,7 +248,7 @@ fingerprintSystem(System &sys, const std::vector<Addr> &regions,
             hx.feed((std::uint64_t(src) << 32) | dst);
             hx.feed(chan.size());
             for (const Mesh::Parked &p : chan)
-                hx.feed(p.hash);
+                hx.feed(p.msg.fingerprint());
         });
 
     for (const Addr region : regions) {

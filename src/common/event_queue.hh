@@ -6,10 +6,10 @@
  * cycle execute in scheduling order, which keeps the simulation
  * deterministic. Two pieces make the hot path allocation-free:
  *
- *  - EventCallback, a move-only callable with a large inline buffer.
- *    Every callback the simulator schedules (mesh deliveries carrying a
- *    CoherenceMsg, core steps, controller pipeline stages) fits inline;
- *    oversized captures fall back to the heap transparently.
+ *  - EventCallback, a move-only callable stored in a large inline
+ *    buffer. Every callback the simulator schedules (mesh deliveries
+ *    carrying a CoherenceMsg, core steps, controller pipeline stages)
+ *    fits; one that does not is a compile error, never a heap box.
  *
  *  - A two-level calendar scheduler. Near-future events — almost all of
  *    them: cache latencies, mesh hops, directory occupancy, the
@@ -68,14 +68,15 @@ struct HasSaveEvent<T, std::void_t<decltype(std::declval<const T &>()
 };
 
 /**
- * Move-only type-erased void() callable with inline small-buffer
- * storage sized for the simulator's largest common capture (a mesh
- * delivery closure holding a whole CoherenceMsg).
+ * Move-only type-erased void() callable stored inline, in a buffer
+ * sized for the simulator's largest capture (a mesh delivery holding a
+ * whole CoherenceMsg). Nothing is ever heap-allocated: a callable that
+ * is too large, over-aligned or throwing on move does not compile.
  */
 class EventCallback
 {
   public:
-    /** Inline capture budget; larger callables are heap-boxed. */
+    /** Inline capture budget. */
     static constexpr std::size_t kInlineBytes = 256;
 
     EventCallback() noexcept = default;
@@ -86,15 +87,14 @@ class EventCallback
                   std::is_invocable_r_v<void, D &>>>
     EventCallback(F &&f)
     {
-        if constexpr (sizeof(D) <= kInlineBytes &&
-                      alignof(D) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<D>) {
-            ::new (static_cast<void *>(buf)) D(std::forward<F>(f));
-            vt = &kInlineVtable<D>;
-        } else {
-            ::new (static_cast<void *>(buf)) D *(new D(std::forward<F>(f)));
-            vt = &kHeapVtable<D>;
-        }
+        static_assert(sizeof(D) <= kInlineBytes,
+                      "event callable exceeds the inline buffer");
+        static_assert(alignof(D) <= alignof(std::max_align_t),
+                      "event callable is over-aligned");
+        static_assert(std::is_nothrow_move_constructible_v<D>,
+                      "event callable must be nothrow-movable");
+        ::new (static_cast<void *>(buf)) D(std::forward<F>(f));
+        vt = &kInlineVtable<D>;
     }
 
     EventCallback(EventCallback &&o) noexcept : vt(o.vt)
@@ -128,8 +128,19 @@ class EventCallback
 
     void operator()() { vt->invoke(buf); }
 
-    /** True when the callable lives in the inline buffer (no heap). */
-    bool inlined() const { return vt != nullptr && vt->inlineStored; }
+    /**
+     * The stored callable if it is a @p D, else nullptr (like
+     * std::function::target): lets a reader such as the watchdog's
+     * in-flight census inspect pending events of one type.
+     */
+    template <typename D>
+    const D *
+    target() const
+    {
+        return vt == &kInlineVtable<D>
+            ? std::launder(reinterpret_cast<const D *>(buf))
+            : nullptr;
+    }
 
     /** True when the stored callable implements saveEvent(). */
     bool saveable() const { return vt != nullptr && vt->save != nullptr; }
@@ -146,25 +157,17 @@ class EventCallback
         void (*destroy)(void *);
         /** Serialize; nullptr for non-checkpointable callables. */
         void (*save)(const void *, Serializer &);
-        bool inlineStored;
     };
 
-    template <typename D, bool Inline>
+    template <typename D>
     static constexpr auto
     saveFn()
     {
         using Fn = void (*)(const void *, Serializer &);
         if constexpr (HasSaveEvent<D>::value) {
-            if constexpr (Inline)
-                return Fn([](const void *p, Serializer &s) {
-                    std::launder(reinterpret_cast<const D *>(p))
-                        ->saveEvent(s);
-                });
-            else
-                return Fn([](const void *p, Serializer &s) {
-                    (*std::launder(
-                        reinterpret_cast<D *const *>(p)))->saveEvent(s);
-                });
+            return Fn([](const void *p, Serializer &s) {
+                std::launder(reinterpret_cast<const D *>(p))->saveEvent(s);
+            });
         } else {
             return Fn(nullptr);
         }
@@ -185,19 +188,7 @@ class EventCallback
             as<D>(src)->~D();
         },
         [](void *p) { as<D>(p)->~D(); },
-        saveFn<D, true>(),
-        true,
-    };
-
-    template <typename D>
-    static constexpr VTable kHeapVtable = {
-        [](void *p) { (**as<D *>(p))(); },
-        [](void *dst, void *src) {
-            ::new (dst) D *(*as<D *>(src));
-        },
-        [](void *p) { delete *as<D *>(p); },
-        saveFn<D, false>(),
-        false,
+        saveFn<D>(),
     };
 
     void
@@ -344,27 +335,7 @@ class EventQueue
     restoreEvent(Cycle when, std::uint64_t seq, Callback cb)
     {
         PROTO_ASSERT(when >= curCycle, "restoring event into the past");
-        const std::uint32_t n = acquireNode();
-        Node &node = pool[n];
-        node.when = when;
-        node.seq = seq;
-        node.next = kNil;
-        node.cb = std::move(cb);
-
-        if (when - curCycle < kNumBuckets) {
-            const unsigned b = static_cast<unsigned>(when) & kBucketMask;
-            if (bucketHead[b] == kNil) {
-                bucketHead[b] = bucketTail[b] = n;
-                occupancy[b >> 6] |= std::uint64_t(1) << (b & 63);
-            } else {
-                pool[bucketTail[b]].next = n;
-                bucketTail[b] = n;
-            }
-        } else {
-            spill.push_back(SpillRef{when, seq, n});
-            std::push_heap(spill.begin(), spill.end(), std::greater<>());
-        }
-        ++pending;
+        place(when, seq, std::move(cb));
     }
 
     /** Set the clock (restore-only; queue must be empty). */
@@ -443,33 +414,45 @@ class EventQueue
     void
     insert(Cycle when, Callback cb)
     {
-        const std::uint32_t n = acquireNode();
-        Node &node = pool[n];
-        node.when = when;
-        node.seq = nextSeq++;
-        node.next = kNil;
-        node.cb = std::move(cb);
-
-        if (when - curCycle < kNumBuckets) {
-            const unsigned b = static_cast<unsigned>(when) & kBucketMask;
-            if (bucketHead[b] == kNil) {
-                bucketHead[b] = bucketTail[b] = n;
-                occupancy[b >> 6] |= std::uint64_t(1) << (b & 63);
-            } else {
-                pool[bucketTail[b]].next = n;
-                bucketTail[b] = n;
-            }
+        if (place(when, nextSeq++, std::move(cb)))
             ++kstats.bucketScheduled;
-        } else {
-            spill.push_back(SpillRef{when, node.seq, n});
-            std::push_heap(spill.begin(), spill.end(), std::greater<>());
+        else
             ++kstats.heapScheduled;
-        }
-
-        ++pending;
         ++kstats.eventsScheduled;
         if (pending > kstats.maxQueueDepth)
             kstats.maxQueueDepth = pending;
+    }
+
+    /**
+     * Queue one event: append it to its ring bucket's FIFO when @p when
+     * lies within the ring horizon, else push it onto the spill heap.
+     * @return true for a ring bucket.
+     */
+    bool
+    place(Cycle when, std::uint64_t seq, Callback &&cb)
+    {
+        const std::uint32_t n = acquireNode();
+        Node &node = pool[n];
+        node.when = when;
+        node.seq = seq;
+        node.next = kNil;
+        node.cb = std::move(cb);
+        ++pending;
+
+        if (when - curCycle >= kNumBuckets) {
+            spill.push_back(SpillRef{when, seq, n});
+            std::push_heap(spill.begin(), spill.end(), std::greater<>());
+            return false;
+        }
+        const unsigned b = static_cast<unsigned>(when) & kBucketMask;
+        if (bucketHead[b] == kNil) {
+            bucketHead[b] = bucketTail[b] = n;
+            occupancy[b >> 6] |= std::uint64_t(1) << (b & 63);
+        } else {
+            pool[bucketTail[b]].next = n;
+            bucketTail[b] = n;
+        }
+        return true;
     }
 
     /**

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/rng.hh"
 #include "common/types.hh"
 
 namespace protozoa {
@@ -140,19 +141,10 @@ class AddrTable
     }
 
   private:
-    static std::uint64_t
-    mix(Addr key)
-    {
-        std::uint64_t z = key + 0x9e3779b97f4a7c15ULL;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
-    }
-
     std::size_t
     indexOf(Addr key) const
     {
-        return static_cast<std::size_t>(mix(key)) & (slots.size() - 1);
+        return static_cast<std::size_t>(mix64(key)) & (slots.size() - 1);
     }
 
     void

@@ -14,6 +14,17 @@
 
 namespace protozoa {
 
+/** splitmix64 finalizer: the avalanche stage used throughout for
+ *  deterministic address/seed hashing. */
+inline std::uint64_t
+mix64(std::uint64_t z)
+{
+    z += 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
 class Rng
 {
   public:
@@ -22,11 +33,8 @@ class Rng
         // splitmix64 expansion of the seed into the xoshiro state.
         std::uint64_t x = seed;
         for (auto &word : state) {
+            word = mix64(x);
             x += 0x9e3779b97f4a7c15ULL;
-            std::uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-            word = z ^ (z >> 31);
         }
     }
 
@@ -94,17 +102,6 @@ class Rng
 
     std::uint64_t state[4];
 };
-
-/** splitmix64 finalizer: the avalanche stage used throughout for
- *  deterministic address/seed hashing. */
-inline std::uint64_t
-mix64(std::uint64_t z)
-{
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
 
 /**
  * Stateless counter-based draw: hash an explicit (seed, stream,

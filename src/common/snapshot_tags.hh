@@ -23,7 +23,7 @@ namespace protozoa {
 constexpr std::uint32_t kSnapshotMagic = 0x4e535a50u;
 
 /** Bump on any serialized-layout change. */
-constexpr std::uint32_t kSnapshotVersion = 5;
+constexpr std::uint32_t kSnapshotVersion = 6;
 
 /**
  * Discriminator for every event class that can be in flight at a

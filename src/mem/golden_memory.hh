@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/serialize.hh"
 #include "common/types.hh"
 
@@ -47,10 +48,7 @@ class WordStore
     static std::uint64_t
     initialValue(Addr word_addr)
     {
-        std::uint64_t z = word_addr + 0x9e3779b97f4a7c15ULL;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
+        return mix64(word_addr);
     }
 
     /** Read the word containing @p addr. */
@@ -160,18 +158,9 @@ class WordStore
             (word_addr / kWordBytes) % kPageWords);
     }
 
-    static std::uint64_t
-    mix(Addr key)
-    {
-        std::uint64_t z = key + 0x9e3779b97f4a7c15ULL;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
-    }
-
     std::size_t slotOf(Addr base) const
     {
-        return static_cast<std::size_t>(mix(base)) & (pages.size() - 1);
+        return static_cast<std::size_t>(mix64(base)) & (pages.size() - 1);
     }
 
     const Page *

@@ -11,6 +11,12 @@
  * The mesh owns the Fig. 15 statistics: flit-hops are the paper's
  * dynamic-energy proxy for the interconnect.
  *
+ * The mesh keeps no copy of what is in flight. System::send is its one
+ * entry point: in timed mode routeMessage() returns the arrival cycle
+ * and the pending System::DeliverEvent is the message's only record;
+ * under the schedule oracle park() holds the message itself on its
+ * (src,dst) channel until the explorer takes it with takeParked().
+ *
  * When `cfg.faultInjection` is set the mesh adds seeded random delay to
  * every message ("jitter"), and occasionally a long hold that all but
  * guarantees messages on *other* (src,dst) pairs overtake it. The
@@ -29,15 +35,12 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <deque>
-#include <functional>
 #include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/config.hh"
-#include "common/event_queue.hh"
 #include "common/fixed_array.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -52,8 +55,8 @@ namespace protozoa {
 class Mesh
 {
   public:
-    Mesh(EventQueue &eq, const SystemConfig &cfg)
-        : eventq(eq), cols(cfg.meshCols), rows(cfg.meshRows),
+    explicit Mesh(const SystemConfig &cfg)
+        : cols(cfg.meshCols), rows(cfg.meshRows),
           flitBytes(cfg.flitBytes), hopLatency(cfg.hopLatency),
           flitSerialization(cfg.flitSerialization),
           faultInjection(cfg.faultInjection),
@@ -61,10 +64,9 @@ class Mesh
           reorderProb(cfg.faultReorderProb),
           faultSeed(cfg.seed ^ 0x6d657368ULL),  // "mesh"
           lastArrival(channelCount()),
-          pairSeq(faultInjection ? channelCount() : 0)
+          pairSeq(faultInjection ? channelCount() : 0),
+          oracleOn(cfg.scheduleOracle)
     {
-        if (cfg.scheduleOracle)
-            enableScheduleOracle();
     }
 
     /** Manhattan distance between two mesh nodes under XY routing. */
@@ -86,95 +88,19 @@ class Mesh
     }
 
     /**
-     * Send @p bytes from node @p src to node @p dst; runs @p deliver at
-     * the arrival cycle. Same-(src,dst) messages never reorder.
-     * Non-oracle only: under the schedule oracle System::send parks the
-     * message itself via park().
-     *
-     * @return the delivery delay in core cycles.
-     */
-    Cycle
-    send(unsigned src, unsigned dst, unsigned bytes,
-         EventQueue::Callback deliver)
-    {
-        PROTO_ASSERT(!oracleOn, "send() bypasses the schedule oracle");
-        const Cycle arrival = routeMessage(src, dst, bytes, eventq.now());
-        eventq.scheduleAt(arrival, std::move(deliver));
-        return arrival - eventq.now();
-    }
-
-    /**
-     * Schedule-oracle send: account the message and park it on its
-     * (src,dst) channel instead of scheduling a delivery; the external
-     * chooser (src/check explorer) fires channels one head at a time
-     * via deliverParked(), so per-pair FIFO order holds by
-     * construction. Identifying metadata (fingerprint, type, region)
-     * is derived from the message here.
-     *
-     * @return the nominal delivery delay in core cycles.
-     */
-    Cycle
-    park(unsigned src, unsigned dst, unsigned bytes, CoherenceMsg msg)
-    {
-        PROTO_ASSERT(oracleOn, "park() requires the schedule oracle");
-        const unsigned nodes = cols * rows;
-        PROTO_ASSERT(src < nodes && dst < nodes,
-                     "mesh node out of range: src=%u dst=%u nodes=%u",
-                     src, dst, nodes);
-        const unsigned h = hops(src, dst);
-        const unsigned flits = flitsFor(bytes);
-        stats.messages += 1;
-        stats.bytes += bytes;
-        stats.flits += flits;
-        stats.flitHops += static_cast<std::uint64_t>(flits) * h;
-        const Cycle latency = 1 + hopLatency * h +
-            flitSerialization * (flits > 0 ? flits - 1 : 0);
-
-        Parked p;
-        p.channel = src * nodes + dst;
-        p.hash = msg.fingerprint();
-        p.type = msgTypeName(msg.type);
-        p.region = msg.region;
-        p.range = msg.range;
-        p.dstIsDir = msg.dstIsDir;
-        p.isData = msg.type == MsgType::DATA;
-        p.msg = std::move(msg);
-        // Behind the channel's last message: FIFO within the channel.
-        const auto at = std::upper_bound(
-            parked.begin(), parked.end(), p.channel,
-            [](std::uint32_t c, const Parked &q) { return c < q.channel; });
-        parked.insert(at, std::move(p));
-        return latency;
-    }
-
-    /**
-     * Timing half of send(): account the message in the mesh's stats,
-     * apply fault jitter and the per-pair FIFO clamp, and return the
-     * absolute delivery cycle for a message leaving @p src at @p now.
-     * System::send schedules its own DeliverEvent at that cycle.
+     * Timed send: account the message in the mesh's stats, apply fault
+     * jitter and the per-pair FIFO clamp, and return the absolute
+     * delivery cycle for a message leaving @p src at @p now. The caller
+     * (System::send) schedules the delivery at that cycle; same-(src,dst)
+     * arrivals never reorder.
      */
     Cycle
     routeMessage(unsigned src, unsigned dst, unsigned bytes, Cycle now)
     {
-        const unsigned nodes = cols * rows;
-        PROTO_ASSERT(src < nodes && dst < nodes,
-                     "mesh node out of range: src=%u dst=%u nodes=%u",
-                     src, dst, nodes);
         PROTO_ASSERT(!oracleOn, "routeMessage() bypasses the schedule oracle");
-
-        const unsigned h = hops(src, dst);
-        const unsigned flits = flitsFor(bytes);
-
-        stats.messages += 1;
-        stats.bytes += bytes;
-        stats.flits += flits;
-        stats.flitHops += static_cast<std::uint64_t>(flits) * h;
-
-        Cycle latency = 1 + hopLatency * h +
-            flitSerialization * (flits > 0 ? flits - 1 : 0);
-
+        Cycle latency = account(src, dst, bytes);
         const std::size_t pair =
-            static_cast<std::size_t>(src) * nodes + dst;
+            static_cast<std::size_t>(src) * cols * rows + dst;
         if (faultInjection)
             latency += faultDelay(pair);
 
@@ -193,73 +119,6 @@ class Mesh
 
     const NetStats &netStats() const { return stats; }
 
-    /** One tracked in-flight message (deadlock-watchdog diagnostics). */
-    struct QueuedMsg
-    {
-        unsigned src = 0;
-        unsigned dst = 0;
-        Cycle arrival = 0;
-        /** Static message-type name (from msgTypeName). */
-        const char *type = "?";
-        Addr region = 0;
-        WordRange range;
-        bool dstIsDir = false;
-    };
-
-    /**
-     * Start recording every sent message until its arrival cycle, so a
-     * deadlock dump can enumerate the in-flight set per channel. Off by
-     * default: tracking touches a deque per message and is meant for
-     * watchdog-enabled debug runs, not the measurement path.
-     */
-    void
-    enableTracking()
-    {
-        tracking = true;
-        if (inFlight.empty())
-            inFlight.resize(static_cast<std::size_t>(cols) * rows);
-    }
-    bool trackingEnabled() const { return tracking; }
-
-    /**
-     * Record one sent message (caller supplies the arrival cycle).
-     * Tracked messages live in per-source deques; recording prunes
-     * the source's own deque of messages already delivered.
-     */
-    void
-    noteQueued(QueuedMsg msg)
-    {
-        if (!tracking)
-            return;
-        auto &q = inFlight[msg.src];
-        prune(q, eventq.now());
-        q.push_back(msg);
-    }
-
-    /**
-     * Visit every message still in flight (arrival >= @p now), source
-     * by source in send order.
-     */
-    template <typename F>
-    void
-    forEachQueued(Cycle now, F &&fn)
-    {
-        for (auto &q : inFlight) {
-            prune(q, now);
-            for (const QueuedMsg &m : q) {
-                if (m.arrival >= now)
-                    fn(m);
-            }
-        }
-    }
-
-    template <typename F>
-    void
-    forEachQueued(F &&fn)
-    {
-        forEachQueued(eventq.now(), std::forward<F>(fn));
-    }
-
     // ---- schedule oracle (protocheck) -------------------------------
 
     /** One message parked under the schedule oracle. */
@@ -267,50 +126,35 @@ class Mesh
     {
         /** Channel id, src * nodes + dst. */
         std::uint32_t channel = 0;
-        /** The parked message itself — delivered via the deliver
-         *  hook when the explorer fires this channel head. Holding
-         *  the message (not a type-erased closure) is what lets the
-         *  explorer snapshot and restore parked channels byte-wise. */
+        /** The message itself: everything the explorer, the state
+         *  fingerprint and the snapshot read comes from here. */
         CoherenceMsg msg;
-        /** Canonical content hash (state fingerprinting). */
-        std::uint64_t hash = 0;
-        /** Static message-type name (repro / diagnostics). */
-        const char *type = "?";
-        Addr region = 0;
-        WordRange range;
-        bool dstIsDir = false;
-        /**
-         * DATA grant: delivering it can complete the destination
-         * core's access and chain into its next ones. The explorer's
-         * partial-order reduction keys its independence rule on this.
-         */
-        bool isData = false;
     };
-
-    /**
-     * Divert every subsequent send() into per-(src,dst) parking
-     * channels; deliveries then happen only via deliverParked(). The
-     * oracle costs one branch when disabled, and an empty channel
-     * costs nothing: only parked messages are stored, so the
-     * measurement path stays untouched.
-     */
-    void enableScheduleOracle() { oracleOn = true; }
 
     bool scheduleOracleEnabled() const { return oracleOn; }
 
-    /** Messages currently parked across all channels. */
-    std::size_t parkedMessages() const { return parked.size(); }
-
     /**
-     * Install the delivery sink for parked messages: deliverParked()
-     * hands the popped message to this hook (System::deliver). Must be
-     * set before the first deliverParked() under the oracle.
+     * Schedule-oracle send: account the message and park it behind
+     * the last message of its (src,dst) channel instead of scheduling
+     * a delivery. The explorer fires channels one head at a time
+     * (System::deliverParked), so per-pair FIFO order holds by
+     * construction. An empty channel costs nothing: only parked
+     * messages are stored.
      */
     void
-    setDeliverHook(std::function<void(CoherenceMsg &&)> hook)
+    park(unsigned src, unsigned dst, unsigned bytes, CoherenceMsg msg)
     {
-        deliverHook = std::move(hook);
+        PROTO_ASSERT(oracleOn, "park() requires the schedule oracle");
+        account(src, dst, bytes);
+        const std::uint32_t id = src * cols * rows + dst;
+        const auto at = std::upper_bound(
+            parked.begin(), parked.end(), id,
+            [](std::uint32_t c, const Parked &q) { return c < q.channel; });
+        parked.insert(at, Parked{id, std::move(msg)});
     }
+
+    /** Messages currently parked across all channels. */
+    std::size_t parkedMessages() const { return parked.size(); }
 
     /**
      * Visit every non-empty channel in ascending (src,dst) order, as
@@ -335,9 +179,9 @@ class Mesh
         }
     }
 
-    /** Deliver the FIFO head of channel (src,dst) now. */
-    void
-    deliverParked(unsigned src, unsigned dst)
+    /** Pop and return the FIFO head of channel (src,dst). */
+    CoherenceMsg
+    takeParked(unsigned src, unsigned dst)
     {
         const unsigned nodes = cols * rows;
         PROTO_ASSERT(oracleOn, "schedule oracle is not enabled");
@@ -348,31 +192,15 @@ class Mesh
             [](const Parked &p, std::uint32_t c) { return p.channel < c; });
         PROTO_ASSERT(head != parked.end() && head->channel == id,
                      "delivering from an empty channel");
-        PROTO_ASSERT(deliverHook, "deliverParked without a deliver hook");
         CoherenceMsg msg = std::move(head->msg);
         parked.erase(head);
-        eventq.schedule(0, [this, m = std::move(msg)]() mutable {
-            deliverHook(std::move(m));
-        });
-    }
-
-    /**
-     * Reset the measurement counters *and* the per-pair FIFO history, so
-     * a measurement interval starting here sees no warmup ordering state.
-     */
-    void
-    clearStats()
-    {
-        stats = NetStats();
-        std::fill(lastArrival.data(),
-                  lastArrival.data() + lastArrival.size(), 0);
+        return msg;
     }
 
     /**
      * Serialize all mutable mesh state: counters, the non-zero entries
      * of the per-pair FIFO clamp and jitter-draw matrices, and (under
-     * the oracle) every non-empty parked channel. In-flight *tracking*
-     * deques are diagnostics only and are not saved.
+     * the oracle) every non-empty parked channel.
      *
      * Each matrix is u32 size, u32 count of non-zero entries, then per
      * entry in ascending index order u32 index, u64 value. The parked
@@ -399,10 +227,8 @@ class Mesh
             [&](unsigned, unsigned, std::span<const Parked> chan) {
                 s.writeU32(chan.front().channel);
                 s.writeU32(static_cast<std::uint32_t>(chan.size()));
-                for (const Parked &p : chan) {
+                for (const Parked &p : chan)
                     p.msg.save(s);
-                    s.writeU64(p.hash);
-                }
             });
     }
 
@@ -411,8 +237,7 @@ class Mesh
      * fault configuration (matrix entries the image does not list keep
      * their zero). Fails closed on a size mismatch, an index or channel
      * id out of range or not strictly ascending, a zero matrix value
-     * and an empty channel. Parked-message metadata (type name, region,
-     * range, data flag) is recomputed from the message content.
+     * and an empty channel.
      */
     bool
     restoreState(Deserializer &d)
@@ -437,13 +262,8 @@ class Mesh
             for (std::uint32_t i = 0; i < n; ++i) {
                 Parked p;
                 p.channel = id;
-                if (!d.readRaw(p.msg) || !d.readRaw(p.hash))
+                if (!d.readRaw(p.msg))
                     return false;
-                p.type = msgTypeName(p.msg.type);
-                p.region = p.msg.region;
-                p.range = p.msg.range;
-                p.dstIsDir = p.msg.dstIsDir;
-                p.isData = p.msg.type == MsgType::DATA;
                 parked.push_back(std::move(p));
             }
         }
@@ -495,12 +315,26 @@ class Mesh
         return true;
     }
 
-    /** Drop tracked messages that were delivered before @p now. */
-    static void
-    prune(std::deque<QueuedMsg> &q, Cycle now)
+    /**
+     * The send half that both modes share: range-check the nodes,
+     * count the message in the stats and return its contention-free
+     * latency.
+     */
+    Cycle
+    account(unsigned src, unsigned dst, unsigned bytes)
     {
-        while (!q.empty() && q.front().arrival < now)
-            q.pop_front();
+        const unsigned nodes = cols * rows;
+        PROTO_ASSERT(src < nodes && dst < nodes,
+                     "mesh node out of range: src=%u dst=%u nodes=%u",
+                     src, dst, nodes);
+        const unsigned h = hops(src, dst);
+        const unsigned flits = flitsFor(bytes);
+        stats.messages += 1;
+        stats.bytes += bytes;
+        stats.flits += flits;
+        stats.flitHops += static_cast<std::uint64_t>(flits) * h;
+        return 1 + hopLatency * h +
+            flitSerialization * (flits > 0 ? flits - 1 : 0);
     }
 
     /**
@@ -525,7 +359,6 @@ class Mesh
         return extra;
     }
 
-    EventQueue &eventq;
     unsigned cols;
     unsigned rows;
     unsigned flitBytes;
@@ -545,17 +378,10 @@ class Mesh
      *  empty without fault injection. */
     FixedArray<std::uint64_t> pairSeq;
 
-    bool tracking = false;
-    /** Per-source sent-but-undelivered messages, in send order
-     *  (tracking only). */
-    std::vector<std::deque<QueuedMsg>> inFlight;
-
-    bool oracleOn = false;
+    bool oracleOn;
     /** Parked messages (oracle), sorted by channel id and FIFO within
      *  a channel; an empty channel holds nothing. */
     std::vector<Parked> parked;
-    /** Delivery sink for parked messages (set by System). */
-    std::function<void(CoherenceMsg &&)> deliverHook;
 };
 
 } // namespace protozoa

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/rng.hh"
+
 namespace protozoa {
 
 const char *
@@ -80,14 +82,8 @@ CoherenceMsg::toString() const
 std::uint64_t
 CoherenceMsg::fingerprint() const
 {
-    auto mix = [](std::uint64_t z) {
-        z += 0x9e3779b97f4a7c15ULL;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
-    };
     std::uint64_t h = 0x70726f746f636865ULL;  // "protoche"
-    auto feed = [&](std::uint64_t v) { h = mix(h ^ v); };
+    auto feed = [&](std::uint64_t v) { h = mix64(h ^ v); };
 
     feed(static_cast<std::uint64_t>(type));
     feed((std::uint64_t(srcNode) << 32) | dstNode);

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <sstream>
+#include <tuple>
 
 #include "common/log.hh"
 
@@ -22,9 +23,7 @@ System::System(const SystemConfig &config, Workload workload)
 
     coverage = std::make_unique<ConformanceCoverage>(cfg.protocol,
                                                      knobProfileOf(cfg));
-    net = std::make_unique<Mesh>(eventq, cfg);
-    net->setDeliverHook(
-        [this](CoherenceMsg &&m) { deliver(std::move(m)); });
+    net = std::make_unique<Mesh>(cfg);
 
     for (CoreId c = 0; c < cfg.numCores; ++c) {
         l1s.push_back(std::make_unique<L1Controller>(
@@ -60,40 +59,18 @@ System::send(CoherenceMsg msg)
     const unsigned bytes = msg.sizeBytes(cfg.controlBytes);
     const unsigned src = msg.srcNode;
     const unsigned dst = msg.dstNode;
-    const bool to_dir = msg.dstIsDir;
-
-    // Snapshot the identifying fields before the message moves into the
-    // delivery event, for the watchdog's in-flight tracking.
-    const MsgType type = msg.type;
-    const Addr region = msg.region;
-    const WordRange range = msg.range;
-
-    // The delivery event must fit the event queue's inline buffer or
-    // every message send costs a heap allocation.
-    static_assert(sizeof(DeliverEvent) <= EventCallback::kInlineBytes,
-                  "mesh delivery event spills to the heap");
-
-    Cycle delay;
     if (net->scheduleOracleEnabled()) {
-        delay = net->park(src, dst, bytes, std::move(msg));
-    } else {
-        const Cycle arrival =
-            net->routeMessage(src, dst, bytes, eventq.now());
-        delay = arrival - eventq.now();
-        eventq.scheduleAt(arrival, DeliverEvent{this, std::move(msg)});
+        net->park(src, dst, bytes, std::move(msg));
+        return;
     }
+    const Cycle arrival = net->routeMessage(src, dst, bytes, eventq.now());
+    eventq.scheduleAt(arrival, DeliverEvent{this, std::move(msg)});
+}
 
-    if (net->trackingEnabled()) {
-        Mesh::QueuedMsg q;
-        q.src = src;
-        q.dst = dst;
-        q.arrival = eventq.now() + delay;
-        q.type = msgTypeName(type);
-        q.region = region;
-        q.range = range;
-        q.dstIsDir = to_dir;
-        net->noteQueued(q);
-    }
+void
+System::deliverParked(unsigned src, unsigned dst)
+{
+    eventq.schedule(0, DeliverEvent{this, net->takeParked(src, dst)});
 }
 
 void
@@ -282,9 +259,6 @@ System::enableWatchdog(Cycle bound, WatchdogHandler handler)
     PROTO_ASSERT(bound > 0, "zero watchdog bound");
     watchdogBound = bound;
     watchdogHandler = std::move(handler);
-    // Record in-flight messages so a deadlock dump can show what is
-    // still on the wire per channel.
-    net->enableTracking();
 }
 
 void
@@ -349,26 +323,37 @@ System::watchdogScan(Cycle now)
         for (const auto &[region, what] : overdue)
             os << "  " << what << "\n" << dumpRegionDiagnostic(region);
 
-        // In-flight message census, grouped per (src,dst) channel: a
-        // message the dump does not show as queued at a controller is
-        // either on the wire here or genuinely lost.
-        std::vector<Mesh::QueuedMsg> inflight;
-        net->forEachQueued(
-            now, [&](const Mesh::QueuedMsg &m) { inflight.push_back(m); });
-        std::stable_sort(inflight.begin(), inflight.end(),
-                         [](const Mesh::QueuedMsg &a,
-                            const Mesh::QueuedMsg &b) {
-                             if (a.src != b.src)
-                                 return a.src < b.src;
-                             return a.dst < b.dst;
-                         });
+        // In-flight message census, read from the pending deliveries
+        // and grouped per (src,dst) channel in arrival order: a message
+        // the dump does not show as queued at a controller is either on
+        // the wire here or genuinely lost.
+        struct InFlight
+        {
+            Cycle when;
+            std::uint64_t seq;
+            const CoherenceMsg *msg;
+        };
+        std::vector<InFlight> inflight;
+        eventq.forEachPending(
+            [&](Cycle when, std::uint64_t seq, const EventCallback &cb) {
+                if (const auto *e = cb.target<DeliverEvent>())
+                    inflight.push_back(InFlight{when, seq, &e->msg});
+            });
+        std::sort(inflight.begin(), inflight.end(),
+                  [](const InFlight &a, const InFlight &b) {
+                      return std::tie(a.msg->srcNode, a.msg->dstNode,
+                                      a.when, a.seq) <
+                             std::tie(b.msg->srcNode, b.msg->dstNode,
+                                      b.when, b.seq);
+                  });
         os << "  in-flight messages: " << inflight.size() << "\n";
-        for (const auto &m : inflight) {
-            os << "    " << m.src << " -> " << m.dst
-               << (m.dstIsDir ? " (dir)" : " (l1)") << ": " << m.type
-               << " region 0x" << std::hex << m.region << std::dec
-               << " range " << m.range.toString() << ", arrives @"
-               << m.arrival << "\n";
+        for (const InFlight &f : inflight) {
+            const CoherenceMsg &m = *f.msg;
+            os << "    " << m.srcNode << " -> " << m.dstNode
+               << (m.dstIsDir ? " (dir)" : " (l1)") << ": "
+               << msgTypeName(m.type) << " region 0x" << std::hex
+               << m.region << std::dec << " range " << m.range.toString()
+               << ", arrives @" << f.when << "\n";
         }
         ++watchdogFired;
         if (watchdogHandler) {
@@ -445,11 +430,8 @@ System::invFindOrCreate(Addr region)
     // Linear probing: the slot holding `key` in this epoch, else the
     // free slot that ends its probe run.
     auto probe = [this](Addr key) {
-        std::uint64_t z = key + 0x9e3779b97f4a7c15ULL;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
         const std::size_t mask = invTable.size() - 1;
-        std::size_t i = static_cast<std::size_t>(z ^ (z >> 31)) & mask;
+        std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
         while (invTable[i].epoch == invEpoch && invTable[i].region != key)
             i = (i + 1) & mask;
         return i;

@@ -156,7 +156,8 @@ class System : public Router
      * Deadlock watchdog: flag any MSHR entry or directory transaction
      * outstanding for more than @p bound cycles and hand @p handler a
      * diagnostic dump of the stuck region (L1 block states, MSHR and
-     * writeback-buffer contents, directory sets, queued requests).
+     * writeback-buffer contents, directory sets, queued requests) and
+     * of every delivery still pending in the event queue.
      *
      * The default handler panics. A custom handler is one-shot: after
      * the first firing the watchdog disarms, so a deliberately wedged
@@ -186,6 +187,13 @@ class System : public Router
 
     // Router interface.
     void send(CoherenceMsg msg) override;
+
+    /**
+     * Schedule-oracle delivery: pop the head of the parked (src,dst)
+     * channel and deliver it at the current cycle, after the events
+     * already queued for it.
+     */
+    void deliverParked(unsigned src, unsigned dst);
 
     // White-box accessors for tests and benches.
     L1Controller &l1(CoreId c) { return *l1s[c]; }

@@ -3,7 +3,7 @@
  * System checkpoint/restore implementation: the byte layout lives
  * here and nowhere else (see snapshot.hh for the contract).
  *
- * Layout (version 5, all little-endian; raw structs are written with
+ * Layout (version 6, all little-endian; raw structs are written with
  * their padding zeroed, so identical runs save identical bytes):
  *
  *   u32 magic "PZSN"        u32 version        u64 configFingerprint
@@ -29,7 +29,7 @@
  *      value; u8 schedule-oracle flag, and under the oracle u32 count
  *      of non-empty parked channels, then per channel in ascending id
  *      order (src * nodes + dst) u32 id, u32 message count (at least
- *      1) and per message in FIFO order the message and its u64 hash
+ *      1) and the messages in FIFO order
  *   -- windowed-stats state (period, delta base, recorded samples)
  *   -- calendar queue: clock, nextSeq, kernel stats, then every
  *      pending event as (when, seq, EventKind, payload) sorted by
@@ -47,6 +47,7 @@
 
 #include "common/event_queue.hh"
 #include "common/log.hh"
+#include "common/rng.hh"
 #include "common/serialize.hh"
 #include "common/snapshot_tags.hh"
 #include "sim/core_model.hh"
@@ -55,16 +56,6 @@
 namespace protozoa {
 
 namespace {
-
-/** splitmix64 finalizer: decorrelates sequentially-mixed fields. */
-std::uint64_t
-mix64(std::uint64_t z)
-{
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
 
 void
 fold(std::uint64_t &h, std::uint64_t v)
@@ -386,12 +377,9 @@ System::restoreSnapshot(Deserializer &d, std::string *error)
     watchdogBound = d.readU64();
     if (d.failed())
         return setError(error, "snapshot truncated in system section");
-    // Match enableWatchdog()'s side effect so a post-restore firing
-    // can still dump the in-flight census. The handler itself is not
-    // serializable; the restoring process keeps its own (default:
-    // panic), installable via enableWatchdog before restoring.
-    if (watchdogBound > 0)
-        net->enableTracking();
+    // The watchdog handler is not serializable: the restoring process
+    // keeps its own (default: panic), installable via enableWatchdog
+    // before restoring.
 
     if (!golden.restoreState(d))
         return setError(error, "corrupt golden-memory section");

@@ -151,9 +151,8 @@ TEST(DeadlockWatchdog, FiresOnWedgedTransaction)
 }
 
 // The census must list a message that is genuinely on the wire when
-// the watchdog fires: hold the fill hostage by inflating its latency
-// via the message-size path is not possible, so instead enqueue a
-// message with a far-future arrival directly and scan the tracker.
+// the watchdog fires: schedule a delivery far beyond the watchdog
+// horizon, and stop the run before it would arrive.
 TEST(DeadlockWatchdog, InFlightCensusListsQueuedMessages)
 {
     SystemConfig cfg;
@@ -168,22 +167,76 @@ TEST(DeadlockWatchdog, InFlightCensusListsQueuedMessages)
         return msg.type != MsgType::DATA;
     });
 
-    Mesh::QueuedMsg q;
-    q.src = 2;
-    q.dst = 5;
-    q.arrival = 1'000'000;   // far beyond the watchdog horizon
-    q.type = "DATA";
-    q.region = 0x9000;
-    q.range = WordRange(0, 7);
-    d.sys.mesh().noteQueued(q);
+    CoherenceMsg far;
+    far.type = MsgType::DATA;
+    far.srcNode = 2;
+    far.dstNode = 5;
+    far.region = 0x9000;
+    far.range = WordRange(0, 7);
+    d.sys.eventQueue().scheduleAt(1'000'000,
+                                  System::DeliverEvent{&d.sys, far});
 
     d.issue(0, 0x9000, false);
-    d.drain();
+    d.sys.runTo(10'000);
 
-    EXPECT_NE(diagnostic.find("in-flight messages: 1"),
-              std::string::npos);
-    EXPECT_NE(diagnostic.find("2 -> 5 (l1): DATA region 0x9000"),
-              std::string::npos);
+    EXPECT_EQ(d.sys.watchdogFirings(), 1u);
+    EXPECT_NE(diagnostic.find("in-flight messages: 1\n"),
+              std::string::npos)
+        << diagnostic;
+    EXPECT_NE(diagnostic.find("2 -> 5 (l1): DATA region 0x9000 range " +
+                              far.range.toString() +
+                              ", arrives @1000000\n"),
+              std::string::npos)
+        << diagnostic;
+}
+
+// The census is read from the pending deliveries themselves, so it
+// survives a checkpoint: a run restored from a snapshot dumps the same
+// in-flight set as the run that was never interrupted.
+TEST(DeadlockWatchdog, CensusListsDeliveriesRestoredFromASnapshot)
+{
+    SystemConfig cfg;
+    cfg.faultInjection = true;
+    cfg.faultJitterMax = 100000;   // requests stay on the wire for long
+    cfg.faultReorderProb = 0;
+    const auto oneLoadPerCore = [&] {
+        Workload wl;
+        for (CoreId c = 0; c < cfg.numCores; ++c) {
+            TraceRecord r;
+            // Consecutive regions, each homed away from its core.
+            r.addr = 0x40000 + static_cast<Addr>(c + 5) * cfg.regionBytes;
+            r.pc = 0x1000;
+            wl.push_back(std::make_unique<VectorTrace>(
+                std::vector<TraceRecord>{r}));
+        }
+        return wl;
+    };
+    const auto arm = [](System &sys, std::string &dump) {
+        sys.enableWatchdog(
+            500, [&dump](const std::string &report) { dump = report; });
+    };
+
+    std::string uninterrupted;
+    System donor(cfg, oneLoadPerCore());
+    arm(donor, uninterrupted);
+    donor.runTo(20);
+    Serializer img;
+    std::string err;
+    ASSERT_TRUE(donor.saveSnapshot(img, &err)) << err;
+    donor.runTo(5000);
+
+    std::string restored;
+    System fresh(cfg, oneLoadPerCore());
+    arm(fresh, restored);
+    Deserializer d(img.bytes().data(), img.size());
+    ASSERT_TRUE(fresh.restoreSnapshot(d, &err)) << err;
+    fresh.runTo(5000);
+
+    EXPECT_EQ(donor.watchdogFirings(), 1u);
+    EXPECT_NE(uninterrupted.find("in-flight messages: 16\n"),
+              std::string::npos)
+        << uninterrupted;
+    EXPECT_EQ(restored, uninterrupted);
 }
 
 TEST(DeadlockWatchdog, StaysQuietOnHealthyRuns)

@@ -92,29 +92,26 @@ TEST(EventQueueDeath, RunawayQueuePanics)
 TEST(EventCallback, SmallCapturesStayInline)
 {
     int hits = 0;
-    EventCallback small([&hits] { ++hits; });
-    EXPECT_TRUE(small.inlined());
+    auto bump = [&hits] { ++hits; };
+    using Bump = decltype(bump);
+    EventCallback small(bump);
+    // The callable lives inside the EventCallback object itself.
+    const Bump *stored = small.target<Bump>();
+    ASSERT_NE(stored, nullptr);
+    const auto *obj = reinterpret_cast<const unsigned char *>(&small);
+    const auto *at = reinterpret_cast<const unsigned char *>(stored);
+    EXPECT_TRUE(at >= obj && at + sizeof(Bump) <= obj + sizeof(small));
+    auto other = [] {};
+    EXPECT_EQ(small.target<decltype(other)>(), nullptr);
     small();
     EXPECT_EQ(hits, 1);
 
-    struct Big
-    {
-        std::uint64_t words[64];
-    };
-    Big big{};
-    big.words[63] = 7;
-    std::uint64_t seen = 0;
-    EventCallback boxed([big, &seen] { seen = big.words[63]; });
-    EXPECT_FALSE(boxed.inlined());
-    boxed();
-    EXPECT_EQ(seen, 7u);
-
     // Moving transfers the callable and empties the source.
-    EventCallback moved(std::move(boxed));
-    EXPECT_FALSE(static_cast<bool>(boxed));
-    seen = 0;
+    EventCallback moved(std::move(small));
+    EXPECT_FALSE(static_cast<bool>(small));
+    EXPECT_EQ(small.target<Bump>(), nullptr);
     moved();
-    EXPECT_EQ(seen, 7u);
+    EXPECT_EQ(hits, 2);
 }
 
 TEST(EventQueueBoundary, SpillThenRingAtTheSameCycleRunsInSeqOrder)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the 4x4 mesh model: XY hop counts, flit accounting
- * (the Fig. 15 energy proxy), latency, and per-pair FIFO ordering.
+ * (the Fig. 15 energy proxy), latency, per-pair FIFO ordering, fault
+ * jitter, and the schedule oracle's parked channels.
  */
 
 #include <gtest/gtest.h>
@@ -24,11 +25,24 @@ cfg4x4()
     return cfg;
 }
 
+/**
+ * What System::send does in timed mode: route the message and schedule
+ * its delivery at the arrival cycle. @return the delivery delay.
+ */
+template <typename F>
+Cycle
+send(Mesh &mesh, EventQueue &eq, unsigned src, unsigned dst,
+     unsigned bytes, F &&deliver)
+{
+    const Cycle arrival = mesh.routeMessage(src, dst, bytes, eq.now());
+    eq.scheduleAt(arrival, std::forward<F>(deliver));
+    return arrival - eq.now();
+}
+
 TEST(Mesh, HopCountsAreManhattan)
 {
-    EventQueue eq;
     SystemConfig cfg = cfg4x4();
-    Mesh mesh(eq, cfg);
+    Mesh mesh(cfg);
 
     EXPECT_EQ(mesh.hops(0, 0), 0u);
     EXPECT_EQ(mesh.hops(0, 1), 1u);    // same row
@@ -41,9 +55,8 @@ TEST(Mesh, HopCountsAreManhattan)
 
 TEST(Mesh, FlitsRoundUp)
 {
-    EventQueue eq;
     SystemConfig cfg = cfg4x4();
-    Mesh mesh(eq, cfg);
+    Mesh mesh(cfg);
     EXPECT_EQ(mesh.flitsFor(1), 1u);
     EXPECT_EQ(mesh.flitsFor(16), 1u);
     EXPECT_EQ(mesh.flitsFor(17), 2u);
@@ -54,10 +67,10 @@ TEST(Mesh, SendAccumulatesStats)
 {
     EventQueue eq;
     SystemConfig cfg = cfg4x4();
-    Mesh mesh(eq, cfg);
+    Mesh mesh(cfg);
 
-    mesh.send(0, 15, 72, [] {});      // 5 flits x 6 hops
-    mesh.send(1, 2, 8, [] {});        // 1 flit x 1 hop
+    send(mesh, eq, 0, 15, 72, [] {});      // 5 flits x 6 hops
+    send(mesh, eq, 1, 2, 8, [] {});        // 1 flit x 1 hop
     eq.run();
 
     const NetStats &s = mesh.netStats();
@@ -71,9 +84,9 @@ TEST(Mesh, LocalDeliveryCountsNoFlitHops)
 {
     EventQueue eq;
     SystemConfig cfg = cfg4x4();
-    Mesh mesh(eq, cfg);
+    Mesh mesh(cfg);
     bool delivered = false;
-    mesh.send(3, 3, 64, [&] { delivered = true; });
+    send(mesh, eq, 3, 3, 64, [&] { delivered = true; });
     eq.run();
     EXPECT_TRUE(delivered);
     EXPECT_EQ(mesh.netStats().flitHops, 0u);
@@ -83,11 +96,11 @@ TEST(Mesh, LatencyGrowsWithDistanceAndSize)
 {
     EventQueue eq;
     SystemConfig cfg = cfg4x4();
-    Mesh mesh(eq, cfg);
+    Mesh mesh(cfg);
 
-    const Cycle near_small = mesh.send(0, 1, 8, [] {});
-    const Cycle far_small = mesh.send(0, 15, 8, [] {});
-    const Cycle far_big = mesh.send(0, 15, 72, [] {});
+    const Cycle near_small = send(mesh, eq, 0, 1, 8, [] {});
+    const Cycle far_small = send(mesh, eq, 0, 15, 8, [] {});
+    const Cycle far_big = send(mesh, eq, 0, 15, 72, [] {});
     EXPECT_LT(near_small, far_small);
     EXPECT_LT(far_small, far_big);
     eq.run();
@@ -97,13 +110,13 @@ TEST(Mesh, PerPairFifoOrderIsPreserved)
 {
     EventQueue eq;
     SystemConfig cfg = cfg4x4();
-    Mesh mesh(eq, cfg);
+    Mesh mesh(cfg);
 
     std::vector<int> order;
     // A big (slow) message followed by a small (fast) one on the same
     // channel must not reorder.
-    mesh.send(0, 15, 1000, [&] { order.push_back(1); });
-    mesh.send(0, 15, 8, [&] { order.push_back(2); });
+    send(mesh, eq, 0, 15, 1000, [&] { order.push_back(1); });
+    send(mesh, eq, 0, 15, 8, [&] { order.push_back(2); });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
@@ -112,44 +125,12 @@ TEST(Mesh, DistinctPairsMayOvertake)
 {
     EventQueue eq;
     SystemConfig cfg = cfg4x4();
-    Mesh mesh(eq, cfg);
+    Mesh mesh(cfg);
 
     std::vector<int> order;
-    mesh.send(0, 15, 4000, [&] { order.push_back(1); });  // slow, far
-    mesh.send(5, 6, 8, [&] { order.push_back(2); });      // fast, near
+    send(mesh, eq, 0, 15, 4000, [&] { order.push_back(1); });  // slow, far
+    send(mesh, eq, 5, 6, 8, [&] { order.push_back(2); });      // fast, near
     eq.run();
-    EXPECT_EQ(order, (std::vector<int>{2, 1}));
-}
-
-TEST(Mesh, ClearStatsResets)
-{
-    EventQueue eq;
-    SystemConfig cfg = cfg4x4();
-    Mesh mesh(eq, cfg);
-    mesh.send(0, 1, 8, [] {});
-    eq.run();
-    EXPECT_GT(mesh.netStats().messages, 0u);
-    mesh.clearStats();
-    EXPECT_EQ(mesh.netStats().messages, 0u);
-    EXPECT_EQ(mesh.netStats().flitHops, 0u);
-}
-
-// Satellite regression: clearStats() must also reset the per-pair
-// FIFO arrival clamps, or a post-reset fast message would still be
-// held behind a pre-reset slow one.
-TEST(Mesh, ClearStatsResetsFifoState)
-{
-    EventQueue eq;
-    SystemConfig cfg = cfg4x4();
-    Mesh mesh(eq, cfg);
-
-    std::vector<int> order;
-    mesh.send(0, 15, 4000, [&] { order.push_back(1); });  // slow
-    mesh.clearStats();
-    mesh.send(0, 15, 8, [&] { order.push_back(2); });     // fast
-    eq.run();
-    // With the FIFO clamp reset the fast message is free to arrive
-    // on its natural (earlier) schedule.
     EXPECT_EQ(order, (std::vector<int>{2, 1}));
 }
 
@@ -158,13 +139,9 @@ TEST(Mesh, ClearStatsResetsFifoState)
 // delivery takes the head of the chosen channel.
 TEST(Mesh, ParkedChannelsAscendingAndFifo)
 {
-    EventQueue eq;
     SystemConfig cfg = cfg4x4();
     cfg.scheduleOracle = true;
-    Mesh mesh(eq, cfg);
-    std::vector<Addr> delivered;
-    mesh.setDeliverHook(
-        [&](CoherenceMsg &&m) { delivered.push_back(m.region); });
+    Mesh mesh(cfg);
     const auto park = [&](unsigned src, unsigned dst, Addr region) {
         CoherenceMsg m;
         m.region = region;
@@ -183,7 +160,7 @@ TEST(Mesh, ParkedChannelsAscendingAndFifo)
             ids.emplace_back(src, dst);
             chans.emplace_back();
             for (const Mesh::Parked &p : c)
-                chans.back().push_back(p.region);
+                chans.back().push_back(p.msg.region);
         });
     const std::vector<std::pair<unsigned, unsigned>> want_ids = {
         {0, 1}, {0, 15}, {9, 3}};
@@ -192,72 +169,18 @@ TEST(Mesh, ParkedChannelsAscendingAndFifo)
         {0x400}, {0x200}, {0x100, 0x300}};
     EXPECT_EQ(chans, want_chans);
 
-    mesh.deliverParked(9, 3);
-    eq.run();
-    EXPECT_EQ(delivered, (std::vector<Addr>{0x100}));
-    EXPECT_EQ(mesh.parkedMessages(), 3u);
-}
-
-// In-flight tracking backs the deadlock watchdog's message census: a
-// recorded message is visible until its arrival cycle passes, then
-// pruned lazily.
-TEST(Mesh, TracksInFlightMessagesUntilArrival)
-{
-    EventQueue eq;
-    SystemConfig cfg = cfg4x4();
-    Mesh mesh(eq, cfg);
-    mesh.enableTracking();
-
-    const Cycle delay = mesh.send(0, 15, 72, [] {});
-    Mesh::QueuedMsg q;
-    q.src = 0;
-    q.dst = 15;
-    q.arrival = eq.now() + delay;
-    q.type = "DATA";
-    q.region = 0x40;
-    q.range = WordRange(0, 7);
-    mesh.noteQueued(q);
-
-    unsigned seen = 0;
-    mesh.forEachQueued([&](const Mesh::QueuedMsg &m) {
-        ++seen;
-        EXPECT_EQ(m.src, 0u);
-        EXPECT_EQ(m.dst, 15u);
-        EXPECT_STREQ(m.type, "DATA");
-        EXPECT_EQ(m.region, 0x40u);
-    });
-    EXPECT_EQ(seen, 1u);
-
-    eq.run();
-    eq.schedule(1, [] {});   // advance now past the arrival cycle
-    eq.run();
-    seen = 0;
-    mesh.forEachQueued([&](const Mesh::QueuedMsg &) { ++seen; });
-    EXPECT_EQ(seen, 0u);
-}
-
-TEST(Mesh, TrackingIsOffByDefault)
-{
-    EventQueue eq;
-    SystemConfig cfg = cfg4x4();
-    Mesh mesh(eq, cfg);
-    EXPECT_FALSE(mesh.trackingEnabled());
-
-    Mesh::QueuedMsg q;
-    q.arrival = 100;
-    mesh.noteQueued(q);   // dropped: the measurement path records nothing
-    unsigned seen = 0;
-    mesh.forEachQueued([&](const Mesh::QueuedMsg &) { ++seen; });
-    EXPECT_EQ(seen, 0u);
+    EXPECT_EQ(mesh.takeParked(9, 3).region, 0x100u);
+    EXPECT_EQ(mesh.takeParked(9, 3).region, 0x300u);
+    EXPECT_EQ(mesh.parkedMessages(), 2u);
 }
 
 TEST(MeshDeath, RejectsOutOfRangeNodes)
 {
     EventQueue eq;
     SystemConfig cfg = cfg4x4();
-    Mesh mesh(eq, cfg);
-    EXPECT_DEATH(mesh.send(16, 0, 8, [] {}), "out of range");
-    EXPECT_DEATH(mesh.send(0, 99, 8, [] {}), "out of range");
+    Mesh mesh(cfg);
+    EXPECT_DEATH(send(mesh, eq, 16, 0, 8, [] {}), "out of range");
+    EXPECT_DEATH(send(mesh, eq, 0, 99, 8, [] {}), "out of range");
 }
 
 SystemConfig
@@ -277,11 +200,11 @@ TEST(Mesh, JitterPreservesSamePairFifo)
 {
     EventQueue eq;
     SystemConfig cfg = jitterCfg(42);
-    Mesh mesh(eq, cfg);
+    Mesh mesh(cfg);
 
     std::vector<int> order;
     for (int i = 0; i < 200; ++i)
-        mesh.send(0, 15, 8, [&order, i] { order.push_back(i); });
+        send(mesh, eq, 0, 15, 8, [&order, i] { order.push_back(i); });
     eq.run();
     ASSERT_EQ(order.size(), 200u);
     for (int i = 0; i < 200; ++i)
@@ -294,7 +217,7 @@ TEST(Mesh, JitterReordersAcrossPairs)
 {
     EventQueue eq;
     SystemConfig cfg = jitterCfg(42);
-    Mesh mesh(eq, cfg);
+    Mesh mesh(cfg);
 
     // Same hop count and size for every pair: without injection these
     // deliver in issue order.
@@ -302,7 +225,7 @@ TEST(Mesh, JitterReordersAcrossPairs)
     for (int i = 0; i < 64; ++i) {
         const unsigned src = i % 4;
         const unsigned dst = 4 + i % 4;
-        mesh.send(src, dst, 8, [&order, i] { order.push_back(i); });
+        send(mesh, eq, src, dst, 8, [&order, i] { order.push_back(i); });
     }
     eq.run();
     ASSERT_EQ(order.size(), 64u);
@@ -317,10 +240,10 @@ TEST(Mesh, JitterIsDeterministicPerSeed)
     auto schedule = [](std::uint64_t seed) {
         EventQueue eq;
         SystemConfig cfg = jitterCfg(seed);
-        Mesh mesh(eq, cfg);
+        Mesh mesh(cfg);
         std::vector<Cycle> lat;
         for (int i = 0; i < 100; ++i)
-            lat.push_back(mesh.send(i % 16, (i * 7) % 16, 8, [] {}));
+            lat.push_back(send(mesh, eq, i % 16, (i * 7) % 16, 8, [] {}));
         eq.run();
         return lat;
     };
@@ -340,18 +263,18 @@ TEST(Mesh, JitterScheduleIsOrderIndependentAcrossPairs)
     auto latencies = [](bool roundRobin) {
         EventQueue eq;
         SystemConfig cfg = jitterCfg(1234);
-        Mesh mesh(eq, cfg);
+        Mesh mesh(cfg);
         std::vector<Cycle> a, b;
         if (roundRobin) {
             for (int i = 0; i < 100; ++i) {
-                a.push_back(mesh.send(0, 5, 8, [] {}));
-                b.push_back(mesh.send(2, 7, 8, [] {}));
+                a.push_back(send(mesh, eq, 0, 5, 8, [] {}));
+                b.push_back(send(mesh, eq, 2, 7, 8, [] {}));
             }
         } else {
             for (int i = 0; i < 100; ++i)
-                a.push_back(mesh.send(0, 5, 8, [] {}));
+                a.push_back(send(mesh, eq, 0, 5, 8, [] {}));
             for (int i = 0; i < 100; ++i)
-                b.push_back(mesh.send(2, 7, 8, [] {}));
+                b.push_back(send(mesh, eq, 2, 7, 8, [] {}));
         }
         eq.run();
         return std::make_pair(a, b);
@@ -368,11 +291,11 @@ TEST(Mesh, FaultScheduleDigestIsStable)
 
     EventQueue eq;
     SystemConfig cfg = jitterCfg(42);
-    Mesh mesh(eq, cfg);
+    Mesh mesh(cfg);
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (int i = 0; i < 256; ++i) {
         const Cycle lat =
-            mesh.send(i % 16, (i * 7 + 3) % 16, 8 + 8 * (i % 3), [] {});
+            send(mesh, eq, i % 16, (i * 7 + 3) % 16, 8 + 8 * (i % 3), [] {});
         for (unsigned byte = 0; byte < 8; ++byte) {
             h ^= (lat >> (8 * byte)) & 0xff;
             h *= 0x100000001b3ULL;
@@ -389,10 +312,10 @@ TEST(Mesh, InjectionOffMatchesDefaultLatency)
     SystemConfig plain = cfg4x4();
     SystemConfig off = jitterCfg(3);
     off.faultInjection = false;
-    Mesh a(eq1, plain), b(eq2, off);
+    Mesh a(plain), b(off);
     for (int i = 0; i < 50; ++i) {
-        EXPECT_EQ(a.send(i % 16, (i * 5) % 16, 8 + 8 * (i % 4), [] {}),
-                  b.send(i % 16, (i * 5) % 16, 8 + 8 * (i % 4), [] {}));
+        EXPECT_EQ(send(a, eq1, i % 16, (i * 5) % 16, 8 + 8 * (i % 4), [] {}),
+                  send(b, eq2, i % 16, (i * 5) % 16, 8 + 8 * (i % 4), [] {}));
     }
     eq1.run();
     eq2.run();

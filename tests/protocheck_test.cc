@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <span>
+#include <string>
 
 #include "check/explorer.hh"
 #include "check/minimizer.hh"
@@ -86,7 +87,7 @@ settle(System &sys)
             });
         if (!any)
             return;
-        sys.mesh().deliverParked(src, dst);
+        sys.deliverParked(src, dst);
     }
 }
 
@@ -463,6 +464,30 @@ TEST(Explorer, ReplayEmptyScheduleIsCanonicalAndClean)
     ASSERT_NE(s, nullptr);
     EXPECT_FALSE(
         replaySchedule(*s, ProtocolKind::ProtozoaMW, {}).has_value());
+}
+
+// A minimized repro must rebuild the machine that was explored: the
+// large-mesh scenarios run on real 2-D grids, not on N x 1.
+TEST(Minimizer, ReproCarriesTheExploredMeshGeometry)
+{
+    const struct
+    {
+        const char *name;
+        const char *geometry;
+    } cases[] = {
+        {"upgrade-race-8x8", "cfg.numCores = 64;\ncfg.l2Tiles = 64;\n"
+                             "cfg.meshCols = 8;\ncfg.meshRows = 8;\n"},
+        {"wide-mask-16x16", "cfg.numCores = 256;\ncfg.l2Tiles = 256;\n"
+                            "cfg.meshCols = 16;\ncfg.meshRows = 16;\n"},
+    };
+    for (const auto &c : cases) {
+        const Scenario *s = findScenario(c.name);
+        ASSERT_NE(s, nullptr) << c.name;
+        const std::string repro =
+            buildRepro(*s, ProtocolKind::ProtozoaMW, Violation{});
+        EXPECT_NE(repro.find(c.geometry), std::string::npos)
+            << c.name << ":\n" << repro;
+    }
 }
 
 TEST(ScenarioLibrary, LookupAndFootprint)

@@ -245,10 +245,11 @@ TEST(SnapshotReject, VersionSkew)
     SystemConfig cfg;
     cfg.seed = 3;
     Serializer img = saveAt(cfg, 5000);
-    // The version field follows the magic. A newer image and a v4
-    // image (which still carried the engine-mode byte) are both
-    // refused before any section is read.
-    for (const std::uint32_t ver : {kSnapshotVersion + 1, 4u}) {
+    // The version field follows the magic. A newer image, a v5 image
+    // (whose parked messages each carried a u64 hash) and a v4 image
+    // (which still carried the engine-mode byte) are all refused
+    // before any section is read.
+    for (const std::uint32_t ver : {kSnapshotVersion + 1, 5u, 4u}) {
         std::vector<std::uint8_t> bytes = img.bytes();
         std::memcpy(&bytes[4], &ver, sizeof(ver));
         System fresh(cfg, bench(cfg));
@@ -634,7 +635,7 @@ struct MeshImage
     }
 };
 
-constexpr std::size_t kParkedBytes = sizeof(CoherenceMsg) + 8;
+constexpr std::size_t kParkedBytes = sizeof(CoherenceMsg);
 
 MeshImage
 meshImage(System &donor)
@@ -742,7 +743,8 @@ expectOracleRejected(const std::vector<std::uint8_t> &img)
     expectRefusedBy(fresh, img);
 }
 
-/** Every parked message as (src, dst, hash), in enumeration order. */
+/** Every parked message as (src, dst, fingerprint), in enumeration
+ *  order. */
 std::vector<std::tuple<unsigned, unsigned, std::uint64_t>>
 parkedFrontier(System &sys)
 {
@@ -750,7 +752,7 @@ parkedFrontier(System &sys)
     sys.mesh().forEachParkedChannel(
         [&](unsigned src, unsigned dst, std::span<const Mesh::Parked> chan) {
             for (const Mesh::Parked &p : chan)
-                out.emplace_back(src, dst, p.hash);
+                out.emplace_back(src, dst, p.msg.fingerprint());
         });
     return out;
 }
