@@ -10,12 +10,12 @@
 
 #include "cache/amoeba_cache.hh"
 #include "cache/spatial_predictor.hh"
-#include "common/event_queue.hh"
 #include "common/flat_table.hh"
 #include "common/rng.hh"
 #include "mem/golden_memory.hh"
 #include "noc/mesh.hh"
 #include "protocol/coherence_msg.hh"
+#include "protocol/event.hh"
 #include "protozoa/protozoa.hh"
 
 namespace protozoa {
@@ -120,8 +120,9 @@ BM_EventQueueScheduleStep(benchmark::State &state)
     EventQueue eq;
     for (auto _ : state) {
         for (int i = 0; i < 64; ++i)
-            eq.schedule(static_cast<Cycle>(i % 7), [] {});
-        while (eq.step()) {
+            eq.schedule(static_cast<Cycle>(i % 7),
+                        Event::of(EventKind::CoreStep));
+        while (eq.step([](const Event &) {})) {
         }
     }
 }
@@ -139,8 +140,8 @@ BM_MeshSend(benchmark::State &state)
             mesh.routeMessage(static_cast<unsigned>(rng.below(16)),
                               static_cast<unsigned>(rng.below(16)), 72,
                               eq.now());
-        eq.scheduleAt(arrival, [] {});
-        while (eq.step()) {
+        eq.scheduleAt(arrival, Event::of(EventKind::Deliver));
+        while (eq.step([](const Event &) {})) {
         }
     }
 }

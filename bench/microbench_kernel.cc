@@ -3,7 +3,7 @@
  * Kernel micro-benchmark: events/sec of the calendar/bucket scheduler
  * on a workload mix shaped like the simulator's (mostly small fixed
  * latencies, a 300-cycle memory tier, and a long tail past the ring
- * horizon), with CoherenceMsg-sized callback captures, plus end-to-end
+ * horizon), carrying the simulator's own event record, plus end-to-end
  * System throughput.
  */
 
@@ -11,8 +11,8 @@
 
 #include <cstdint>
 
-#include "common/event_queue.hh"
 #include "common/rng.hh"
+#include "protocol/event.hh"
 #include "sim/random_tester.hh"
 
 namespace protozoa {
@@ -35,52 +35,35 @@ mixedDelay(Rng &rng)
     return EventQueue::kRingHorizon + ((r >> 8) & 8191); // long tail
 }
 
-/** A CoherenceMsg-sized payload carried by every callback. */
-struct Payload
-{
-    std::uint64_t words[10];
-};
-
 /**
- * Self-rescheduling event chain: each firing touches its payload and
- * schedules a successor, exactly like a controller pipeline stage.
+ * Self-rescheduling event chains: each firing touches the CoherenceMsg
+ * its record carries and schedules a successor, exactly like a
+ * controller pipeline stage. The record's id counts the hops left.
  */
-struct Chain
-{
-    EventQueue *q;
-    Rng *rng;
-    std::uint64_t *sink;
-    std::uint64_t remaining;
-    Payload payload;
-
-    void
-    operator()()
-    {
-        *sink += payload.words[0];
-        if (remaining == 0)
-            return;
-        Chain next = *this;
-        --next.remaining;
-        next.payload.words[0] ^= *sink;
-        q->schedule(mixedDelay(*rng), std::move(next));
-    }
-};
-
 void
 BM_CalendarKernel(benchmark::State &state)
 {
     constexpr unsigned kChains = 64;
-    constexpr std::uint64_t kHops = 64;
+    constexpr std::uint16_t kHops = 64;
     for (auto _ : state) {
         EventQueue q;
         Rng rng(1);
         std::uint64_t sink = 0;
         for (unsigned c = 0; c < kChains; ++c) {
-            Chain chain{&q, &rng, &sink, kHops, Payload{}};
-            chain.payload.words[0] = c + 1;
-            q.schedule(mixedDelay(rng), std::move(chain));
+            CoherenceMsg msg;
+            msg.region = c + 1;
+            q.schedule(mixedDelay(rng),
+                       Event::of(EventKind::Deliver, kHops, msg));
         }
-        q.run();
+        q.run([&](const Event &ev) {
+            sink += ev.msg.region;
+            if (ev.id == 0)
+                return;
+            Event next = ev;
+            --next.id;
+            next.msg.region ^= sink;
+            q.schedule(mixedDelay(rng), next);
+        });
         benchmark::DoNotOptimize(sink);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -91,7 +74,7 @@ BM_CalendarKernel(benchmark::State &state)
 }
 BENCHMARK(BM_CalendarKernel);
 
-// Trivial empty-capture variant isolating pure scheduler overhead.
+// Payload-free variant isolating pure scheduler overhead.
 // The queue is built once: each iteration schedules and drains 4096
 // events on it, so construction stays out of the timed loop.
 void
@@ -101,8 +84,8 @@ BM_CalendarKernelTrivial(benchmark::State &state)
     for (auto _ : state) {
         Rng rng(2);
         for (int i = 0; i < 4096; ++i)
-            q.schedule(mixedDelay(rng), [] {});
-        q.run();
+            q.schedule(mixedDelay(rng), Event::of(EventKind::CoreStep));
+        q.run([](const Event &) {});
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             4096);

@@ -137,8 +137,8 @@ independent(const ChannelInfo &a, const ChannelInfo &b)
 /**
  * One live execution of a scenario: a System driven access-by-access,
  * advanced from quiescent point to quiescent point by delivering one
- * parked message at a time. Heap-allocated and pinned: the per-core
- * completion callbacks capture `this`.
+ * parked message at a time. Heap-allocated and pinned: the System's
+ * access sink captures `this`.
  */
 class Run
 {
@@ -164,6 +164,12 @@ class Run
         for (Addr r : regions)
             homeTiles.set(static_cast<CoreId>(cfg.homeTileOf(r)));
         allNodes = CoreSet::firstN(cfg.numCores);
+        // Each completed access chains into the core's next scenario
+        // access; a restored image resumes through the same sink.
+        sys.setAccessSink([this](CoreId c, std::uint64_t) {
+            ++completed[c];
+            issueNext(c);
+        });
 
         if (!fresh_start)
             return;
@@ -222,17 +228,6 @@ class Run
             completed[c] = static_cast<unsigned>(d.readU64());
         PROTO_ASSERT(!d.failed() && d.atEnd(),
                      "corrupt explorer snapshot trailer");
-        // The system restore rebinds parked L1 completions to the
-        // CoreModel path; this run drives the L1s directly, so rebind
-        // them to the scenario-issue chain instead.
-        for (CoreId c = 0; c < cfg.numCores; ++c) {
-            if (sys.l1(c).hasPendingDone()) {
-                sys.l1(c).restorePendingDone([this, c](std::uint64_t) {
-                    ++completed[c];
-                    issueNext(c);
-                });
-            }
-        }
         quiesce();
     }
 
@@ -360,7 +355,10 @@ class Run
             }
         }
         for (TileId t = 0; t < cfg.l2Tiles; ++t) {
-            if (!sys.dir(t).activeTxns().empty()) {
+            bool active = false;
+            sys.dir(t).forEachTxn(
+                [&](const DirController::TxnView &) { active = true; });
+            if (active) {
                 os << " tile " << unsigned(t)
                    << " has an active transaction;";
                 stuck = true;
@@ -386,10 +384,7 @@ class Run
         acc.isWrite = sa.isWrite;
         acc.storeValue = sa.value;
         acc.pc = sa.pc;
-        sys.l1(c).requestAccess(acc, [this, c](std::uint64_t) {
-            ++completed[c];
-            issueNext(c);
-        });
+        sys.l1(c).requestAccess(acc);
     }
 
     /** Footprint index of @p region, or regions.size() if unknown. */
@@ -532,7 +527,7 @@ class Run
                 m |= e.writers;
             }
         });
-        d.forEachTxn([&](const DirController::TxnSnap &t) {
+        d.forEachTxn([&](const DirController::TxnView &t) {
             m.set(t.requester);
         });
         d.forEachWaitingMsg([&](Addr, const CoherenceMsg &w) {
@@ -552,7 +547,7 @@ class Run
         // scenarios, so a trip is a genuine bug, reported via
         // check(), not a tuning knob.
         std::uint64_t steps = 0;
-        while (sys.eventQueue().step()) {
+        while (sys.step()) {
             if (++steps > kMaxCascadeEvents) {
                 livelocked = true;
                 break;

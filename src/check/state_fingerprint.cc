@@ -17,7 +17,7 @@ struct Hasher
 {
     std::uint64_t h = 0x70726f746f7a6f61ULL; // "protozoa"
 
-    void feed(std::uint64_t v) { h = mix64(h ^ v); }
+    void feed(std::uint64_t v) { hashFold(h, v); }
 
     /** Length, then the bytes in little-endian 8-byte words. */
     void
@@ -174,12 +174,12 @@ feedDir(Hasher &hx, DirController &dir)
             hx.feed(e.words[w]);
     }
 
-    std::vector<DirController::TxnSnap> txns;
+    std::vector<DirController::TxnView> txns;
     dir.forEachTxn(
-        [&](const DirController::TxnSnap &t) { txns.push_back(t); });
+        [&](const DirController::TxnView &t) { txns.push_back(t); });
     std::sort(txns.begin(), txns.end(),
-              [](const DirController::TxnSnap &a,
-                 const DirController::TxnSnap &b) {
+              [](const DirController::TxnView &a,
+                 const DirController::TxnView &b) {
                   return a.region < b.region;
               });
     hx.feed(txns.size());

@@ -2,23 +2,23 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * Events are (cycle, sequence, callback) triples; ties at the same
- * cycle execute in scheduling order, which keeps the simulation
- * deterministic. Two pieces make the hot path allocation-free:
+ * Events are (cycle, sequence, record) triples; ties at the same cycle
+ * execute in scheduling order, which keeps the simulation
+ * deterministic. The queue stores a trivially copyable Record (the
+ * simulator's is protocol/event.hh's Event: a kind, a core or tile id
+ * and a plain payload) and hands each one back to its owner to run,
+ * so a pending event is data: the snapshot writes it as is and the
+ * watchdog reads it in place.
  *
- *  - EventCallback, a move-only callable stored in a large inline
- *    buffer. Every callback the simulator schedules (mesh deliveries
- *    carrying a CoherenceMsg, core steps, controller pipeline stages)
- *    fits; one that does not is a compile error, never a heap box.
- *
- *  - A two-level calendar scheduler. Near-future events — almost all of
- *    them: cache latencies, mesh hops, directory occupancy, the
- *    300-cycle memory round trip — land in a power-of-two ring of
- *    per-cycle FIFO buckets (O(1) schedule, O(1) amortized dispatch via
- *    an occupancy bitmap). Far-future events spill to a small binary
- *    heap of plain (cycle, seq, node) references and migrate into the
- *    ring when their cycle comes due. Event nodes live in a pooled
- *    free-list, so steady-state scheduling performs zero allocations.
+ * A two-level calendar scheduler keeps the hot path O(1) and
+ * allocation-free. Near-future events — almost all of them: cache
+ * latencies, mesh hops, directory occupancy, the 300-cycle memory
+ * round trip — land in a power-of-two ring of per-cycle FIFO buckets
+ * (O(1) schedule, O(1) amortized dispatch via an occupancy bitmap).
+ * Far-future events spill to a small binary heap of plain (cycle, seq,
+ * node) references and migrate into the ring when their cycle comes
+ * due. Event nodes live in a pooled free-list, so steady-state
+ * scheduling performs zero allocations.
  *
  * Ordering guarantee: events run in strictly ascending (cycle, seq)
  * order regardless of which level they were scheduled into. A spilled
@@ -35,9 +35,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <new>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "common/log.hh"
@@ -46,185 +44,35 @@
 
 namespace protozoa {
 
-class Serializer;
-
-/**
- * Detects `void T::saveEvent(Serializer&) const` — the opt-in hook a
- * scheduled callable implements to make itself checkpointable. The
- * hook writes an EventKind tag plus a POD payload; the snapshot layer
- * rebuilds the callable from that record (snapshot_tags.hh).
- */
-template <typename T, typename = void>
-struct HasSaveEvent : std::false_type
+template <typename Record>
+class CalendarQueue
 {
-};
+    static_assert(std::is_trivially_copyable_v<Record>,
+                  "an event record is plain data");
 
-template <typename T>
-struct HasSaveEvent<T, std::void_t<decltype(std::declval<const T &>()
-                                                .saveEvent(
-                                                    std::declval<Serializer &>()))>>
-    : std::true_type
-{
-};
-
-/**
- * Move-only type-erased void() callable stored inline, in a buffer
- * sized for the simulator's largest capture (a mesh delivery holding a
- * whole CoherenceMsg). Nothing is ever heap-allocated: a callable that
- * is too large, over-aligned or throwing on move does not compile.
- */
-class EventCallback
-{
   public:
-    /** Inline capture budget. */
-    static constexpr std::size_t kInlineBytes = 256;
-
-    EventCallback() noexcept = default;
-
-    template <typename F, typename D = std::decay_t<F>,
-              typename = std::enable_if_t<
-                  !std::is_same_v<D, EventCallback> &&
-                  std::is_invocable_r_v<void, D &>>>
-    EventCallback(F &&f)
+    CalendarQueue()
     {
-        static_assert(sizeof(D) <= kInlineBytes,
-                      "event callable exceeds the inline buffer");
-        static_assert(alignof(D) <= alignof(std::max_align_t),
-                      "event callable is over-aligned");
-        static_assert(std::is_nothrow_move_constructible_v<D>,
-                      "event callable must be nothrow-movable");
-        ::new (static_cast<void *>(buf)) D(std::forward<F>(f));
-        vt = &kInlineVtable<D>;
+        bucketHead.fill(kNil);
+        bucketTail.fill(kNil);
     }
-
-    EventCallback(EventCallback &&o) noexcept : vt(o.vt)
-    {
-        if (vt) {
-            vt->relocate(buf, o.buf);
-            o.vt = nullptr;
-        }
-    }
-
-    EventCallback &
-    operator=(EventCallback &&o) noexcept
-    {
-        if (this != &o) {
-            reset();
-            vt = o.vt;
-            if (vt) {
-                vt->relocate(buf, o.buf);
-                o.vt = nullptr;
-            }
-        }
-        return *this;
-    }
-
-    EventCallback(const EventCallback &) = delete;
-    EventCallback &operator=(const EventCallback &) = delete;
-
-    ~EventCallback() { reset(); }
-
-    explicit operator bool() const { return vt != nullptr; }
-
-    void operator()() { vt->invoke(buf); }
-
-    /**
-     * The stored callable if it is a @p D, else nullptr (like
-     * std::function::target): lets a reader such as the watchdog's
-     * in-flight census inspect pending events of one type.
-     */
-    template <typename D>
-    const D *
-    target() const
-    {
-        return vt == &kInlineVtable<D>
-            ? std::launder(reinterpret_cast<const D *>(buf))
-            : nullptr;
-    }
-
-    /** True when the stored callable implements saveEvent(). */
-    bool saveable() const { return vt != nullptr && vt->save != nullptr; }
-
-    /** Serialize the stored callable (must be saveable()). */
-    void save(Serializer &s) const { vt->save(buf, s); }
-
-  private:
-    struct VTable
-    {
-        void (*invoke)(void *);
-        /** Move storage from @p src to raw @p dst; leaves src dead. */
-        void (*relocate)(void *dst, void *src);
-        void (*destroy)(void *);
-        /** Serialize; nullptr for non-checkpointable callables. */
-        void (*save)(const void *, Serializer &);
-    };
-
-    template <typename D>
-    static constexpr auto
-    saveFn()
-    {
-        using Fn = void (*)(const void *, Serializer &);
-        if constexpr (HasSaveEvent<D>::value) {
-            return Fn([](const void *p, Serializer &s) {
-                std::launder(reinterpret_cast<const D *>(p))->saveEvent(s);
-            });
-        } else {
-            return Fn(nullptr);
-        }
-    }
-
-    template <typename T>
-    static T *
-    as(void *p)
-    {
-        return std::launder(reinterpret_cast<T *>(p));
-    }
-
-    template <typename D>
-    static constexpr VTable kInlineVtable = {
-        [](void *p) { (*as<D>(p))(); },
-        [](void *dst, void *src) {
-            ::new (dst) D(std::move(*as<D>(src)));
-            as<D>(src)->~D();
-        },
-        [](void *p) { as<D>(p)->~D(); },
-        saveFn<D>(),
-    };
-
-    void
-    reset()
-    {
-        if (vt) {
-            vt->destroy(buf);
-            vt = nullptr;
-        }
-    }
-
-    alignas(std::max_align_t) unsigned char buf[kInlineBytes];
-    const VTable *vt = nullptr;
-};
-
-class EventQueue
-{
-  public:
-    using Callback = EventCallback;
 
     /** Current simulated time. */
     Cycle now() const { return curCycle; }
 
-    /** Schedule @p cb to run @p delay cycles from now. */
+    /** Schedule @p rec to run @p delay cycles from now. */
     void
-    schedule(Cycle delay, Callback cb)
+    schedule(Cycle delay, const Record &rec)
     {
-        insert(curCycle + delay, std::move(cb));
+        insert(curCycle + delay, rec);
     }
 
-    /** Schedule @p cb at absolute cycle @p when (>= now). */
+    /** Schedule @p rec at absolute cycle @p when (>= now). */
     void
-    scheduleAt(Cycle when, Callback cb)
+    scheduleAt(Cycle when, const Record &rec)
     {
         PROTO_ASSERT(when >= curCycle, "scheduling into the past");
-        insert(when, std::move(cb));
+        insert(when, rec);
     }
 
     bool empty() const { return pending == 0; }
@@ -250,32 +98,66 @@ class EventQueue
     }
 
     /**
-     * Run queued events with cycle strictly below @p limit, advancing
-     * local time as they execute. Events scheduled at or past the limit
-     * stay queued, so System::runTo() stops at a quiescent point that a
-     * snapshot can serialize.
+     * Take the earliest event due strictly before @p limit: copy its
+     * record to @p out, free its node and advance the clock to it.
+     * The record is copied out because running it may schedule new
+     * events, which can grow the pool. @return false when no event is
+     * due before the limit.
+     */
+    bool
+    pop(Record &out, Cycle limit = ~Cycle(0))
+    {
+        Cycle c;
+        if (!nextEventCycle(c) || c >= limit)
+            return false;
+        if (!spill.empty() && spill.front().when == c)
+            migrateSpill(c);
+
+        const unsigned b = static_cast<unsigned>(c) & kBucketMask;
+        const std::uint32_t n = bucketHead[b];
+        bucketHead[b] = pool[n].next;
+        if (bucketHead[b] == kNil) {
+            bucketTail[b] = kNil;
+            occupancy[b >> 6] &= ~(std::uint64_t(1) << (b & 63));
+        }
+        out = pool[n].rec;
+        pool[n].next = freeHead;
+        freeHead = n;
+        --pending;
+        ++kstats.eventsExecuted;
+        curCycle = c;
+        return true;
+    }
+
+    /**
+     * Run queued events with cycle strictly below @p limit through
+     * @p handle, advancing local time as they execute. Events
+     * scheduled at or past the limit stay queued, so System::runTo()
+     * stops at a quiescent point that a snapshot can serialize.
      * @return number of events executed.
      */
+    template <typename F>
     std::uint64_t
-    runUntil(Cycle limit)
+    runUntil(Cycle limit, F &&handle)
     {
         std::uint64_t n = 0;
-        Cycle c;
-        while (nextEventCycle(c) && c < limit) {
-            dispatch(c);
+        Record rec;
+        while (pop(rec, limit)) {
+            handle(rec);
             ++n;
         }
         return n;
     }
 
     /** Pop and run the next event. @return false when the queue is dry. */
+    template <typename F>
     bool
-    step()
+    step(F &&handle)
     {
-        Cycle c;
-        if (!nextEventCycle(c))
+        Record rec;
+        if (!pop(rec))
             return false;
-        dispatch(c);
+        handle(rec);
         return true;
     }
 
@@ -284,10 +166,13 @@ class EventQueue
      * @param max_cycles safety net against protocol deadlock/livelock;
      *        panics when exceeded.
      */
+    template <typename F>
     void
-    run(Cycle max_cycles = ~Cycle(0))
+    run(F &&handle, Cycle max_cycles = ~Cycle(0))
     {
-        while (step()) {
+        Record rec;
+        while (pop(rec)) {
+            handle(rec);
             if (curCycle > max_cycles)
                 panic("event queue still busy at cycle %llu "
                       "(deadlock or livelock?)",
@@ -301,12 +186,12 @@ class EventQueue
     // ---- Snapshot hooks (src/snapshot) --------------------------------
     //
     // A checkpoint serializes the queue as (clock, nextSeq, kstats) plus
-    // every pending (when, seq, callback) triple; restore rebuilds the
+    // every pending (when, seq, record) triple; restore rebuilds the
     // exact scheduler state so the continued run is bit-identical —
     // including the kernel counters, which the stats digest covers.
 
     /**
-     * Visit every pending event as (when, seq, const Callback&), in no
+     * Visit every pending event as (when, seq, const Record &), in no
      * particular order. The snapshot writer sorts by (when, seq) before
      * serializing.
      */
@@ -317,9 +202,9 @@ class EventQueue
         for (unsigned b = 0; b < kNumBuckets; ++b)
             for (std::uint32_t n = bucketHead[b]; n != kNil;
                  n = pool[n].next)
-                fn(pool[n].when, pool[n].seq, pool[n].cb);
+                fn(pool[n].when, pool[n].seq, pool[n].rec);
         for (const SpillRef &r : spill)
-            fn(r.when, r.seq, pool[r.node].cb);
+            fn(r.when, r.seq, pool[r.node].rec);
     }
 
     /**
@@ -332,10 +217,10 @@ class EventQueue
      * order is what keeps same-cycle chains sorted by seq.
      */
     void
-    restoreEvent(Cycle when, std::uint64_t seq, Callback cb)
+    restoreEvent(Cycle when, std::uint64_t seq, const Record &rec)
     {
         PROTO_ASSERT(when >= curCycle, "restoring event into the past");
-        place(when, seq, std::move(cb));
+        place(when, seq, rec);
     }
 
     /** Set the clock (restore-only; queue must be empty). */
@@ -368,7 +253,7 @@ class EventQueue
         Cycle when = 0;
         std::uint64_t seq = 0;
         std::uint32_t next = kNil;
-        Callback cb;
+        Record rec;
     };
 
     /** Far-future reference; the payload stays in the node pool. */
@@ -385,36 +270,10 @@ class EventQueue
         }
     };
 
-    /** Pop and run the already-located earliest event at cycle @p c. */
     void
-    dispatch(Cycle c)
+    insert(Cycle when, const Record &rec)
     {
-        if (!spill.empty() && spill.front().when == c)
-            migrateSpill(c);
-
-        const unsigned b = static_cast<unsigned>(c) & kBucketMask;
-        const std::uint32_t n = bucketHead[b];
-        bucketHead[b] = pool[n].next;
-        if (bucketHead[b] == kNil) {
-            bucketTail[b] = kNil;
-            occupancy[b >> 6] &= ~(std::uint64_t(1) << (b & 63));
-        }
-
-        // Move the callback out before running it: the callback may
-        // schedule new events, which can grow the pool and invalidate
-        // references into it.
-        Callback cb = std::move(pool[n].cb);
-        releaseNode(n);
-        --pending;
-        ++kstats.eventsExecuted;
-        curCycle = c;
-        cb();
-    }
-
-    void
-    insert(Cycle when, Callback cb)
-    {
-        if (place(when, nextSeq++, std::move(cb)))
+        if (place(when, nextSeq++, rec))
             ++kstats.bucketScheduled;
         else
             ++kstats.heapScheduled;
@@ -429,14 +288,14 @@ class EventQueue
      * @return true for a ring bucket.
      */
     bool
-    place(Cycle when, std::uint64_t seq, Callback &&cb)
+    place(Cycle when, std::uint64_t seq, const Record &rec)
     {
         const std::uint32_t n = acquireNode();
         Node &node = pool[n];
         node.when = when;
         node.seq = seq;
         node.next = kNil;
-        node.cb = std::move(cb);
+        node.rec = rec;
         ++pending;
 
         if (when - curCycle >= kNumBuckets) {
@@ -525,22 +384,14 @@ class EventQueue
         return static_cast<std::uint32_t>(pool.size() - 1);
     }
 
-    void
-    releaseNode(std::uint32_t n)
-    {
-        pool[n].cb = Callback();
-        pool[n].next = freeHead;
-        freeHead = n;
-    }
-
     std::vector<Node> pool;
     std::uint32_t freeHead = kNil;
-    std::array<std::uint32_t, kNumBuckets> bucketHead = [] {
-        std::array<std::uint32_t, kNumBuckets> a{};
-        a.fill(kNil);
-        return a;
-    }();
-    std::array<std::uint32_t, kNumBuckets> bucketTail = bucketHead;
+    /** Per-bucket FIFO ends, kNil when empty. Filled by the
+     *  constructor: built by a lambda in a default member initializer
+     *  they took minutes to compile per translation unit under
+     *  -O2 -g -fsanitize=address,undefined (variable tracking). */
+    std::array<std::uint32_t, kNumBuckets> bucketHead;
+    std::array<std::uint32_t, kNumBuckets> bucketTail;
     std::array<std::uint64_t, kNumBuckets / 64> occupancy{};
     /** Min-heap over (when, seq) kept with std::push_heap/pop_heap so
      *  the snapshot writer can iterate it (a priority_queue hides its

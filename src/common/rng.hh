@@ -25,6 +25,15 @@ mix64(std::uint64_t z)
     return z ^ (z >> 31);
 }
 
+/** Fold @p v into the running hash @p h. The configuration
+ *  fingerprint, the explorer's state fingerprint and the message
+ *  fingerprint are all chains of this step. */
+inline void
+hashFold(std::uint64_t &h, std::uint64_t v)
+{
+    h = mix64(h ^ v);
+}
+
 class Rng
 {
   public:

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -193,6 +194,31 @@ class Deserializer
         static_assert(std::is_trivially_copyable_v<T>,
                       "raw serialization needs a trivially copyable type");
         return readBytes(&v, sizeof(T));
+    }
+
+    /**
+     * readRaw that refuses the object unless every byte at
+     * @p bool_offsets is 0 or 1: any other byte read back as a bool is
+     * undefined behaviour. A refused object leaves @p v untouched and
+     * fails the stream.
+     */
+    template <typename T>
+    bool
+    readRawChecked(T &v, std::initializer_list<std::size_t> bool_offsets)
+    {
+        static_assert(std::is_trivially_copyable_v<T>,
+                      "raw serialization needs a trivially copyable type");
+        unsigned char raw[sizeof(T)];
+        if (!readBytes(raw, sizeof(T)))
+            return false;
+        for (const std::size_t off : bool_offsets) {
+            if (raw[off] > 1) {
+                fail = true;
+                return false;
+            }
+        }
+        std::memcpy(static_cast<void *>(&v), raw, sizeof(T));
+        return true;
     }
 
     std::uint8_t readU8() { std::uint8_t v = 0; readRaw(v); return v; }

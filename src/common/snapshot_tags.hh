@@ -2,9 +2,9 @@
  * @file
  * Shared tags for the snapshot subsystem.
  *
- * Lives in common/ so that every component can tag its saveable events
- * without depending on src/snapshot/ (the snapshot layer depends on
- * the components, never the other way around).
+ * Lives in common/ so that every component can tag the events it
+ * schedules without depending on src/snapshot/ (the snapshot layer
+ * depends on the components, never the other way around).
  *
  * Versioning rule: kSnapshotVersion must be bumped whenever the byte
  * layout of any serialized section changes — a snapshot is a raw
@@ -26,10 +26,10 @@ constexpr std::uint32_t kSnapshotMagic = 0x4e535a50u;
 constexpr std::uint32_t kSnapshotVersion = 6;
 
 /**
- * Discriminator for every event class that can be in flight at a
- * checkpoint. Each saveable event struct writes its kind byte followed
- * by a fixed POD payload; the restore factory (snapshot.cc) switches
- * on the kind and rebinds the payload to the freshly-built system.
+ * Kind of every event the simulator schedules (protocol/event.hh).
+ * The snapshot (snapshot.cc) writes a pending event as its kind byte
+ * followed by its id and payload, and reads it back into the same
+ * record; 7 belonged to a removed kind and is refused.
  */
 enum class EventKind : std::uint8_t {
     CoreStep = 1,      ///< core issue-loop trampoline        {coreId}
@@ -42,6 +42,7 @@ enum class EventKind : std::uint8_t {
     InvariantTick = 9, ///< periodic coherence sweep           {}
     WatchdogTick = 10, ///< deadlock watchdog scan             {}
     WindowTick = 11,   ///< windowed-stats epoch rollover      {}
+    TestHook = 12,     ///< a test's own code; never saved
 };
 
 } // namespace protozoa

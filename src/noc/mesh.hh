@@ -13,7 +13,7 @@
  *
  * The mesh keeps no copy of what is in flight. System::send is its one
  * entry point: in timed mode routeMessage() returns the arrival cycle
- * and the pending System::DeliverEvent is the message's only record;
+ * and the pending Deliver event is the message's only record;
  * under the schedule oracle park() holds the message itself on its
  * (src,dst) channel until the explorer takes it with takeParked().
  *
@@ -236,8 +236,9 @@ class Mesh
      * Restore into a freshly constructed mesh of the same geometry and
      * fault configuration (matrix entries the image does not list keep
      * their zero). Fails closed on a size mismatch, an index or channel
-     * id out of range or not strictly ascending, a zero matrix value
-     * and an empty channel.
+     * id out of range or not strictly ascending, a zero matrix value,
+     * an empty channel, a message the loader refuses and a message
+     * whose (srcNode, dstNode) is not its channel.
      */
     bool
     restoreState(Deserializer &d)
@@ -259,10 +260,12 @@ class Mesh
             if (d.failed() || id < next || id >= channelCount() || n == 0)
                 return false;
             next = std::uint64_t(id) + 1;
+            const unsigned nodes = cols * rows;
             for (std::uint32_t i = 0; i < n; ++i) {
                 Parked p;
                 p.channel = id;
-                if (!d.readRaw(p.msg))
+                if (!p.msg.load(d, nodes) ||
+                    p.msg.srcNode * nodes + p.msg.dstNode != id)
                     return false;
                 parked.push_back(std::move(p));
             }

@@ -1,5 +1,6 @@
 #include "protocol/coherence_msg.hh"
 
+#include <cstddef>
 #include <sstream>
 
 #include "common/rng.hh"
@@ -83,14 +84,12 @@ std::uint64_t
 CoherenceMsg::fingerprint() const
 {
     std::uint64_t h = 0x70726f746f636865ULL;  // "protoche"
-    auto feed = [&](std::uint64_t v) { h = mix64(h ^ v); };
-
-    feed(static_cast<std::uint64_t>(type));
-    feed((std::uint64_t(srcNode) << 32) | dstNode);
-    feed((std::uint64_t(sender) << 17) | requester);
-    feed(region);
-    feed((std::uint64_t(range.start) << 8) | range.end);
-    feed((std::uint64_t(reqFetchRange.start) << 8) | reqFetchRange.end);
+    hashFold(h, static_cast<std::uint64_t>(type));
+    hashFold(h, (std::uint64_t(srcNode) << 32) | dstNode);
+    hashFold(h, (std::uint64_t(sender) << 17) | requester);
+    hashFold(h, region);
+    hashFold(h, (std::uint64_t(range.start) << 8) | range.end);
+    hashFold(h, (std::uint64_t(reqFetchRange.start) << 8) | reqFetchRange.end);
     std::uint64_t flags = 0;
     flags |= std::uint64_t(dstIsDir) << 0;
     flags |= std::uint64_t(keepNonOverlap) << 1;
@@ -103,10 +102,10 @@ CoherenceMsg::fingerprint() const
     flags |= std::uint64_t(last) << 8;
     flags |= std::uint64_t(demoteOwner) << 9;
     flags |= std::uint64_t(static_cast<unsigned>(grant)) << 10;
-    feed(flags);
-    feed(data.valid);
+    hashFold(h, flags);
+    hashFold(h, data.valid);
     data.forEachWord([&](unsigned w, std::uint64_t v) {
-        feed((std::uint64_t(w) << 56) ^ v);
+        hashFold(h, (std::uint64_t(w) << 56) ^ v);
     });
     return h;
 }
@@ -120,6 +119,29 @@ CoherenceMsg::save(Serializer &s) const
             canon.data.words[w] = 0;
     }
     s.writeRaw(canon);
+}
+
+bool
+CoherenceMsg::load(Deserializer &d, unsigned nodes)
+{
+    if (!d.readRawChecked(
+            *this, {offsetof(CoherenceMsg, dstIsDir),
+                    offsetof(CoherenceMsg, keepNonOverlap),
+                    offsetof(CoherenceMsg, revokeWritePerm),
+                    offsetof(CoherenceMsg, tryDirect),
+                    offsetof(CoherenceMsg, suppliedDirect),
+                    offsetof(CoherenceMsg, stillOwner),
+                    offsetof(CoherenceMsg, stillSharer),
+                    offsetof(CoherenceMsg, upgrade),
+                    offsetof(CoherenceMsg, last),
+                    offsetof(CoherenceMsg, demoteOwner)}))
+        return false;
+    const bool ok = static_cast<unsigned>(type) < kNumMsgTypes &&
+                    grant <= GrantState::M && srcNode < nodes &&
+                    dstNode < nodes && sender < nodes && requester < nodes;
+    if (!ok)
+        d.setFailed();
+    return ok;
 }
 
 } // namespace protozoa

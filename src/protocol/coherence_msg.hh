@@ -52,6 +52,9 @@ enum class MsgType : std::uint8_t
     WB_ACK,     ///< acknowledges an eviction PUT
 };
 
+/** Number of MsgType values. */
+constexpr unsigned kNumMsgTypes = static_cast<unsigned>(MsgType::WB_ACK) + 1;
+
 const char *msgTypeName(MsgType t);
 
 /** Permission granted with a DATA response. */
@@ -293,6 +296,14 @@ struct CoherenceMsg
      * identical runs save identical images.
      */
     void save(Serializer &s) const;
+
+    /**
+     * Read one message written by save(), failing closed (false, and
+     * @p d failed) on a flag byte other than 0 or 1, a MsgType or
+     * GrantState out of range, or a srcNode, dstNode, sender or
+     * requester at or above @p nodes.
+     */
+    bool load(Deserializer &d, unsigned nodes);
 
     std::string toString() const;
 };

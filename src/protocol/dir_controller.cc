@@ -10,10 +10,9 @@
 namespace protozoa {
 
 DirController::DirController(TileId id, const SystemConfig &config,
-                             EventQueue &eq, Router &rt,
-                             WordStore &mem,
+                             EventQueue &eq, WordStore &mem,
                              ConformanceCoverage *cov_tracker)
-    : cfg(config), tileId(id), eventq(eq), router(rt), memImage(mem),
+    : cfg(config), tileId(id), eventq(eq), memImage(mem),
       coverage(cov_tracker),
       occRng(config.seed ^ 0x646972ULL ^ (std::uint64_t(id) << 40))
 {
@@ -138,7 +137,7 @@ DirController::sendMsg(CoherenceMsg msg, Cycle when)
 {
     msg.srcNode = tileId;
     msg.dstIsDir = false;
-    eventq.scheduleAt(when, SendEvent{this, std::move(msg)});
+    eventq.scheduleAt(when, Event::of(EventKind::DirSend, tileId, msg));
 }
 
 unsigned
@@ -403,7 +402,8 @@ DirController::fetchFromMemory(Addr region)
 {
     stats.memReadBytes += cfg.regionBytes;
     const Cycle when = occupy(cfg.l2Latency) + cfg.memLatency;
-    eventq.scheduleAt(when, FillEvent{this, region});
+    eventq.scheduleAt(when,
+                      Event::of(EventKind::DirFill, tileId, region));
 }
 
 void
@@ -713,25 +713,6 @@ DirController::finishTxn(Addr region)
     drainQueue(region);
 }
 
-std::vector<DirController::TxnView>
-DirController::activeTxns() const
-{
-    std::vector<TxnView> out;
-    out.reserve(active.size());
-    active.forEach([&](Addr region, const Txn &txn) {
-        TxnView v;
-        v.region = region;
-        v.start = txn.start;
-        v.recall = txn.kind == Txn::Kind::Recall;
-        v.pending = txn.pending;
-        v.waitingUnblock = txn.waitingUnblock;
-        const auto *q = waiting.find(region);
-        v.queued = q ? q->size() : 0;
-        out.push_back(v);
-    });
-    return out;
-}
-
 std::string
 DirController::describeRegion(Addr region) const
 {
@@ -944,8 +925,7 @@ DirController::restoreState(Deserializer &d)
     for (std::uint32_t i = 0; i < queued; ++i) {
         const Addr region = d.readU64();
         CoherenceMsg m;
-        d.readRaw(m);
-        if (d.failed())
+        if (!m.load(d, cfg.numCores))
             return false;
         waitPool.push(*waiting.findOrCreate(region), std::move(m));
     }

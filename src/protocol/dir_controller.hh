@@ -37,18 +37,16 @@
 
 #include "common/config.hh"
 #include "common/core_mask.hh"
-#include "common/event_queue.hh"
 #include "common/fixed_array.hh"
 #include "common/flat_table.hh"
 #include "common/rng.hh"
 #include "common/serialize.hh"
-#include "common/snapshot_tags.hh"
 #include "common/stats.hh"
 #include "mem/golden_memory.hh"
 #include "protocol/bloom_directory.hh"
 #include "protocol/coherence_msg.hh"
 #include "protocol/conformance.hh"
-#include "protocol/router.hh"
+#include "protocol/event.hh"
 
 namespace protozoa {
 
@@ -56,11 +54,15 @@ class DirController
 {
   public:
     DirController(TileId id, const SystemConfig &cfg, EventQueue &eq,
-                  Router &router, WordStore &mem_image,
+                  WordStore &mem_image,
                   ConformanceCoverage *coverage = nullptr);
 
     /** Deliver a coherence message from the interconnect. */
     void receive(CoherenceMsg msg);
+
+    /** A memory fill of @p region completes (DirFill): copy the words
+     *  in and run the probe phase. */
+    void finishFill(Addr region);
 
     TileId id() const { return tileId; }
 
@@ -78,19 +80,6 @@ class DirController
         bool dirty = false;
     };
     DirView view(Addr region) const;
-
-    /** Watchdog view of one in-flight transaction. */
-    struct TxnView
-    {
-        Addr region = 0;
-        Cycle start = 0;
-        bool recall = false;
-        unsigned pending = 0;
-        bool waitingUnblock = false;
-        std::size_t queued = 0;
-    };
-    /** Every active transaction of this tile (deadlock-watchdog scan). */
-    std::vector<TxnView> activeTxns() const;
 
     /** Diagnostic description of a region's directory-side state. */
     std::string describeRegion(Addr region) const;
@@ -134,8 +123,8 @@ class DirController
     /** Number of valid L2 entries (each owns exactly one sidecar). */
     std::size_t occupancy() const { return sidecarCount; }
 
-    /** Snapshot of one in-flight transaction. */
-    struct TxnSnap
+    /** View of one in-flight transaction. */
+    struct TxnView
     {
         Addr region = 0;
         bool recall = false;
@@ -148,18 +137,28 @@ class DirController
         bool directSupplied = false;
         bool unblocked = false;
         Addr parentRegion = 0;
+        /** Cycle the transaction began (deadlock-watchdog bound). */
+        Cycle start = 0;
+        /** Requests queued behind it on the same region. */
+        std::size_t queued = 0;
     };
 
-    /** Visit every active transaction (unspecified region order). */
+    /**
+     * Visit every active transaction in table order (unspecified
+     * region order, but stable for a given table): the watchdog scan,
+     * the explorer's deadlock check, the state fingerprint and the POR
+     * emit targets all read them through this one view.
+     */
     template <typename F>
     void
     forEachTxn(F &&fn) const
     {
         active.forEach([&](Addr region, const Txn &t) {
-            fn(TxnSnap{region, t.kind == Txn::Kind::Recall, t.reqType,
+            const auto *q = waiting.find(region);
+            fn(TxnView{region, t.kind == Txn::Kind::Recall, t.reqType,
                        t.requester, t.reqRange, t.upgrade, t.pending,
                        t.waitingUnblock, t.directSupplied, t.unblocked,
-                       t.parentRegion});
+                       t.parentRegion, t.start, q ? q->size() : 0});
         });
     }
 
@@ -179,43 +178,6 @@ class DirController
                 });
             });
     }
-
-    // --- saveable events (snapshot subsystem) ---
-
-    /** Pipeline-delayed hand-off of one outgoing message to the
-     *  router. */
-    struct SendEvent
-    {
-        DirController *dir;
-        CoherenceMsg msg;
-
-        void operator()() { dir->router.send(std::move(msg)); }
-
-        void
-        saveEvent(Serializer &s) const
-        {
-            s.writeU8(static_cast<std::uint8_t>(EventKind::DirSend));
-            s.writeU16(dir->tileId);
-            msg.save(s);
-        }
-    };
-
-    /** Memory-latency-delayed completion of an L2 fill. */
-    struct FillEvent
-    {
-        DirController *dir;
-        Addr region;
-
-        void operator()() const { dir->finishFill(region); }
-
-        void
-        saveEvent(Serializer &s) const
-        {
-            s.writeU8(static_cast<std::uint8_t>(EventKind::DirFill));
-            s.writeU16(dir->tileId);
-            s.writeU64(region);
-        }
-    };
 
     /** Serialize / restore all mutable tile state (L2 sets, active
      *  transactions, wait queues, Bloom counters, occupancy, stats).
@@ -312,8 +274,6 @@ class DirController
     void beginRecall(Addr victim, Addr parent);
     void finishRecall(Addr victim);
     void fetchFromMemory(Addr region);
-    /** FillEvent body: copy the words in and run the probe phase. */
-    void finishFill(Addr region);
     void probePhase(Addr region);
     void handleProbeResponse(const CoherenceMsg &msg);
     void respond(Addr region);
@@ -346,7 +306,6 @@ class DirController
     const SystemConfig &cfg;
     TileId tileId;
     EventQueue &eventq;
-    Router &router;
     WordStore &memImage;
     ConformanceCoverage *coverage;
 

@@ -8,9 +8,9 @@
 namespace protozoa {
 
 L1Controller::L1Controller(CoreId id, const SystemConfig &config,
-                           EventQueue &eq, Router &rt, GoldenMemory *gm,
+                           EventQueue &eq, GoldenMemory *gm,
                            ConformanceCoverage *cov_tracker)
-    : cfg(config), coreId(id), eventq(eq), router(rt), golden(gm),
+    : cfg(config), coreId(id), eventq(eq), golden(gm),
       coverage(cov_tracker), cache(config),
       predictor(makePredictor(config)), mshrs(1),
       occRng(config.seed ^ 0x6c31ULL ^ (std::uint64_t(id) << 40))
@@ -89,7 +89,7 @@ L1Controller::sendMsg(CoherenceMsg msg, Cycle when, bool count_stats)
                  msg.stillSharer, msg.last, msg.demoteOwner);
     if (count_stats)
         countCtrl(msg);
-    eventq.scheduleAt(when, SendEvent{this, std::move(msg)});
+    eventq.scheduleAt(when, Event::of(EventKind::L1Send, coreId, msg));
 }
 
 bool
@@ -129,7 +129,7 @@ L1Controller::sendDirectData(const CoherenceMsg &probe, GrantState grant,
 }
 
 void
-L1Controller::requestAccess(const MemAccess &acc, AccessCallback done)
+L1Controller::requestAccess(const MemAccess &acc)
 {
     const Addr region = regionBase(acc.addr, cfg.regionBytes);
     const unsigned word = wordIndexIn(acc.addr, cfg.regionBytes);
@@ -143,13 +143,12 @@ L1Controller::requestAccess(const MemAccess &acc, AccessCallback done)
     const bool hit =
         blk && (!acc.isWrite || blk->state != BlockState::S);
 
+    accessPending = true;
     if (hit) {
         ++stats.hits;
-        pendingDone = std::move(done);
         handleHit(blk, acc, word);
     } else {
         ++stats.misses;
-        pendingDone = std::move(done);
         handleMiss(acc, region, word);
     }
 }
@@ -186,7 +185,8 @@ L1Controller::handleHit(AmoebaBlock *blk, const MemAccess &acc,
         abstractOf(blk->state));
 
     const Cycle done_at = occupy(cfg.l1Latency);
-    eventq.scheduleAt(done_at, CompleteEvent{this, value});
+    eventq.scheduleAt(done_at,
+                      Event::of(EventKind::L1Complete, coreId, value));
 }
 
 void
@@ -341,7 +341,8 @@ L1Controller::handleData(const CoherenceMsg &msg)
 
     auto complete = [&](std::uint64_t value) {
         mshrs.free(region);
-        eventq.scheduleAt(done_at, CompleteEvent{this, value});
+        eventq.scheduleAt(done_at,
+                          Event::of(EventKind::L1Complete, coreId, value));
     };
 
     if (msg.data.empty()) {
@@ -670,7 +671,7 @@ L1Controller::saveState(Serializer &s) const
     occRng.stateWords(rng);
     for (const std::uint64_t w : rng)
         s.writeU64(w);
-    s.writeU8(pendingDone ? 1 : 0);
+    s.writeU8(accessPending ? 1 : 0);
     cache.saveState(s);
     predictor->saveState(s);
     mshrs.saveState(s);
@@ -678,7 +679,7 @@ L1Controller::saveState(Serializer &s) const
 }
 
 bool
-L1Controller::restoreState(Deserializer &d, bool &had_pending)
+L1Controller::restoreState(Deserializer &d)
 {
     d.readRaw(stats);
     busyUntil = d.readU64();
@@ -686,7 +687,7 @@ L1Controller::restoreState(Deserializer &d, bool &had_pending)
     for (std::uint64_t &w : rng)
         w = d.readU64();
     occRng.setStateWords(rng);
-    had_pending = d.readU8() != 0;
+    accessPending = d.readU8() != 0;
     if (d.failed())
         return false;
     return cache.restoreState(d) && predictor->restoreState(d) &&

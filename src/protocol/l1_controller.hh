@@ -23,50 +23,45 @@
 #ifndef PROTOZOA_PROTOCOL_L1_CONTROLLER_HH
 #define PROTOZOA_PROTOCOL_L1_CONTROLLER_HH
 
-#include <functional>
 #include <memory>
 
 #include "cache/amoeba_cache.hh"
 #include "cache/mshr.hh"
 #include "cache/spatial_predictor.hh"
 #include "common/config.hh"
-#include "common/event_queue.hh"
 #include "common/rng.hh"
 #include "common/serialize.hh"
-#include "common/snapshot_tags.hh"
 #include "common/stats.hh"
 #include "mem/golden_memory.hh"
 #include "protocol/coherence_msg.hh"
 #include "protocol/conformance.hh"
-#include "protocol/router.hh"
+#include "protocol/event.hh"
 
 namespace protozoa {
-
-/** One core-issued memory access (always within a single word). */
-struct MemAccess
-{
-    Addr addr = 0;
-    bool isWrite = false;
-    Pc pc = 0;
-    /** Value to store (writes only). */
-    std::uint64_t storeValue = 0;
-};
 
 class L1Controller
 {
   public:
-    /** Completion callback; carries the loaded value (0 for stores). */
-    using AccessCallback = std::function<void(std::uint64_t)>;
-
     L1Controller(CoreId id, const SystemConfig &cfg, EventQueue &eq,
-                 Router &router, GoldenMemory *golden,
+                 GoldenMemory *golden,
                  ConformanceCoverage *coverage = nullptr);
 
     /**
      * Issue a memory access. The in-order core model guarantees at
-     * most one outstanding access per L1.
+     * most one outstanding access per L1. Its completion is an
+     * L1Complete event carrying the loaded value (0 for stores),
+     * which System hands to its access sink.
      */
-    void requestAccess(const MemAccess &acc, AccessCallback done);
+    void requestAccess(const MemAccess &acc);
+
+    /** The outstanding access completes (its L1Complete event runs). */
+    void
+    completeAccess()
+    {
+        PROTO_ASSERT(accessPending,
+                     "completion fired with no access outstanding");
+        accessPending = false;
+    }
 
     /** Deliver a coherence message from the interconnect. */
     void receive(CoherenceMsg msg);
@@ -85,70 +80,11 @@ class L1Controller
     const WbBuffer &writebackBuffer() const { return wbBuffer; }
     const MshrFile &mshrFile() const { return mshrs; }
 
-    // --- saveable events (snapshot subsystem) ---
-
-    /** Pipeline-delayed hand-off of one outgoing message to the
-     *  router (the mesh entry point). */
-    struct SendEvent
-    {
-        L1Controller *l1;
-        CoherenceMsg msg;
-
-        void operator()() { l1->router.send(std::move(msg)); }
-
-        void
-        saveEvent(Serializer &s) const
-        {
-            s.writeU8(static_cast<std::uint8_t>(EventKind::L1Send));
-            s.writeU16(l1->coreId);
-            msg.save(s);
-        }
-    };
-
-    /** Completion of the outstanding core access: fires the parked
-     *  pendingDone callback with the loaded value. */
-    struct CompleteEvent
-    {
-        L1Controller *l1;
-        std::uint64_t value;
-
-        void operator()() const { l1->firePendingDone(value); }
-
-        void
-        saveEvent(Serializer &s) const
-        {
-            s.writeU8(static_cast<std::uint8_t>(EventKind::L1Complete));
-            s.writeU16(l1->coreId);
-            s.writeU64(value);
-        }
-    };
-
-    // --- snapshot hooks ---
-
-    /** True when a core access is awaiting its CompleteEvent. */
-    bool hasPendingDone() const { return static_cast<bool>(pendingDone); }
-
-    /** Reinstall the completion callback after a snapshot restore
-     *  (callbacks themselves are not serializable). */
-    void restorePendingDone(AccessCallback cb) { pendingDone = std::move(cb); }
-
-    /** Move the parked completion out and invoke it (CompleteEvent). */
-    void
-    firePendingDone(std::uint64_t value)
-    {
-        PROTO_ASSERT(pendingDone, "completion fired with nothing parked");
-        auto cb = std::move(pendingDone);
-        pendingDone = nullptr;
-        cb(value);
-    }
-
     /** Serialize / restore all mutable controller state (cache,
-     *  predictor, MSHRs, writeback buffer, occupancy, stats).
-     *  @p had_pending reports whether a completion was parked at save
-     *  time; the caller reinstalls the (unserializable) callback via
-     *  restorePendingDone. */
+     *  predictor, MSHRs, writeback buffer, occupancy, stats, and
+     *  whether a core access is outstanding). */
     void saveState(Serializer &s) const;
-    bool restoreState(Deserializer &d, bool &had_pending);
+    bool restoreState(Deserializer &d);
 
   private:
     /** Reserve the controller for @p latency cycles; returns finish. */
@@ -206,7 +142,6 @@ class L1Controller
     const SystemConfig &cfg;
     CoreId coreId;
     EventQueue &eventq;
-    Router &router;
     GoldenMemory *golden;
     ConformanceCoverage *coverage;
 
@@ -215,8 +150,8 @@ class L1Controller
     MshrFile mshrs;
     WbBuffer wbBuffer;
 
-    /** Completion callback of the single outstanding core access. */
-    AccessCallback pendingDone;
+    /** A core access was requested and its L1Complete has not run. */
+    bool accessPending = false;
 
     Cycle busyUntil = 0;
     /** Occupancy fault injection (cfg.occupancyJitter). */

@@ -2,28 +2,15 @@
 
 namespace protozoa {
 
-CoreModel::CoreModel(CoreId id, EventQueue &eq, L1Controller &l1c,
-                     TraceSource &tr, std::function<void(CoreId)> cb)
-    : coreId(id), eventq(eq), l1(l1c), trace(tr), onDone(std::move(cb))
+CoreModel::CoreModel(CoreId id, EventQueue &eq, TraceSource &tr)
+    : coreId(id), eventq(eq), trace(tr)
 {
 }
 
 void
 CoreModel::start()
 {
-    eventq.schedule(0, StepEvent{this});
-}
-
-L1Controller::AccessCallback
-CoreModel::completionCallback()
-{
-    return [this](std::uint64_t) { step(); };
-}
-
-void
-CoreModel::issue(const MemAccess &acc)
-{
-    l1.requestAccess(acc, completionCallback());
+    eventq.schedule(0, Event::of(EventKind::CoreStep, coreId));
 }
 
 void
@@ -49,16 +36,14 @@ CoreModel::restoreState(Deserializer &d)
     return trace.seekTo(cur);
 }
 
-void
+bool
 CoreModel::step()
 {
     TraceRecord rec;
     if (!trace.next(rec)) {
         finished = true;
         finishedAt = eventq.now();
-        if (onDone)
-            onDone(coreId);
-        return;
+        return false;
     }
 
     instrCount += rec.gapInstrs + 1;
@@ -73,7 +58,9 @@ CoreModel::step()
             (static_cast<std::uint64_t>(coreId) << 48) | ++storeSeq;
     }
 
-    eventq.schedule(rec.gapInstrs, IssueEvent{this, acc});
+    eventq.schedule(rec.gapInstrs,
+                    Event::of(EventKind::CoreIssue, coreId, acc));
+    return true;
 }
 
 } // namespace protozoa

@@ -12,13 +12,10 @@
 #define PROTOZOA_SIM_CORE_MODEL_HH
 
 #include <cstdint>
-#include <functional>
 
-#include "common/event_queue.hh"
 #include "common/serialize.hh"
-#include "common/snapshot_tags.hh"
 #include "common/types.hh"
-#include "protocol/l1_controller.hh"
+#include "protocol/event.hh"
 #include "workload/trace.hh"
 
 namespace protozoa {
@@ -26,70 +23,31 @@ namespace protozoa {
 class CoreModel
 {
   public:
-    CoreModel(CoreId id, EventQueue &eq, L1Controller &l1,
-              TraceSource &trace, std::function<void(CoreId)> on_done);
+    CoreModel(CoreId id, EventQueue &eq, TraceSource &trace);
 
     /** Begin executing the trace. */
     void start();
 
+    /**
+     * Fetch and decode the next trace record and schedule its
+     * gap-delayed issue to the L1 (a CoreIssue event). Runs for the
+     * core's CoreStep and for each completion of its access.
+     * @return false once the trace is drained (the core finished).
+     */
+    bool step();
+
     bool done() const { return finished; }
     std::uint64_t instructions() const { return instrCount; }
     Cycle finishCycle() const { return finishedAt; }
-
-    // --- saveable events (snapshot subsystem) ---
-
-    /** Issue-loop trampoline: fetch + decode the next trace record. */
-    struct StepEvent
-    {
-        CoreModel *core;
-
-        void operator()() const { core->step(); }
-
-        void
-        saveEvent(Serializer &s) const
-        {
-            s.writeU8(static_cast<std::uint8_t>(EventKind::CoreStep));
-            s.writeU16(core->coreId);
-        }
-    };
-
-    /** Gap-delayed hand-off of one decoded access to the L1. */
-    struct IssueEvent
-    {
-        CoreModel *core;
-        MemAccess acc;
-
-        void operator()() const { core->issue(acc); }
-
-        void
-        saveEvent(Serializer &s) const
-        {
-            s.writeU8(static_cast<std::uint8_t>(EventKind::CoreIssue));
-            s.writeU16(core->coreId);
-            s.writeRaw(acc);
-        }
-    };
-
-    /**
-     * The completion callback this core installs into its L1 with
-     * every access. Snapshot restore reinstalls it for an L1 whose
-     * saved state had a parked completion.
-     */
-    L1Controller::AccessCallback completionCallback();
 
     /** Serialize progress state (the trace cursor rides along). */
     void saveState(Serializer &s) const;
     bool restoreState(Deserializer &d);
 
   private:
-    void step();
-    void issue(const MemAccess &acc);
-
     CoreId coreId;
     EventQueue &eventq;
-    L1Controller &l1;
     TraceSource &trace;
-    std::function<void(CoreId)> onDone;
 
     std::uint64_t instrCount = 0;
     std::uint64_t storeSeq = 0;

@@ -27,17 +27,14 @@ System::System(const SystemConfig &config, Workload workload)
 
     for (CoreId c = 0; c < cfg.numCores; ++c) {
         l1s.push_back(std::make_unique<L1Controller>(
-            c, cfg, eventq, *this, &golden, coverage.get()));
+            c, cfg, eventq, &golden, coverage.get()));
     }
     for (TileId t = 0; t < cfg.l2Tiles; ++t) {
         dirs.push_back(std::make_unique<DirController>(
-            t, cfg, eventq, *this, memImage, coverage.get()));
+            t, cfg, eventq, memImage, coverage.get()));
     }
-    for (CoreId c = 0; c < cfg.numCores; ++c) {
-        cores.push_back(std::make_unique<CoreModel>(
-            c, eventq, *l1s[c], *traces[c],
-            [this](CoreId id) { onCoreDone(id); }));
-    }
+    for (CoreId c = 0; c < cfg.numCores; ++c)
+        cores.push_back(std::make_unique<CoreModel>(c, eventq, *traces[c]));
 
     // The configured bound is calibrated for the paper's 4x4 mesh;
     // bigger fabrics get a geometry-scaled horizon (explicit
@@ -49,7 +46,62 @@ System::System(const SystemConfig &config, Workload workload)
 System::~System() = default;
 
 void
-System::send(CoherenceMsg msg)
+System::dispatch(const Event &ev)
+{
+    switch (ev.kind) {
+      case EventKind::CoreStep:
+        stepCore(ev.id);
+        return;
+      case EventKind::CoreIssue:
+        l1s[ev.id]->requestAccess(ev.acc);
+        return;
+      case EventKind::L1Complete:
+        l1s[ev.id]->completeAccess();
+        if (accessSink)
+            accessSink(ev.id, ev.value);
+        else
+            stepCore(ev.id);
+        return;
+      case EventKind::L1Send:
+      case EventKind::DirSend:
+        send(ev.msg);
+        return;
+      case EventKind::DirFill:
+        dirs[ev.id]->finishFill(ev.value);
+        return;
+      case EventKind::Deliver:
+        deliver(ev.msg);
+        return;
+      case EventKind::InvariantTick:
+        invariantTick();
+        return;
+      case EventKind::WatchdogTick:
+        watchdogScan(eventq.now());
+        return;
+      case EventKind::WindowTick:
+        windowTick();
+        return;
+      case EventKind::TestHook:
+        ev.hook.fn(ev.hook.ctx);
+        return;
+    }
+    panic("unknown event kind %u", static_cast<unsigned>(ev.kind));
+}
+
+bool
+System::step()
+{
+    return eventq.step([this](const Event &ev) { dispatch(ev); });
+}
+
+void
+System::drain(Cycle max_cycles)
+{
+    eventq.run([this](const Event &ev) { dispatch(ev); }, max_cycles);
+}
+
+void
+System::send(const CoherenceMsg &msg)
 {
     armWatchdog();
     if (filter && !filter(msg)) {
@@ -60,22 +112,25 @@ System::send(CoherenceMsg msg)
     const unsigned src = msg.srcNode;
     const unsigned dst = msg.dstNode;
     if (net->scheduleOracleEnabled()) {
-        net->park(src, dst, bytes, std::move(msg));
+        net->park(src, dst, bytes, msg);
         return;
     }
     const Cycle arrival = net->routeMessage(src, dst, bytes, eventq.now());
-    eventq.scheduleAt(arrival, DeliverEvent{this, std::move(msg)});
+    eventq.scheduleAt(arrival, Event::of(EventKind::Deliver, 0, msg));
 }
 
 void
 System::deliverParked(unsigned src, unsigned dst)
 {
-    eventq.schedule(0, DeliverEvent{this, net->takeParked(src, dst)});
+    eventq.schedule(
+        0, Event::of(EventKind::Deliver, 0, net->takeParked(src, dst)));
 }
 
 void
-System::onCoreDone(CoreId)
+System::stepCore(CoreId c)
 {
+    if (cores[c]->step())
+        return;
     PROTO_ASSERT(coresRunning > 0, "core finished twice");
     --coresRunning;
 }
@@ -90,7 +145,7 @@ System::enablePeriodicInvariantCheck(Cycle period)
 void
 System::scheduleInvariantCheck()
 {
-    eventq.schedule(checkPeriod, InvariantTickEvent{this});
+    eventq.schedule(checkPeriod, Event::of(EventKind::InvariantTick));
 }
 
 void
@@ -123,14 +178,15 @@ System::runTo(Cycle stop_at, Cycle max_cycles)
         if (checkPeriod > 0)
             scheduleInvariantCheck();
         if (windowPeriod > 0)
-            eventq.schedule(windowPeriod, WindowTickEvent{this});
+            eventq.schedule(windowPeriod, Event::of(EventKind::WindowTick));
     }
 
     const auto wall_start = std::chrono::steady_clock::now();
     if (stop_at == kNoStop) {
-        eventq.run(max_cycles);
+        drain(max_cycles);
     } else {
-        eventq.runUntil(stop_at);
+        eventq.runUntil(stop_at,
+                        [this](const Event &ev) { dispatch(ev); });
     }
     runWallSeconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -168,7 +224,7 @@ System::windowTick()
 {
     windowRollover(eventq.now());
     if (coresRunning > 0)
-        eventq.schedule(windowPeriod, WindowTickEvent{this});
+        eventq.schedule(windowPeriod, Event::of(EventKind::WindowTick));
 }
 
 void
@@ -268,7 +324,7 @@ System::armWatchdog()
         return;
     watchdogArmed = true;
     const Cycle interval = std::max<Cycle>(watchdogBound / 2, 1);
-    eventq.schedule(interval, WatchdogTickEvent{this});
+    eventq.schedule(interval, Event::of(EventKind::WatchdogTick));
 }
 
 void
@@ -299,7 +355,7 @@ System::watchdogScan(Cycle now)
             outstanding = true;
     }
     for (TileId t = 0; t < cfg.l2Tiles; ++t) {
-        for (const auto &v : dirs[t]->activeTxns()) {
+        dirs[t]->forEachTxn([&](const DirController::TxnView &v) {
             outstanding = true;
             if (now > v.start + watchdogBound) {
                 std::ostringstream os;
@@ -312,7 +368,7 @@ System::watchdogScan(Cycle now)
                    << ", queued=" << v.queued << ")";
                 overdue.emplace_back(v.region, os.str());
             }
-        }
+        });
     }
 
     if (!overdue.empty()) {
@@ -335,9 +391,9 @@ System::watchdogScan(Cycle now)
         };
         std::vector<InFlight> inflight;
         eventq.forEachPending(
-            [&](Cycle when, std::uint64_t seq, const EventCallback &cb) {
-                if (const auto *e = cb.target<DeliverEvent>())
-                    inflight.push_back(InFlight{when, seq, &e->msg});
+            [&](Cycle when, std::uint64_t seq, const Event &ev) {
+                if (ev.kind == EventKind::Deliver)
+                    inflight.push_back(InFlight{when, seq, &ev.msg});
             });
         std::sort(inflight.begin(), inflight.end(),
                   [](const InFlight &a, const InFlight &b) {

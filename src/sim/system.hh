@@ -20,26 +20,24 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/event_queue.hh"
 #include "common/serialize.hh"
-#include "common/snapshot_tags.hh"
 #include "common/stats.hh"
 #include "mem/golden_memory.hh"
 #include "noc/mesh.hh"
 #include "protocol/conformance.hh"
 #include "protocol/dir_controller.hh"
+#include "protocol/event.hh"
 #include "protocol/l1_controller.hh"
-#include "protocol/router.hh"
 #include "sim/core_model.hh"
 #include "workload/trace.hh"
 
 namespace protozoa {
 
-class System : public Router
+class System
 {
   public:
     System(const SystemConfig &cfg, Workload workload);
-    ~System() override;
+    ~System();
 
     /**
      * Run the workload to completion.
@@ -62,14 +60,46 @@ class System : public Router
     /** True once the workload has fully drained and stats finalized. */
     bool finished() const { return finalized; }
 
+    /**
+     * Run the next pending event. Unlike runTo() it neither starts
+     * the cores nor finalizes stats: the explorer and the tests drive
+     * the L1s themselves. @return false when no event is pending.
+     */
+    bool step();
+
+    /** step() until no event is pending; panics past @p max_cycles. */
+    void drain(Cycle max_cycles = kNoStop);
+
+    /**
+     * Receiver of every completed core access: (core, loaded value,
+     * 0 for stores). Unset, a completion steps the core's trace. The
+     * explorer and the tests' ProtocolDriver, which issue accesses
+     * themselves, install their own once, at construction; a restored
+     * image needs no rebinding, because the sink is the System's.
+     */
+    using AccessSink = std::function<void(CoreId, std::uint64_t)>;
+    void setAccessSink(AccessSink sink) { accessSink = std::move(sink); }
+
+    /**
+     * Test hook: call @p fn (which the caller keeps alive) @p delay
+     * cycles from now, as a TestHook event. saveSnapshot refuses an
+     * image while one is pending.
+     */
+    template <typename F>
+    void
+    scheduleTestHook(Cycle delay, F &fn)
+    {
+        const auto call = [](void *f) { (*static_cast<F *>(f))(); };
+        eventq.schedule(delay, Event::testHook(call, &fn));
+    }
+
     // ---- checkpoint / restore (src/snapshot) ------------------------
 
     /**
      * Serialize the complete mutable simulation state — every cache,
      * controller, core, queue and pending event — so a fresh System
      * built from the same config can resume bit-identically.
-     * @return false (with *error set) if any pending event is not
-     *         checkpointable.
+     * @return false (with *error set) if a test hook is pending.
      */
     bool saveSnapshot(Serializer &s, std::string *error = nullptr) const;
 
@@ -185,9 +215,6 @@ class System : public Router
     /** Messages dropped by the filter. */
     std::uint64_t droppedMessages() const { return dropped; }
 
-    // Router interface.
-    void send(CoherenceMsg msg) override;
-
     /**
      * Schedule-oracle delivery: pop the head of the parked (src,dst)
      * channel and deliver it at the current cycle, after the events
@@ -211,91 +238,32 @@ class System : public Router
      */
     bool parallelEngine() const { return false; }
 
-    // --- saveable events (snapshot subsystem) ------------------------
-
-    /** In-flight delivery of one coherence message to its
-     *  destination controller. */
-    struct DeliverEvent
-    {
-        System *sys;
-        CoherenceMsg msg;
-
-        void operator()() { sys->deliver(std::move(msg)); }
-
-        void
-        saveEvent(Serializer &s) const
-        {
-            s.writeU8(static_cast<std::uint8_t>(EventKind::Deliver));
-            msg.save(s);
-        }
-    };
-
-    /** Periodic whole-system coherence sweep. */
-    struct InvariantTickEvent
-    {
-        System *sys;
-
-        void operator()() const { sys->invariantTick(); }
-
-        void
-        saveEvent(Serializer &s) const
-        {
-            s.writeU8(
-                static_cast<std::uint8_t>(EventKind::InvariantTick));
-        }
-    };
-
-    /** Deadlock-watchdog scan. */
-    struct WatchdogTickEvent
-    {
-        System *sys;
-
-        void operator()() const { sys->watchdogTick(); }
-
-        void
-        saveEvent(Serializer &s) const
-        {
-            s.writeU8(
-                static_cast<std::uint8_t>(EventKind::WatchdogTick));
-        }
-    };
-
-    /** Windowed-stats epoch rollover. */
-    struct WindowTickEvent
-    {
-        System *sys;
-
-        void operator()() const { sys->windowTick(); }
-
-        void
-        saveEvent(Serializer &s) const
-        {
-            s.writeU8(static_cast<std::uint8_t>(EventKind::WindowTick));
-        }
-    };
-
   private:
-    void onCoreDone(CoreId c);
+    /** Run one event: the single dispatch switch over EventKind. */
+    void dispatch(const Event &ev);
+    /** Step core @p c's trace; count the core out once it finishes. */
+    void stepCore(CoreId c);
+    /** Put @p msg on the interconnect toward msg.dstNode (its L1 or
+     *  directory plane): the L1Send and DirSend events. */
+    void send(const CoherenceMsg &msg);
     void scheduleInvariantCheck();
-    /** InvariantTickEvent body: sweep + reschedule while cores run. */
+    /** InvariantTick: sweep + reschedule while cores run. */
     void invariantTick();
     void armWatchdog();
-    /** WatchdogTickEvent body. */
-    void watchdogTick() { watchdogScan(eventq.now()); }
     void watchdogScan(Cycle now);
-    /** WindowTickEvent body: rollover + reschedule while cores run. */
+    /** WindowTick: rollover + reschedule while cores run. */
     void windowTick();
     /** Record one WindowSample at cycle @p now. */
     void windowRollover(Cycle now);
     void writeWindowJson() const;
     /** Hand an arrived message to its destination controller. */
     void
-    deliver(CoherenceMsg m)
+    deliver(const CoherenceMsg &m)
     {
         if (m.dstIsDir)
-            dirs[m.dstNode]->receive(std::move(m));
+            dirs[m.dstNode]->receive(m);
         else
-            l1s[m.dstNode]->receive(std::move(m));
+            l1s[m.dstNode]->receive(m);
     }
 
     SystemConfig cfg;
@@ -309,6 +277,7 @@ class System : public Router
     std::vector<std::unique_ptr<L1Controller>> l1s;
     std::vector<std::unique_ptr<DirController>> dirs;
     std::vector<std::unique_ptr<CoreModel>> cores;
+    AccessSink accessSink;
 
     /** Cores whose trace has not drained yet. */
     unsigned coresRunning = 0;

@@ -12,7 +12,7 @@
  *      (checkPeriod, watchdogBound)
  *   -- golden memory, backing memory image
  *   -- conformance coverage
- *   -- cores, L1s (pending-completion flag inside), each L1 holding
+ *   -- cores, L1s (outstanding-access flag inside), each L1 holding
  *      its cache's resident blocks per set in insertion order, then a
  *      sparse predictor table: u32 table size, u32 count of trained
  *      entries, and per trained entry in ascending index order
@@ -32,11 +32,14 @@
  *      1) and the messages in FIFO order
  *   -- windowed-stats state (period, delta base, recorded samples)
  *   -- calendar queue: clock, nextSeq, kernel stats, then every
- *      pending event as (when, seq, EventKind, payload) sorted by
- *      (when, seq)
+ *      pending event record sorted by (when, seq) as u64 when, u64
+ *      seq, u8 EventKind, then u16 core or tile id (all kinds but
+ *      Deliver and the ticks) and the payload: the MemAccess
+ *      (CoreIssue), a u64 value or region (L1Complete, DirFill) or
+ *      the CoherenceMsg (L1Send, DirSend, Deliver)
  *
- * Any layout change here or in a component's saveState/saveEvent must
- * bump kSnapshotVersion (snapshot_tags.hh).
+ * Any layout change here or in a component's saveState must bump
+ * kSnapshotVersion (snapshot_tags.hh).
  */
 
 #include "snapshot/snapshot.hh"
@@ -45,23 +48,16 @@
 #include <string>
 #include <vector>
 
-#include "common/event_queue.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/serialize.hh"
 #include "common/snapshot_tags.hh"
-#include "sim/core_model.hh"
+#include "protocol/event.hh"
 #include "sim/system.hh"
 
 namespace protozoa {
 
 namespace {
-
-void
-fold(std::uint64_t &h, std::uint64_t v)
-{
-    h = mix64(h ^ v);
-}
 
 std::uint64_t
 bitsOf(double v)
@@ -84,11 +80,31 @@ setError(std::string *error, std::string msg)
     return false;
 }
 
+/** Which ids a saved event record's u16 may name; None: no id. */
+enum class IdSpace { None, Cores, Tiles };
+
+IdSpace
+idSpaceOf(EventKind kind)
+{
+    switch (kind) {
+      case EventKind::CoreStep:
+      case EventKind::CoreIssue:
+      case EventKind::L1Complete:
+      case EventKind::L1Send:
+        return IdSpace::Cores;
+      case EventKind::DirSend:
+      case EventKind::DirFill:
+        return IdSpace::Tiles;
+      default:
+        return IdSpace::None;
+    }
+}
+
 /**
  * Serialize one calendar queue: scheduler registers plus every pending
- * event in deterministic (when, seq) order. Fails (with the offending
- * cycle in *error) if any pending callback is not a saveable named
- * event — e.g. an ad-hoc test lambda.
+ * event record in deterministic (when, seq) order, each as (when, seq,
+ * kind, id, payload). Fails, naming the cycle in *error, on a pending
+ * test hook: it points into the running process.
  */
 bool
 saveQueue(const EventQueue &q, Serializer &s, std::string *error)
@@ -101,13 +117,12 @@ saveQueue(const EventQueue &q, Serializer &s, std::string *error)
     {
         Cycle when;
         std::uint64_t seq;
-        const EventCallback *cb;
+        const Event *ev;
     };
     std::vector<Ref> refs;
     refs.reserve(static_cast<std::size_t>(q.size()));
-    q.forEachPending([&](Cycle when, std::uint64_t seq,
-                         const EventCallback &cb) {
-        refs.push_back(Ref{when, seq, &cb});
+    q.forEachPending([&](Cycle when, std::uint64_t seq, const Event &ev) {
+        refs.push_back(Ref{when, seq, &ev});
     });
     std::sort(refs.begin(), refs.end(), [](const Ref &a, const Ref &b) {
         return a.when != b.when ? a.when < b.when : a.seq < b.seq;
@@ -115,26 +130,47 @@ saveQueue(const EventQueue &q, Serializer &s, std::string *error)
 
     s.writeU64(refs.size());
     for (const Ref &r : refs) {
-        if (!r.cb->saveable()) {
+        const Event &ev = *r.ev;
+        if (ev.kind == EventKind::TestHook) {
             return setError(error,
                             "pending event at cycle " +
                                 std::to_string(r.when) +
-                                " is not checkpointable (ad-hoc "
-                                "callback in the queue)");
+                                " is not checkpointable (test hook in "
+                                "the queue)");
         }
         s.writeU64(r.when);
         s.writeU64(r.seq);
-        r.cb->save(s);
+        s.writeU8(static_cast<std::uint8_t>(ev.kind));
+        if (idSpaceOf(ev.kind) != IdSpace::None)
+            s.writeU16(ev.id);
+        switch (ev.kind) {
+          case EventKind::CoreIssue:
+            s.writeRaw(ev.acc);
+            break;
+          case EventKind::L1Complete:
+          case EventKind::DirFill:
+            s.writeU64(ev.value);
+            break;
+          case EventKind::L1Send:
+          case EventKind::DirSend:
+          case EventKind::Deliver:
+            ev.msg.save(s);
+            break;
+          default: // CoreStep and the ticks carry no payload
+            break;
+        }
     }
     return true;
 }
 
 /**
- * Rebuild one calendar queue from its serialized image, rebinding each
- * event record to @p sys's freshly-constructed components.
+ * Rebuild one calendar queue from its serialized image, record by
+ * record, mirroring saveQueue. Fails closed on a kind no saver writes,
+ * a core or tile id out of range, a payload the message or access
+ * loader refuses, and records out of (when, seq) order.
  */
 bool
-restoreQueue(System &sys, EventQueue &q, Deserializer &d,
+restoreQueue(const SystemConfig &cfg, EventQueue &q, Deserializer &d,
              std::string *error)
 {
     const Cycle clock = d.readU64();
@@ -149,7 +185,6 @@ restoreQueue(System &sys, EventQueue &q, Deserializer &d,
                         "corrupt snapshot: queue claims more events "
                         "than the image can hold");
 
-    const SystemConfig &cfg = sys.config();
     q.setClock(clock);
 
     Cycle prev_when = 0;
@@ -169,83 +204,42 @@ restoreQueue(System &sys, EventQueue &q, Deserializer &d,
         prev_when = when;
         prev_seq = seq;
 
-        switch (static_cast<EventKind>(kind)) {
-        case EventKind::CoreStep: {
-            const std::uint16_t c = d.readU16();
-            if (d.failed() || c >= cfg.numCores)
-                return setError(error, "corrupt CoreStep event");
-            q.restoreEvent(when, seq, CoreModel::StepEvent{&sys.core(c)});
-            break;
-        }
-        case EventKind::CoreIssue: {
-            const std::uint16_t c = d.readU16();
-            MemAccess acc;
-            if (!d.readRaw(acc) || c >= cfg.numCores)
-                return setError(error, "corrupt CoreIssue event");
-            q.restoreEvent(when, seq,
-                           CoreModel::IssueEvent{&sys.core(c), acc});
-            break;
-        }
-        case EventKind::L1Complete: {
-            const std::uint16_t c = d.readU16();
-            const std::uint64_t value = d.readU64();
-            if (d.failed() || c >= cfg.numCores)
-                return setError(error, "corrupt L1Complete event");
-            q.restoreEvent(when, seq,
-                           L1Controller::CompleteEvent{&sys.l1(c), value});
-            break;
-        }
-        case EventKind::L1Send: {
-            const std::uint16_t c = d.readU16();
-            CoherenceMsg msg;
-            if (!d.readRaw(msg) || c >= cfg.numCores)
-                return setError(error, "corrupt L1Send event");
-            q.restoreEvent(when, seq,
-                           L1Controller::SendEvent{&sys.l1(c),
-                                                   std::move(msg)});
-            break;
-        }
-        case EventKind::DirSend: {
-            const std::uint16_t t = d.readU16();
-            CoherenceMsg msg;
-            if (!d.readRaw(msg) || t >= cfg.l2Tiles)
-                return setError(error, "corrupt DirSend event");
-            q.restoreEvent(when, seq,
-                           DirController::SendEvent{&sys.dir(t),
-                                                    std::move(msg)});
-            break;
-        }
-        case EventKind::DirFill: {
-            const std::uint16_t t = d.readU16();
-            const Addr region = d.readU64();
-            if (d.failed() || t >= cfg.l2Tiles)
-                return setError(error, "corrupt DirFill event");
-            q.restoreEvent(when, seq,
-                           DirController::FillEvent{&sys.dir(t), region});
-            break;
-        }
-        case EventKind::Deliver: {
-            CoherenceMsg msg;
-            if (!d.readRaw(msg))
-                return setError(error, "corrupt delivery event");
-            q.restoreEvent(when, seq,
-                           System::DeliverEvent{&sys, std::move(msg)});
-            break;
-        }
-        case EventKind::InvariantTick:
-            q.restoreEvent(when, seq, System::InvariantTickEvent{&sys});
-            break;
-        case EventKind::WatchdogTick:
-            q.restoreEvent(when, seq, System::WatchdogTickEvent{&sys});
-            break;
-        case EventKind::WindowTick:
-            q.restoreEvent(when, seq, System::WindowTickEvent{&sys});
-            break;
-        default:
+        // Every kind but TestHook is saved; 7 belonged to a removed
+        // kind.
+        if (kind == 0 || kind == 7 ||
+            kind >= static_cast<std::uint8_t>(EventKind::TestHook))
             return setError(error,
                             "corrupt snapshot: unknown event kind " +
                                 std::to_string(kind));
+        Event ev = Event::of(static_cast<EventKind>(kind));
+        bool ok = true;
+        if (const IdSpace ids = idSpaceOf(ev.kind); ids != IdSpace::None) {
+            ev.id = d.readU16();
+            ok = ev.id < (ids == IdSpace::Cores ? cfg.numCores
+                                                : cfg.l2Tiles);
         }
+        switch (ev.kind) {
+          case EventKind::CoreIssue:
+            ok = ev.acc.load(d) && ok;
+            break;
+          case EventKind::L1Complete:
+          case EventKind::DirFill:
+            ev.value = d.readU64();
+            break;
+          case EventKind::L1Send:
+          case EventKind::DirSend:
+          case EventKind::Deliver:
+            ok = ev.msg.load(d, cfg.numCores) && ok;
+            break;
+          default:
+            break;
+        }
+        if (!ok || d.failed())
+            return setError(error, "corrupt event record (kind " +
+                                       std::to_string(kind) +
+                                       ") at cycle " +
+                                       std::to_string(when));
+        q.restoreEvent(when, seq, ev);
     }
 
     q.setNextSeq(next_seq);
@@ -259,41 +253,41 @@ std::uint64_t
 configFingerprint(const SystemConfig &cfg)
 {
     std::uint64_t h = 0x70726f746f7a6f61ULL; // "protozoa"
-    fold(h, static_cast<std::uint64_t>(cfg.protocol));
-    fold(h, static_cast<std::uint64_t>(cfg.predictor));
-    fold(h, static_cast<std::uint64_t>(cfg.directory));
-    fold(h, static_cast<std::uint64_t>(cfg.sliceHash));
-    fold(h, cfg.bloomBuckets);
-    fold(h, cfg.bloomHashes);
-    fold(h, cfg.threeHop);
-    fold(h, cfg.numCores);
-    fold(h, cfg.regionBytes);
-    fold(h, cfg.l1Sets);
-    fold(h, cfg.l1BytesPerSet);
-    fold(h, cfg.l1Latency);
-    fold(h, cfg.l1GatherPerBlock);
-    fold(h, cfg.fixedFetchWords);
-    fold(h, cfg.l2Tiles);
-    fold(h, cfg.l2BytesPerTile);
-    fold(h, cfg.l2Assoc);
-    fold(h, cfg.l2Latency);
-    fold(h, cfg.meshCols);
-    fold(h, cfg.meshRows);
-    fold(h, cfg.flitBytes);
-    fold(h, cfg.hopLatency);
-    fold(h, cfg.flitSerialization);
-    fold(h, cfg.memLatency);
-    fold(h, cfg.controlBytes);
-    fold(h, cfg.checkValues);
-    fold(h, cfg.faultInjection);
-    fold(h, cfg.faultJitterMax);
-    fold(h, bitsOf(cfg.faultReorderProb));
-    fold(h, cfg.occupancyJitter);
-    fold(h, cfg.occupancyJitterMax);
-    fold(h, cfg.scheduleOracle);
-    fold(h, cfg.debugLostStoreBug);
-    fold(h, cfg.watchdogCycles);
-    fold(h, cfg.seed);
+    hashFold(h, static_cast<std::uint64_t>(cfg.protocol));
+    hashFold(h, static_cast<std::uint64_t>(cfg.predictor));
+    hashFold(h, static_cast<std::uint64_t>(cfg.directory));
+    hashFold(h, static_cast<std::uint64_t>(cfg.sliceHash));
+    hashFold(h, cfg.bloomBuckets);
+    hashFold(h, cfg.bloomHashes);
+    hashFold(h, cfg.threeHop);
+    hashFold(h, cfg.numCores);
+    hashFold(h, cfg.regionBytes);
+    hashFold(h, cfg.l1Sets);
+    hashFold(h, cfg.l1BytesPerSet);
+    hashFold(h, cfg.l1Latency);
+    hashFold(h, cfg.l1GatherPerBlock);
+    hashFold(h, cfg.fixedFetchWords);
+    hashFold(h, cfg.l2Tiles);
+    hashFold(h, cfg.l2BytesPerTile);
+    hashFold(h, cfg.l2Assoc);
+    hashFold(h, cfg.l2Latency);
+    hashFold(h, cfg.meshCols);
+    hashFold(h, cfg.meshRows);
+    hashFold(h, cfg.flitBytes);
+    hashFold(h, cfg.hopLatency);
+    hashFold(h, cfg.flitSerialization);
+    hashFold(h, cfg.memLatency);
+    hashFold(h, cfg.controlBytes);
+    hashFold(h, cfg.checkValues);
+    hashFold(h, cfg.faultInjection);
+    hashFold(h, cfg.faultJitterMax);
+    hashFold(h, bitsOf(cfg.faultReorderProb));
+    hashFold(h, cfg.occupancyJitter);
+    hashFold(h, cfg.occupancyJitterMax);
+    hashFold(h, cfg.scheduleOracle);
+    hashFold(h, cfg.debugLostStoreBug);
+    hashFold(h, cfg.watchdogCycles);
+    hashFold(h, cfg.seed);
     return h;
 }
 
@@ -393,12 +387,9 @@ System::restoreSnapshot(Deserializer &d, std::string *error)
         if (!core->restoreState(d))
             return setError(error, "corrupt core section");
     }
-    for (CoreId c = 0; c < cfg.numCores; ++c) {
-        bool had_pending = false;
-        if (!l1s[c]->restoreState(d, had_pending))
+    for (auto &l1c : l1s) {
+        if (!l1c->restoreState(d))
             return setError(error, "corrupt L1 section");
-        if (had_pending)
-            l1s[c]->restorePendingDone(cores[c]->completionCallback());
     }
     for (auto &dc : dirs) {
         if (!dc->restoreState(d))
@@ -412,7 +403,7 @@ System::restoreSnapshot(Deserializer &d, std::string *error)
     if (!d.readRaw(winPrev) || !d.readVecRaw(windows))
         return setError(error, "corrupt window-stats section");
 
-    if (!restoreQueue(*this, eventq, d, error))
+    if (!restoreQueue(cfg, eventq, d, error))
         return false;
 
     if (d.failed())

@@ -14,10 +14,10 @@
  * into a freshly constructed System (same SystemConfig, nothing run
  * yet), run to completion, and the stats digest is bit-identical to
  * the uninterrupted run. Snapshots are only taken at quiescent points
- * (between events at a runTo() stop boundary), so no C++ closure is
- * ever on the wire: every pending event is one of the saveable named
- * event structs tagged in common/snapshot_tags.hh, and the restore
- * factory here rebinds each record to the fresh system's components.
+ * (between events at a runTo() stop boundary). Every pending event is
+ * already a plain record (protocol/event.hh), written and read back
+ * as is; a test hook, which points into the running process, is the
+ * one record refused.
  *
  * Corrupt, truncated, or version-skewed images are rejected with a
  * clear error string; nothing is partially applied to a system whose

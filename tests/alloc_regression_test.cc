@@ -106,9 +106,8 @@ expectNoSteadyStateAllocs(ProtocolKind protocol)
     // included — never allocates again.
     System sys(cfg, hotPoolWorkload(cfg, kAccessesPerCore));
     std::uint64_t at_window = 0;
-    sys.eventQueue().schedule(total_cycles / 4, [&at_window] {
-        at_window = AllocHook::allocCount();
-    });
+    auto probe = [&at_window] { at_window = AllocHook::allocCount(); };
+    sys.scheduleTestHook(total_cycles / 4, probe);
     sys.run();
     const std::uint64_t at_end = AllocHook::allocCount();
 
@@ -209,10 +208,11 @@ TEST(AllocRegression, GrowingL2FootprintIsAllocationFree)
     System sys(cfg, growingFootprintWorkload(cfg, kAccessesPerCore));
     std::uint64_t at_window = 0;
     std::uint64_t misses_at_window = 0;
-    sys.eventQueue().schedule(total_cycles / 4, [&] {
+    auto probe = [&] {
         at_window = AllocHook::allocCount();
         misses_at_window = l2Misses(sys);
-    });
+    };
+    sys.scheduleTestHook(total_cycles / 4, probe);
     sys.run();
     const std::uint64_t at_end = AllocHook::allocCount();
 
@@ -278,9 +278,8 @@ TEST(AllocRegression, StreamedSteadyStateIsAllocationFree)
     ASSERT_NE(file, nullptr) << err;
     System sys(cfg, file->makeWorkload());
     std::uint64_t at_window = 0;
-    sys.eventQueue().schedule(total_cycles / 4, [&at_window] {
-        at_window = AllocHook::allocCount();
-    });
+    auto probe = [&at_window] { at_window = AllocHook::allocCount(); };
+    sys.scheduleTestHook(total_cycles / 4, probe);
     sys.run();
     const std::uint64_t at_end = AllocHook::allocCount();
 

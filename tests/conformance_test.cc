@@ -173,8 +173,8 @@ TEST(DeadlockWatchdog, InFlightCensusListsQueuedMessages)
     far.dstNode = 5;
     far.region = 0x9000;
     far.range = WordRange(0, 7);
-    d.sys.eventQueue().scheduleAt(1'000'000,
-                                  System::DeliverEvent{&d.sys, far});
+    d.sys.eventQueue().scheduleAt(
+        1'000'000, Event::of(EventKind::Deliver, 0, far));
 
     d.issue(0, 0x9000, false);
     d.sys.runTo(10'000);

@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: ordering, determinism,
- * the deadlock safety net, the small-buffer callback type, and
- * property tests pitting the calendar/bucket scheduler against a
- * naive reference queue across the ring/heap boundary.
+ * the deadlock safety net, and property tests pitting the
+ * calendar/bucket scheduler against a naive reference queue across
+ * the ring/heap boundary. The queue runs closures through the
+ * CallbackQueue harness (one record per closure).
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,7 @@
 #include <functional>
 #include <vector>
 
-#include "common/event_queue.hh"
+#include "callback_queue.hh"
 #include "common/rng.hh"
 
 namespace protozoa {
@@ -21,14 +22,14 @@ namespace {
 
 TEST(EventQueue, StartsAtCycleZero)
 {
-    EventQueue eq;
+    CallbackQueue eq;
     EXPECT_EQ(eq.now(), 0u);
     EXPECT_TRUE(eq.empty());
 }
 
 TEST(EventQueue, RunsEventsInTimeOrder)
 {
-    EventQueue eq;
+    CallbackQueue eq;
     std::vector<int> order;
     eq.schedule(30, [&] { order.push_back(3); });
     eq.schedule(10, [&] { order.push_back(1); });
@@ -40,7 +41,7 @@ TEST(EventQueue, RunsEventsInTimeOrder)
 
 TEST(EventQueue, TiesRunInSchedulingOrder)
 {
-    EventQueue eq;
+    CallbackQueue eq;
     std::vector<int> order;
     for (int i = 0; i < 10; ++i)
         eq.schedule(5, [&order, i] { order.push_back(i); });
@@ -51,7 +52,7 @@ TEST(EventQueue, TiesRunInSchedulingOrder)
 
 TEST(EventQueue, EventsCanScheduleMoreEvents)
 {
-    EventQueue eq;
+    CallbackQueue eq;
     int count = 0;
     std::function<void()> chain = [&]() {
         if (++count < 5)
@@ -65,7 +66,7 @@ TEST(EventQueue, EventsCanScheduleMoreEvents)
 
 TEST(EventQueue, ScheduleAtAbsoluteCycle)
 {
-    EventQueue eq;
+    CallbackQueue eq;
     Cycle seen = 0;
     eq.scheduleAt(42, [&] { seen = eq.now(); });
     eq.run();
@@ -74,7 +75,7 @@ TEST(EventQueue, ScheduleAtAbsoluteCycle)
 
 TEST(EventQueue, StepReturnsFalseWhenEmpty)
 {
-    EventQueue eq;
+    CallbackQueue eq;
     EXPECT_FALSE(eq.step());
     eq.schedule(1, [] {});
     EXPECT_TRUE(eq.step());
@@ -83,35 +84,10 @@ TEST(EventQueue, StepReturnsFalseWhenEmpty)
 
 TEST(EventQueueDeath, RunawayQueuePanics)
 {
-    EventQueue eq;
+    CallbackQueue eq;
     std::function<void()> forever = [&]() { eq.schedule(100, forever); };
     eq.schedule(1, forever);
     EXPECT_DEATH(eq.run(10'000), "deadlock or livelock");
-}
-
-TEST(EventCallback, SmallCapturesStayInline)
-{
-    int hits = 0;
-    auto bump = [&hits] { ++hits; };
-    using Bump = decltype(bump);
-    EventCallback small(bump);
-    // The callable lives inside the EventCallback object itself.
-    const Bump *stored = small.target<Bump>();
-    ASSERT_NE(stored, nullptr);
-    const auto *obj = reinterpret_cast<const unsigned char *>(&small);
-    const auto *at = reinterpret_cast<const unsigned char *>(stored);
-    EXPECT_TRUE(at >= obj && at + sizeof(Bump) <= obj + sizeof(small));
-    auto other = [] {};
-    EXPECT_EQ(small.target<decltype(other)>(), nullptr);
-    small();
-    EXPECT_EQ(hits, 1);
-
-    // Moving transfers the callable and empties the source.
-    EventCallback moved(std::move(small));
-    EXPECT_FALSE(static_cast<bool>(small));
-    EXPECT_EQ(small.target<Bump>(), nullptr);
-    moved();
-    EXPECT_EQ(hits, 2);
 }
 
 TEST(EventQueueBoundary, SpillThenRingAtTheSameCycleRunsInSeqOrder)
@@ -119,8 +95,8 @@ TEST(EventQueueBoundary, SpillThenRingAtTheSameCycleRunsInSeqOrder)
     // An event scheduled long in advance (spill heap) and one scheduled
     // later for the same cycle (calendar ring) must still run in
     // scheduling order: the spilled event first.
-    constexpr Cycle target = 3 * EventQueue::kRingHorizon;
-    EventQueue eq;
+    constexpr Cycle target = 3 * CallbackQueue::kRingHorizon;
+    CallbackQueue eq;
     std::vector<int> order;
     eq.scheduleAt(target, [&] { order.push_back(1); });   // -> spill
     eq.scheduleAt(target - 10, [&eq, &order] {
@@ -134,8 +110,8 @@ TEST(EventQueueBoundary, SpillThenRingAtTheSameCycleRunsInSeqOrder)
 
 TEST(EventQueueBoundary, DelaysStraddlingTheHorizonKeepTimeOrder)
 {
-    constexpr Cycle h = EventQueue::kRingHorizon;
-    EventQueue eq;
+    constexpr Cycle h = CallbackQueue::kRingHorizon;
+    CallbackQueue eq;
     std::vector<Cycle> fired;
     for (Cycle d : {h + 1, h, h - 1, Cycle(1), h * 2, h * 5 + 3})
         eq.schedule(d, [&fired, &eq] { fired.push_back(eq.now()); });
@@ -201,9 +177,9 @@ mixedDelay(Rng &rng)
 {
     switch (rng.below(4)) {
       case 0:  return rng.below(8);                            // same-ish cycle
-      case 1:  return 1 + rng.below(EventQueue::kRingHorizon - 1);
-      case 2:  return EventQueue::kRingHorizon - 2 + rng.below(5);
-      default: return EventQueue::kRingHorizon + rng.below(4096);
+      case 1:  return 1 + rng.below(CallbackQueue::kRingHorizon - 1);
+      case 2:  return CallbackQueue::kRingHorizon - 2 + rng.below(5);
+      default: return CallbackQueue::kRingHorizon + rng.below(4096);
     }
 }
 
@@ -246,7 +222,7 @@ TEST(EventQueueProperty, MatchesReferenceSchedulerAcrossSeeds)
 {
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
         const auto expected = runScenario<RefQueue>(seed);
-        const auto got = runScenario<EventQueue>(seed);
+        const auto got = runScenario<CallbackQueue>(seed);
         ASSERT_GT(expected.size(), 200u);
         EXPECT_EQ(got, expected) << "seed " << seed;
     }
@@ -254,7 +230,7 @@ TEST(EventQueueProperty, MatchesReferenceSchedulerAcrossSeeds)
 
 TEST(EventQueueProperty, CountersBalanceAfterRandomScenario)
 {
-    EventQueue eq;
+    CallbackQueue eq;
     Rng rng(42);
     std::uint64_t fired = 0;
     for (int i = 0; i < 500; ++i)

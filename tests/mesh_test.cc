@@ -11,8 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "callback_queue.hh"
 #include "common/config.hh"
-#include "common/event_queue.hh"
 #include "noc/mesh.hh"
 
 namespace protozoa {
@@ -31,7 +31,7 @@ cfg4x4()
  */
 template <typename F>
 Cycle
-send(Mesh &mesh, EventQueue &eq, unsigned src, unsigned dst,
+send(Mesh &mesh, CallbackQueue &eq, unsigned src, unsigned dst,
      unsigned bytes, F &&deliver)
 {
     const Cycle arrival = mesh.routeMessage(src, dst, bytes, eq.now());
@@ -65,7 +65,7 @@ TEST(Mesh, FlitsRoundUp)
 
 TEST(Mesh, SendAccumulatesStats)
 {
-    EventQueue eq;
+    CallbackQueue eq;
     SystemConfig cfg = cfg4x4();
     Mesh mesh(cfg);
 
@@ -82,7 +82,7 @@ TEST(Mesh, SendAccumulatesStats)
 
 TEST(Mesh, LocalDeliveryCountsNoFlitHops)
 {
-    EventQueue eq;
+    CallbackQueue eq;
     SystemConfig cfg = cfg4x4();
     Mesh mesh(cfg);
     bool delivered = false;
@@ -94,7 +94,7 @@ TEST(Mesh, LocalDeliveryCountsNoFlitHops)
 
 TEST(Mesh, LatencyGrowsWithDistanceAndSize)
 {
-    EventQueue eq;
+    CallbackQueue eq;
     SystemConfig cfg = cfg4x4();
     Mesh mesh(cfg);
 
@@ -108,7 +108,7 @@ TEST(Mesh, LatencyGrowsWithDistanceAndSize)
 
 TEST(Mesh, PerPairFifoOrderIsPreserved)
 {
-    EventQueue eq;
+    CallbackQueue eq;
     SystemConfig cfg = cfg4x4();
     Mesh mesh(cfg);
 
@@ -123,7 +123,7 @@ TEST(Mesh, PerPairFifoOrderIsPreserved)
 
 TEST(Mesh, DistinctPairsMayOvertake)
 {
-    EventQueue eq;
+    CallbackQueue eq;
     SystemConfig cfg = cfg4x4();
     Mesh mesh(cfg);
 
@@ -176,7 +176,7 @@ TEST(Mesh, ParkedChannelsAscendingAndFifo)
 
 TEST(MeshDeath, RejectsOutOfRangeNodes)
 {
-    EventQueue eq;
+    CallbackQueue eq;
     SystemConfig cfg = cfg4x4();
     Mesh mesh(cfg);
     EXPECT_DEATH(send(mesh, eq, 16, 0, 8, [] {}), "out of range");
@@ -198,7 +198,7 @@ jitterCfg(std::uint64_t seed)
 // one network ordering property the protocol relies on.
 TEST(Mesh, JitterPreservesSamePairFifo)
 {
-    EventQueue eq;
+    CallbackQueue eq;
     SystemConfig cfg = jitterCfg(42);
     Mesh mesh(cfg);
 
@@ -215,7 +215,7 @@ TEST(Mesh, JitterPreservesSamePairFifo)
 // holds (that is the point of the injector).
 TEST(Mesh, JitterReordersAcrossPairs)
 {
-    EventQueue eq;
+    CallbackQueue eq;
     SystemConfig cfg = jitterCfg(42);
     Mesh mesh(cfg);
 
@@ -238,7 +238,7 @@ TEST(Mesh, JitterReordersAcrossPairs)
 TEST(Mesh, JitterIsDeterministicPerSeed)
 {
     auto schedule = [](std::uint64_t seed) {
-        EventQueue eq;
+        CallbackQueue eq;
         SystemConfig cfg = jitterCfg(seed);
         Mesh mesh(cfg);
         std::vector<Cycle> lat;
@@ -261,7 +261,7 @@ TEST(Mesh, JitterScheduleIsOrderIndependentAcrossPairs)
     // Two interleavings of the same per-pair send sequences: pairwise
     // round-robin vs all of pair A first, then all of pair B.
     auto latencies = [](bool roundRobin) {
-        EventQueue eq;
+        CallbackQueue eq;
         SystemConfig cfg = jitterCfg(1234);
         Mesh mesh(cfg);
         std::vector<Cycle> a, b;
@@ -289,7 +289,7 @@ TEST(Mesh, FaultScheduleDigestIsStable)
 {
     constexpr std::uint64_t kGoldenFaultDigest = 0x91f359970e34a7d1ULL;
 
-    EventQueue eq;
+    CallbackQueue eq;
     SystemConfig cfg = jitterCfg(42);
     Mesh mesh(cfg);
     std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -308,7 +308,7 @@ TEST(Mesh, FaultScheduleDigestIsStable)
 
 TEST(Mesh, InjectionOffMatchesDefaultLatency)
 {
-    EventQueue eq1, eq2;
+    CallbackQueue eq1, eq2;
     SystemConfig plain = cfg4x4();
     SystemConfig off = jitterCfg(3);
     off.faultInjection = false;

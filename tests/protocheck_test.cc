@@ -45,7 +45,7 @@ fingerprintAfterStores(bool swapIssueOrder, Addr a0, Addr a1,
         acc.isWrite = true;
         acc.storeValue = v;
         acc.pc = 0x3000;
-        sys.l1(c).requestAccess(acc, [](std::uint64_t) {});
+        sys.l1(c).requestAccess(acc);
     };
     if (swapIssueOrder) {
         issue(1, a1, v1);
@@ -54,7 +54,7 @@ fingerprintAfterStores(bool swapIssueOrder, Addr a0, Addr a1,
         issue(0, a0, v0);
         issue(1, a1, v1);
     }
-    sys.eventQueue().run();
+    sys.drain();
     EXPECT_GT(sys.mesh().parkedMessages(), 0u);
 
     std::vector<Addr> regions{regionBase(a0, cfg.regionBytes),
@@ -73,7 +73,7 @@ void
 settle(System &sys)
 {
     for (;;) {
-        sys.eventQueue().run();
+        sys.drain();
         bool any = false;
         unsigned src = 0;
         unsigned dst = 0;
@@ -109,12 +109,14 @@ fingerprintAfterLoads(PredictorKind predictor, Pc pc,
     // Not MESI: System replaces MESI's predictor with FullRegion.
     const SystemConfig cfg = s.toConfig(ProtocolKind::ProtozoaMW);
     System sys(cfg, emptyWorkload(cfg.numCores));
+    bool done = false;
+    sys.setAccessSink([&](CoreId, std::uint64_t) { done = true; });
     for (const unsigned w : words) {
-        bool done = false;
+        done = false;
         MemAccess acc;
         acc.addr = kBase + static_cast<Addr>(w) * kWordBytes;
         acc.pc = pc;
-        sys.l1(0).requestAccess(acc, [&](std::uint64_t) { done = true; });
+        sys.l1(0).requestAccess(acc);
         settle(sys);
         EXPECT_TRUE(done);
     }

@@ -34,37 +34,43 @@ class ProtocolDriver
     explicit ProtocolDriver(const SystemConfig &cfg)
         : sys(cfg, emptyWorkload(cfg.numCores))
     {
+        // Every completion lands here: record it, then issue the
+        // core's next queued access.
+        sys.setAccessSink([this](CoreId core, std::uint64_t value) {
+            completed[core] = value;
+            inFlight[core] = false;
+            issueNext(core);
+        });
     }
 
     /** Issue a load and run the system until it completes. */
     std::uint64_t
     load(CoreId core, Addr addr, Pc pc = 0x1000)
     {
-        std::optional<std::uint64_t> result;
         MemAccess acc;
         acc.addr = addr;
         acc.pc = pc;
-        sys.l1(core).requestAccess(
-            acc, [&](std::uint64_t v) { result = v; });
-        sys.eventQueue().run();
-        EXPECT_TRUE(result.has_value());
-        return result.value_or(0);
+        completed.erase(core);
+        sys.l1(core).requestAccess(acc);
+        sys.drain();
+        const auto it = completed.find(core);
+        EXPECT_TRUE(it != completed.end());
+        return it != completed.end() ? it->second : 0;
     }
 
     /** Issue a store and run the system until it completes. */
     void
     store(CoreId core, Addr addr, std::uint64_t value, Pc pc = 0x2000)
     {
-        bool done = false;
         MemAccess acc;
         acc.addr = addr;
         acc.isWrite = true;
         acc.storeValue = value;
         acc.pc = pc;
-        sys.l1(core).requestAccess(acc,
-                                   [&](std::uint64_t) { done = true; });
-        sys.eventQueue().run();
-        EXPECT_TRUE(done);
+        completed.erase(core);
+        sys.l1(core).requestAccess(acc);
+        sys.drain();
+        EXPECT_TRUE(completed.count(core) != 0);
     }
 
     /**
@@ -88,7 +94,7 @@ class ProtocolDriver
     }
 
     /** Run whatever is queued to completion. */
-    void drain() { sys.eventQueue().run(); }
+    void drain() { sys.drain(); }
 
     /** State of the block covering @p addr at @p core (if cached). */
     std::optional<BlockState>
@@ -147,17 +153,15 @@ class ProtocolDriver
         inFlight[core] = true;
         const QueuedAccess next = queues[core].front();
         queues[core].pop_front();
-        sys.eventQueue().schedule(next.delay, [this, core, next] {
-            sys.l1(core).requestAccess(
-                next.acc, [this, core](std::uint64_t) {
-                    inFlight[core] = false;
-                    issueNext(core);
-                });
-        });
+        // The delayed issue is the core's own gap-delayed issue event.
+        sys.eventQueue().schedule(
+            next.delay, Event::of(EventKind::CoreIssue, core, next.acc));
     }
 
     std::map<CoreId, std::deque<QueuedAccess>> queues;
     std::map<CoreId, bool> inFlight;
+    /** Value of each core's last completed access. */
+    std::map<CoreId, std::uint64_t> completed;
 };
 
 } // namespace protozoa

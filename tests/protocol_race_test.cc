@@ -154,9 +154,9 @@ TEST(ProtocolRace, NonOverlappingProbeDoesNotDropRacingWriteback)
                     put_off = d.sys.eventQueue().now() - base;
                     return;
                 }
-                d.sys.eventQueue().schedule(1, sample);
+                d.sys.scheduleTestHook(1, sample);
             };
-            d.sys.eventQueue().schedule(1, sample);
+            d.sys.scheduleTestHook(1, sample);
             d.drain();
         }
         ASSERT_GT(put_off, 0u) << protocolName(protocol);

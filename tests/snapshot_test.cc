@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -721,9 +722,9 @@ parkStores(System &sys)
         acc.isWrite = true;
         acc.storeValue = 0xa0 + c;
         acc.pc = 0x3000;
-        sys.l1(c).requestAccess(acc, [](std::uint64_t) {});
+        sys.l1(c).requestAccess(acc);
     }
-    sys.eventQueue().run();
+    sys.drain();
 }
 
 MeshImage
@@ -844,6 +845,345 @@ TEST(SnapshotReject, MeshEmptyChannel)
     im.bytes.erase(im.bytes.begin() + at + 8,
                    im.bytes.begin() + at + 8 + n * kParkedBytes);
     expectOracleRejected(im.bytes);
+}
+
+// ---- the event section and the message / access loaders -------------
+
+/** One pending event as the snapshot writes it. */
+struct PendingRecord
+{
+    Cycle when = 0;
+    std::uint64_t seq = 0;
+    EventKind kind = EventKind::CoreStep;
+    std::uint16_t id = 0;
+    std::vector<std::uint8_t> payload;
+
+    bool operator==(const PendingRecord &) const = default;
+
+    /** Kinds without a u16 core or tile id in the image. */
+    bool
+    hasId() const
+    {
+        return kind != EventKind::Deliver &&
+               kind != EventKind::InvariantTick &&
+               kind != EventKind::WatchdogTick &&
+               kind != EventKind::WindowTick;
+    }
+
+    /** Bytes of the record in the image: when, seq, kind, id, payload. */
+    std::size_t
+    imageBytes() const
+    {
+        return 8 + 8 + 1 + (hasId() ? 2 : 0) + payload.size();
+    }
+};
+
+/** The queue's pending list in (when, seq) order, payloads as saved. */
+std::vector<PendingRecord>
+pendingRecords(System &sys)
+{
+    std::vector<PendingRecord> out;
+    sys.eventQueue().forEachPending(
+        [&](Cycle when, std::uint64_t seq, const Event &ev) {
+            Serializer p;
+            switch (ev.kind) {
+              case EventKind::CoreIssue:
+                p.writeRaw(ev.acc);
+                break;
+              case EventKind::L1Complete:
+              case EventKind::DirFill:
+                p.writeU64(ev.value);
+                break;
+              case EventKind::L1Send:
+              case EventKind::DirSend:
+              case EventKind::Deliver:
+                ev.msg.save(p);
+                break;
+              default:
+                break;
+            }
+            out.push_back(PendingRecord{when, seq, ev.kind, ev.id, p.bytes()});
+        });
+    std::sort(out.begin(), out.end(),
+              [](const PendingRecord &a, const PendingRecord &b) {
+                  return std::tie(a.when, a.seq) < std::tie(b.when, b.seq);
+              });
+    return out;
+}
+
+/** An image with the offset of every record of its event section,
+ *  which ends the image. */
+struct EventImage
+{
+    std::vector<std::uint8_t> bytes;
+    std::vector<PendingRecord> records;
+    std::vector<std::size_t> recordAt;
+
+    /** The first record of @p kind, or records.size(). */
+    std::size_t
+    find(EventKind kind) const
+    {
+        std::size_t i = 0;
+        while (i < records.size() && records[i].kind != kind)
+            ++i;
+        return i;
+    }
+
+    /** Where record @p i's payload starts. */
+    std::size_t
+    payloadAt(std::size_t i) const
+    {
+        return recordAt[i] + 17 + (records[i].hasId() ? 2 : 0);
+    }
+};
+
+EventImage
+eventImage(System &donor)
+{
+    EventImage im;
+    Serializer img;
+    std::string err;
+    EXPECT_TRUE(donor.saveSnapshot(img, &err)) << err;
+    im.bytes = img.bytes();
+    im.records = pendingRecords(donor);
+    std::size_t total = 0;
+    for (const PendingRecord &r : im.records)
+        total += r.imageBytes();
+    std::size_t at = im.bytes.size() - total;
+    for (const PendingRecord &r : im.records) {
+        im.recordAt.push_back(at);
+        at += r.imageBytes();
+    }
+    return im;
+}
+
+/** Fault jitter on; invariant, watchdog and window ticks armed. */
+SystemConfig
+eventCfg()
+{
+    SystemConfig cfg;
+    cfg.protocol = ProtocolKind::ProtozoaMW;
+    cfg.seed = 11;
+    cfg.faultInjection = true;
+    cfg.faultJitterMax = 24;
+    return cfg;
+}
+
+void
+armTicks(System &sys)
+{
+    sys.enablePeriodicInvariantCheck(700);
+    sys.enableWatchdog(1'000'000);
+    sys.enableWindowStats(900);
+}
+
+/** Before the first event: the cores' CoreSteps and the first ticks. */
+EventImage
+startImage()
+{
+    System donor(eventCfg(), bench(eventCfg()));
+    armTicks(donor);
+    donor.runTo(0);
+    return eventImage(donor);
+}
+
+/**
+ * Mid-run, at the first stop (in 250-cycle steps) where every kind
+ * that runs mid-flight is pending at once.
+ */
+EventImage
+midRunImage()
+{
+    const std::vector<EventKind> want{
+        EventKind::CoreIssue,     EventKind::L1Complete,
+        EventKind::L1Send,        EventKind::DirSend,
+        EventKind::DirFill,       EventKind::Deliver,
+        EventKind::InvariantTick, EventKind::WatchdogTick,
+        EventKind::WindowTick};
+    System donor(eventCfg(), bench(eventCfg()));
+    armTicks(donor);
+    for (Cycle stop = 250; stop <= 50000; stop += 250) {
+        donor.runTo(stop);
+        const auto recs = pendingRecords(donor);
+        const bool all = std::all_of(
+            want.begin(), want.end(), [&](EventKind k) {
+                return std::any_of(recs.begin(), recs.end(),
+                                   [&](const PendingRecord &r) {
+                                       return r.kind == k;
+                                   });
+            });
+        if (all)
+            return eventImage(donor);
+    }
+    ADD_FAILURE() << "no stop holds every event kind";
+    return {};
+}
+
+void
+expectEventRejected(const std::vector<std::uint8_t> &img)
+{
+    expectRejected(eventCfg(), img);
+}
+
+TEST(SnapshotEvents, EveryKindRestoresToTheSamePendingList)
+{
+    std::vector<bool> seen(256, false);
+    for (const EventImage &im : {startImage(), midRunImage()}) {
+        ASSERT_FALSE(im.records.empty());
+        for (const PendingRecord &r : im.records)
+            seen[static_cast<unsigned>(r.kind)] = true;
+        System fresh(eventCfg(), bench(eventCfg()));
+        Deserializer d(im.bytes.data(), im.bytes.size());
+        std::string err;
+        ASSERT_TRUE(fresh.restoreSnapshot(d, &err)) << err;
+        EXPECT_EQ(pendingRecords(fresh), im.records);
+    }
+    for (unsigned k = 1; k <= 11; ++k) {
+        if (k != 7) {
+            EXPECT_TRUE(seen[k]) << "event kind " << k << " never saved";
+        }
+    }
+}
+
+TEST(SnapshotReject, EventKindNoSaverWrites)
+{
+    const EventImage im = startImage();
+    ASSERT_FALSE(im.records.empty());
+    for (const unsigned kind : {0u, 7u, 12u, 13u, 255u}) {
+        std::vector<std::uint8_t> bytes = im.bytes;
+        bytes[im.recordAt[0] + 16] = static_cast<std::uint8_t>(kind);
+        expectEventRejected(bytes);
+    }
+}
+
+TEST(SnapshotReject, EventIdOutsideMachine)
+{
+    const SystemConfig cfg = eventCfg();
+    const EventImage start = startImage();
+    const std::size_t step = start.find(EventKind::CoreStep);
+    ASSERT_LT(step, start.records.size());
+    std::vector<std::uint8_t> bytes = start.bytes;
+    bytes[start.recordAt[step] + 17] =
+        static_cast<std::uint8_t>(cfg.numCores);
+    expectEventRejected(bytes);
+
+    const EventImage mid = midRunImage();
+    const std::size_t fill = mid.find(EventKind::DirFill);
+    ASSERT_LT(fill, mid.records.size());
+    bytes = mid.bytes;
+    bytes[mid.recordAt[fill] + 17] = static_cast<std::uint8_t>(cfg.l2Tiles);
+    expectEventRejected(bytes);
+}
+
+TEST(SnapshotReject, EventsOutOfOrder)
+{
+    const EventImage im = startImage();
+    ASSERT_GE(im.records.size(), 3u);
+    ASSERT_EQ(im.records[0].imageBytes(), im.records[1].imageBytes());
+    // Swap the first two records whole: each stays valid, only the
+    // (when, seq) order breaks.
+    std::vector<std::uint8_t> swapped = im.bytes;
+    std::rotate(swapped.begin() + im.recordAt[0],
+                swapped.begin() + im.recordAt[1],
+                swapped.begin() + im.recordAt[2]);
+    expectEventRejected(swapped);
+}
+
+TEST(Snapshot, PendingTestHookIsRefusedWithItsCycle)
+{
+    System sys(eventCfg(), bench(eventCfg()));
+    sys.runTo(100);
+    auto hook = [] {};
+    sys.scheduleTestHook(4321, hook);
+    const std::string at =
+        "cycle " + std::to_string(sys.eventQueue().now() + 4321) + " ";
+    Serializer img;
+    std::string err;
+    EXPECT_FALSE(sys.saveSnapshot(img, &err));
+    EXPECT_NE(err.find(at), std::string::npos) << err;
+}
+
+/** Each byte a loader refuses, at a message inside a Deliver record
+ *  (mid-run image) and inside a parked channel (oracle image). */
+void
+expectMessageRejected(std::size_t field, std::initializer_list<unsigned> bad)
+{
+    const EventImage mid = midRunImage();
+    const std::size_t deliver = mid.find(EventKind::Deliver);
+    ASSERT_LT(deliver, mid.records.size());
+    const MeshImage parked = oracleImage();
+    ASSERT_FALSE(parked.channelAt.empty());
+    for (const unsigned v : bad) {
+        std::vector<std::uint8_t> bytes = mid.bytes;
+        bytes[mid.payloadAt(deliver) + field] = static_cast<std::uint8_t>(v);
+        expectEventRejected(bytes);
+
+        bytes = parked.bytes;
+        bytes[parked.channelAt[0] + 8 + field] = static_cast<std::uint8_t>(v);
+        expectOracleRejected(bytes);
+    }
+}
+
+TEST(SnapshotReject, MessageFlagByteNotZeroOrOne)
+{
+    for (const std::size_t field :
+         {offsetof(CoherenceMsg, dstIsDir),
+          offsetof(CoherenceMsg, keepNonOverlap),
+          offsetof(CoherenceMsg, revokeWritePerm),
+          offsetof(CoherenceMsg, tryDirect),
+          offsetof(CoherenceMsg, suppliedDirect),
+          offsetof(CoherenceMsg, stillOwner),
+          offsetof(CoherenceMsg, stillSharer),
+          offsetof(CoherenceMsg, upgrade), offsetof(CoherenceMsg, last),
+          offsetof(CoherenceMsg, demoteOwner)})
+        expectMessageRejected(field, {2, 255});
+}
+
+TEST(SnapshotReject, MessageTypeOutOfRange)
+{
+    expectMessageRejected(offsetof(CoherenceMsg, type), {13, 255});
+}
+
+TEST(SnapshotReject, MessageGrantOutOfRange)
+{
+    expectMessageRejected(offsetof(CoherenceMsg, grant), {3, 255});
+}
+
+TEST(SnapshotReject, MessageNodeOutsideMachine)
+{
+    // 16 is the mid-run machine's core count and past the oracle's 4.
+    ASSERT_EQ(eventCfg().numCores, 16u);
+    for (const std::size_t field :
+         {offsetof(CoherenceMsg, srcNode), offsetof(CoherenceMsg, dstNode),
+          offsetof(CoherenceMsg, sender),
+          offsetof(CoherenceMsg, requester)})
+        expectMessageRejected(field, {16});
+}
+
+TEST(SnapshotReject, ParkedMessageOffItsChannel)
+{
+    // Re-address the first parked message to another (valid) node:
+    // the loader accepts it, but it no longer matches its channel.
+    MeshImage im = oracleImage();
+    ASSERT_FALSE(im.channelAt.empty());
+    const std::size_t at =
+        im.channelAt[0] + 8 + offsetof(CoherenceMsg, dstNode);
+    const std::uint32_t dst = getU32(im.bytes, at);
+    putU32(im.bytes, at, (dst + 1) % oracleCfg().numCores);
+    expectOracleRejected(im.bytes);
+}
+
+TEST(SnapshotReject, AccessWriteByteNotZeroOrOne)
+{
+    const EventImage im = midRunImage();
+    const std::size_t issue = im.find(EventKind::CoreIssue);
+    ASSERT_LT(issue, im.records.size());
+    for (const unsigned v : {2u, 255u}) {
+        std::vector<std::uint8_t> bytes = im.bytes;
+        bytes[im.payloadAt(issue) + offsetof(MemAccess, isWrite)] =
+            static_cast<std::uint8_t>(v);
+        expectEventRejected(bytes);
+    }
 }
 
 TEST(SnapshotImage, OracleImageRestoresParkedChannels)
