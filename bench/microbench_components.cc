@@ -10,7 +10,6 @@
 
 #include "cache/amoeba_cache.hh"
 #include "cache/spatial_predictor.hh"
-#include "common/flat_table.hh"
 #include "common/rng.hh"
 #include "mem/golden_memory.hh"
 #include "noc/mesh.hh"
@@ -251,44 +250,6 @@ BM_SetCoverageSnoop(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SetCoverageSnoop);
-
-void
-BM_FlatTableChurn(benchmark::State &state)
-{
-    // Directory-style transaction churn: begin (emplace), look up,
-    // finish (erase) over a rotating set of live regions.
-    AddrTable<std::uint64_t> table;
-    const unsigned kLive = 32;
-    for (unsigned i = 0; i < kLive; ++i)
-        table.emplace(static_cast<Addr>(i) * 512, i);
-    Addr next = static_cast<Addr>(kLive) * 512;
-    Addr oldest = 0;
-    for (auto _ : state) {
-        table.emplace(next, next);
-        benchmark::DoNotOptimize(table.find(next));
-        table.erase(oldest);
-        next += 512;
-        oldest += 512;
-    }
-}
-BENCHMARK(BM_FlatTableChurn);
-
-void
-BM_PooledFifoPushPop(benchmark::State &state)
-{
-    // Waiting-queue traffic: enqueue behind a busy region, drain later.
-    PooledFifo<std::uint64_t> pool;
-    PooledFifo<std::uint64_t>::Queue q;
-    for (auto _ : state) {
-        for (std::uint64_t i = 0; i < 4; ++i)
-            pool.push(q, i);
-        std::uint64_t sum = 0;
-        while (!q.empty())
-            sum += pool.popFront(q);
-        benchmark::DoNotOptimize(sum);
-    }
-}
-BENCHMARK(BM_PooledFifoPushPop);
 
 void
 BM_EndToEndFalseSharing(benchmark::State &state)

@@ -339,14 +339,16 @@ AmoebaCache::restoreState(Deserializer &d)
             AmoebaBlock b;
             b.region = d.readU64();
             d.readRaw(b.range);
-            b.state = static_cast<BlockState>(d.readU8());
+            const std::uint8_t state = d.readU8();
+            b.state = static_cast<BlockState>(state);
             b.touched = d.readU64();
             b.fetchPc = d.readU64();
             b.missWord = d.readU8();
             b.lruStamp = d.readU64();
             const std::uint32_t nw = d.readU32();
-            if (d.failed() || nw != b.range.words() ||
-                setOf(b.region) != si)
+            if (d.failed() || state > std::uint8_t(BlockState::M) ||
+                !b.range.within(regionBytes / kWordBytes) ||
+                nw != b.range.words() || setOf(b.region) != si)
                 return false;
             b.words.assign(nw, 0);
             for (std::uint32_t w = 0; w < nw; ++w)

@@ -181,7 +181,9 @@ class AmoebaCache
     /**
      * Rebuild from a snapshot. Must be called on a freshly-constructed
      * cache of the same geometry; reproduces insertion order, LRU
-     * stamps and all derived metadata exactly.
+     * stamps and all derived metadata exactly. Fails closed on a state
+     * byte above M, a range outside the region, a word count other
+     * than the range's and a block outside its set.
      */
     bool restoreState(Deserializer &d);
 

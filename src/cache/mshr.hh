@@ -13,18 +13,18 @@
  * the freshest data (the probe consults the buffer; the directory later
  * discards the superseded PUT).
  *
- * Storage: the MSHR file is a fixed slot array (stable entry pointers,
- * linear scan over a handful of slots); the writeback buffer is a flat
- * open-addressing region table whose per-region FIFOs live in a pooled
- * arena. Neither allocates in steady state.
+ * Storage: the MSHR file is one optional entry; the writeback buffer
+ * is a KeyedFifo of pending writebacks by region. Neither allocates in
+ * steady state.
  */
 
 #ifndef PROTOZOA_CACHE_MSHR_HH
 #define PROTOZOA_CACHE_MSHR_HH
 
-#include <vector>
+#include <cstddef>
+#include <optional>
 
-#include "common/flat_table.hh"
+#include "common/keyed_fifo.hh"
 #include "common/log.hh"
 #include "common/serialize.hh"
 #include "common/types.hh"
@@ -58,41 +58,28 @@ struct MshrEntry
     bool upgradeBroken = false;
 };
 
+/**
+ * The L1's one outstanding miss: the in-order core stalls on a miss,
+ * so a single optional entry is the whole file.
+ */
 class MshrFile
 {
   public:
-    explicit MshrFile(unsigned max_entries = 1)
-        : slots(max_entries), used(max_entries, 0)
-    {
-    }
-
-    bool full() const { return live >= slots.size(); }
+    bool full() const { return slot.has_value(); }
 
     MshrEntry *
     alloc(const MshrEntry &entry)
     {
-        PROTO_ASSERT(!full(), "MSHR file full");
         PROTO_ASSERT(find(entry.region) == nullptr,
                      "second miss on region with outstanding MSHR");
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (!used[i]) {
-                used[i] = 1;
-                ++live;
-                slots[i] = entry;
-                return &slots[i];
-            }
-        }
-        panic("MSHR slot accounting corrupt");
+        PROTO_ASSERT(!slot, "MSHR file full");
+        return &slot.emplace(entry);
     }
 
     MshrEntry *
     find(Addr region)
     {
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (used[i] && slots[i].region == region)
-                return &slots[i];
-        }
-        return nullptr;
+        return slot && slot->region == region ? &*slot : nullptr;
     }
 
     const MshrEntry *
@@ -104,65 +91,62 @@ class MshrFile
     void
     free(Addr region)
     {
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (used[i] && slots[i].region == region) {
-                used[i] = 0;
-                --live;
-                return;
-            }
-        }
-        PROTO_ASSERT(false, "freeing absent MSHR");
+        PROTO_ASSERT(find(region) != nullptr, "freeing absent MSHR");
+        slot.reset();
     }
 
-    std::size_t size() const { return live; }
+    std::size_t size() const { return slot ? 1 : 0; }
 
-    /** Visit every outstanding entry (deadlock-watchdog scan). */
+    /** Visit the outstanding entry, if any (deadlock-watchdog scan). */
     template <typename F>
     void
     forEach(F &&fn) const
     {
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (used[i])
-                fn(slots[i]);
-        }
+        if (slot)
+            fn(*slot);
     }
 
-    /** Serialize slot occupancy and entries (snapshot subsystem). */
+    /**
+     * Serialize as a one-slot file: u32 capacity 1, u8 used, then the
+     * entry when used.
+     */
     void
     saveState(Serializer &s) const
     {
         static_assert(std::is_trivially_copyable_v<MshrEntry>);
-        s.writeU32(static_cast<std::uint32_t>(slots.size()));
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            s.writeU8(used[i]);
-            if (used[i])
-                s.writeRaw(slots[i]);
-        }
+        s.writeU32(1);
+        s.writeU8(slot ? 1 : 0);
+        if (slot)
+            s.writeRaw(*slot);
     }
 
-    /** Restore into a file of the same capacity. */
+    /**
+     * Restore; fails closed on another capacity, a flag byte other
+     * than 0/1 and a need or predicted range outside a region of
+     * @p region_words words.
+     */
     bool
-    restoreState(Deserializer &d)
+    restoreState(Deserializer &d, unsigned region_words)
     {
-        if (d.readU32() != slots.size())
+        slot.reset();
+        const std::uint32_t capacity = d.readU32();
+        const std::uint8_t used = d.readU8();
+        if (d.failed() || capacity != 1 || used > 1)
             return false;
-        live = 0;
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            used[i] = d.readU8();
-            if (used[i] > 1)
-                return false;
-            if (used[i]) {
-                d.readRaw(slots[i]);
-                ++live;
-            }
-        }
-        return !d.failed();
+        if (!used)
+            return true;
+        MshrEntry e;
+        if (!d.readRawChecked(e, {offsetof(MshrEntry, isWrite),
+                                  offsetof(MshrEntry, upgrade),
+                                  offsetof(MshrEntry, upgradeBroken)}) ||
+            !e.need.within(region_words) || !e.pred.within(region_words))
+            return false;
+        slot = e;
+        return true;
     }
 
   private:
-    std::vector<MshrEntry> slots;
-    std::vector<std::uint8_t> used;
-    std::size_t live = 0;
+    std::optional<MshrEntry> slot;
 };
 
 /** A dirty block in flight between eviction PUT and WB_ACK. */
@@ -181,18 +165,15 @@ class WbBuffer
     void
     push(Addr region, PendingWb wb)
     {
-        pool.push(*queues.findOrCreate(region), std::move(wb));
+        pending.push(region, std::move(wb));
     }
 
     /** Complete the oldest PUT of @p region (its WB_ACK arrived). */
     void
     popFront(Addr region)
     {
-        auto *q = queues.find(region);
-        PROTO_ASSERT(q && !q->empty(), "WB_ACK without pending PUT");
-        pool.popFront(*q);
-        if (q->empty())
-            queues.erase(region);
+        PROTO_ASSERT(pending.contains(region), "WB_ACK without pending PUT");
+        pending.popFront(region);
     }
 
     /**
@@ -204,32 +185,24 @@ class WbBuffer
     void
     forEachOverlapping(Addr region, const WordRange &r, F &&fn) const
     {
-        const auto *q = queues.find(region);
-        if (!q)
-            return;
-        pool.forEach(*q, [&](const PendingWb &wb) {
-            if (wb.seg.range.overlaps(r))
-                fn(wb);
-        });
+        for (const auto &item : pending.run(region)) {
+            if (item.value.seg.range.overlaps(r))
+                fn(item.value);
+        }
     }
 
-    bool hasPending(Addr region) const { return queues.contains(region); }
+    bool hasPending(Addr region) const { return pending.contains(region); }
 
     /**
-     * Visit every buffered writeback as (region, wb), oldest first
-     * within a region; region order is unspecified (hash-table order),
-     * so canonicalizing consumers must sort by region themselves.
+     * Visit every buffered writeback as (region, wb) in ascending
+     * region order, oldest first within a region.
      */
     template <typename F>
     void
     forEach(F &&fn) const
     {
-        queues.forEach(
-            [&](Addr region, const PooledFifo<PendingWb>::Queue &q) {
-                pool.forEach(q, [&](const PendingWb &wb) {
-                    fn(region, wb);
-                });
-            });
+        for (const auto &[region, wb] : pending)
+            fn(region, wb);
     }
 
     /**
@@ -242,32 +215,19 @@ class WbBuffer
     bool
     hasUncollected(Addr region, const WordRange &r) const
     {
-        const auto *q = queues.find(region);
-        if (!q)
-            return false;
-        bool uncollected = false;
-        pool.forEach(*q, [&](const PendingWb &wb) {
-            if (!wb.seg.range.overlaps(r))
-                uncollected = true;
-        });
-        return uncollected;
+        for (const auto &item : pending.run(region)) {
+            if (!item.value.seg.range.overlaps(r))
+                return true;
+        }
+        return false;
     }
 
-    std::size_t
-    pendingCount() const
-    {
-        std::size_t n = 0;
-        queues.forEach([&](Addr, const PooledFifo<PendingWb>::Queue &q) {
-            n += q.size();
-        });
-        return n;
-    }
+    std::size_t pendingCount() const { return pending.size(); }
 
     /**
-     * Serialize every buffered writeback as (region, wb) in table
-     * order, oldest first within a region. Restoring by replaying
-     * push() reproduces each region's FIFO exactly; cross-region
-     * table order is irrelevant to behaviour (lookups are keyed).
+     * Serialize every buffered writeback as (region, wb) in ascending
+     * region order, oldest first within a region. Restoring by
+     * replaying push() reproduces each region's FIFO exactly.
      */
     void
     saveState(Serializer &s) const
@@ -285,9 +245,13 @@ class WbBuffer
         });
     }
 
-    /** Restore into an empty buffer. */
+    /**
+     * Restore into an empty buffer. Fails closed on a segment range
+     * outside a region of @p region_words words, a word count other
+     * than the range's and a flag byte other than 0/1.
+     */
     bool
-    restoreState(Deserializer &d)
+    restoreState(Deserializer &d, unsigned region_words)
     {
         PROTO_ASSERT(pendingCount() == 0,
                      "WB buffer restore requires an empty buffer");
@@ -299,22 +263,26 @@ class WbBuffer
             PendingWb wb;
             d.readRaw(wb.seg.range);
             const std::uint32_t nw = d.readU32();
-            if (d.failed() || nw != wb.seg.range.words())
+            if (d.failed() || !wb.seg.range.within(region_words) ||
+                nw != wb.seg.range.words())
                 return false;
             wb.seg.words.assign(nw, 0);
             for (std::uint32_t w = 0; w < nw; ++w)
                 wb.seg.words[w] = d.readU64();
             wb.touched = d.readU64();
-            wb.last = d.readU8() != 0;
-            wb.demoteOwner = d.readU8() != 0;
+            const std::uint8_t last = d.readU8();
+            const std::uint8_t demote = d.readU8();
+            if (d.failed() || last > 1 || demote > 1)
+                return false;
+            wb.last = last != 0;
+            wb.demoteOwner = demote != 0;
             push(region, std::move(wb));
         }
-        return !d.failed();
+        return true;
     }
 
   private:
-    AddrTable<PooledFifo<PendingWb>::Queue> queues;
-    PooledFifo<PendingWb> pool;
+    KeyedFifo<Addr, PendingWb> pending;
 };
 
 } // namespace protozoa

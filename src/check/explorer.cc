@@ -159,8 +159,6 @@ class Run
         issued.assign(cfg.numCores, 0);
         completed.assign(cfg.numCores, 0);
         regions = s.regionFootprint();
-        setsPerTile = static_cast<unsigned>(
-            cfg.l2BytesPerTile / cfg.regionBytes / cfg.l2Assoc);
         for (Addr r : regions)
             homeTiles.set(static_cast<CoreId>(cfg.homeTileOf(r)));
         allNodes = CoreSet::firstN(cfg.numCores);
@@ -182,25 +180,21 @@ class Run
     Run &operator=(const Run &) = delete;
 
     /**
-     * Serialize this quiescent point: the full system image
-     * (length-prefixed, so the run's own trailer does not trip the
-     * snapshot layer's trailing-bytes check) plus the scenario-issue
-     * progress counters.
+     * Serialize this quiescent point into one buffer: the
+     * scenario-issue progress counters, then the full system image
+     * (last, so the snapshot layer's trailing-bytes check ends it).
      */
     void
     snapshot(std::vector<std::uint8_t> &out) const
     {
-        Serializer img;
-        std::string err;
-        if (!sys.saveSnapshot(img, &err))
-            panic("explorer snapshot failed: %s", err.c_str());
         Serializer s;
-        s.writeU64(img.size());
-        s.writeBytes(img.bytes().data(), img.size());
         for (std::size_t v : issued)
             s.writeU64(v);
         for (unsigned v : completed)
             s.writeU64(v);
+        std::string err;
+        if (!sys.saveSnapshot(s, &err))
+            panic("explorer snapshot failed: %s", err.c_str());
         out = s.bytes();
     }
 
@@ -211,23 +205,14 @@ class Run
     void
     restore(const std::vector<std::uint8_t> &img)
     {
-        Deserializer hdr(img.data(), img.size());
-        const std::uint64_t sys_len = hdr.readU64();
-        PROTO_ASSERT(!hdr.failed() && sys_len <= img.size() - 8,
-                     "corrupt explorer snapshot header");
-        Deserializer dsys(img.data() + 8,
-                          static_cast<std::size_t>(sys_len));
-        std::string err;
-        if (!sys.restoreSnapshot(dsys, &err))
-            panic("explorer snapshot restore failed: %s", err.c_str());
-        Deserializer d(img.data() + 8 + sys_len,
-                       img.size() - 8 - static_cast<std::size_t>(sys_len));
+        Deserializer d(img);
         for (std::size_t c = 0; c < issued.size(); ++c)
             issued[c] = static_cast<std::size_t>(d.readU64());
         for (std::size_t c = 0; c < completed.size(); ++c)
             completed[c] = static_cast<unsigned>(d.readU64());
-        PROTO_ASSERT(!d.failed() && d.atEnd(),
-                     "corrupt explorer snapshot trailer");
+        std::string err;
+        if (!sys.restoreSnapshot(d, &err))
+            panic("explorer snapshot restore failed: %s", err.c_str());
         quiesce();
     }
 
@@ -451,18 +436,17 @@ class Run
      * pinned-set deferral queue inside this delivery's cascade.
      */
     std::uint64_t
-    imageFootprint(Addr region, unsigned tile) const
+    imageFootprint(Addr region, unsigned tile)
     {
         if (regions.size() > 64)
             return ~std::uint64_t(0);
         std::uint64_t mask = 0;
-        const Addr idx = region / cfg.regionBytes;
-        const Addr set = (idx / cfg.l2Tiles) % setsPerTile;
+        const DirController &d = sys.dir(static_cast<TileId>(tile));
+        const unsigned set = d.setIndexOf(region);
         for (std::size_t r = 0; r < regions.size(); ++r) {
-            const Addr ridx = regions[r] / cfg.regionBytes;
             if (regions[r] != region &&
                 (cfg.homeTileOf(regions[r]) != tile ||
-                 (ridx / cfg.l2Tiles) % setsPerTile != set))
+                 d.setIndexOf(regions[r]) != set))
                 continue;
             mask |= std::uint64_t(1) << r;
         }
@@ -519,8 +503,7 @@ class Run
             return m;
         if (cfg.directory == DirectoryKind::TaglessBloom)
             return allNodes | homeTiles;
-        const Addr set =
-            (region / cfg.regionBytes / cfg.l2Tiles) % setsPerTile;
+        const unsigned set = d.setIndexOf(region);
         d.forEachEntry([&](const DirController::EntrySnap &e) {
             if (e.setIndex == set) {
                 m |= e.readers;
@@ -557,7 +540,7 @@ class Run
         sys.mesh().forEachParkedChannel(
             [&](unsigned src, unsigned dst,
                 std::span<const Mesh::Parked> chan) {
-                const CoherenceMsg &m = chan.front().msg;
+                const CoherenceMsg &m = chan.front().value;
                 ChannelInfo ci;
                 ci.src = src;
                 ci.dst = dst;
@@ -593,7 +576,6 @@ class Run
     std::vector<std::size_t> issued;
     std::vector<unsigned> completed;
     std::vector<Addr> regions;
-    unsigned setsPerTile = 1;
     /** Home-tile node bits of every footprint region. */
     CoreSet homeTiles;
     /** All core-node bits (3-hop / Bloom emission pessimization). */

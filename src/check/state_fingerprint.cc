@@ -84,52 +84,27 @@ feedL1(Hasher &hx, L1Controller &l1, const SystemConfig &cfg)
             hx.feed(b.words[w]);
     }
 
-    std::vector<const MshrEntry *> mshrs;
-    l1.mshrFile().forEach(
-        [&](const MshrEntry &e) { mshrs.push_back(&e); });
-    std::sort(mshrs.begin(), mshrs.end(),
-              [](const MshrEntry *a, const MshrEntry *b) {
-                  return a->region < b->region;
-              });
+    const MshrFile &mshrs = l1.mshrFile();
     hx.feed(mshrs.size());
-    for (const MshrEntry *e : mshrs) {
-        hx.feed(e->region);
-        hx.feed((std::uint64_t(e->need.start) << 40) |
-                (std::uint64_t(e->need.end) << 32) |
-                (std::uint64_t(e->pred.start) << 8) | e->pred.end);
-        hx.feed((std::uint64_t(e->isWrite) << 2) |
-                (std::uint64_t(e->upgrade) << 1) |
-                std::uint64_t(e->upgradeBroken));
-        hx.feed(e->pc);
-        hx.feed(e->accessAddr);
-        hx.feed(e->storeValue);
-    }
-
-    struct WbSnap
-    {
-        Addr region;
-        unsigned seq;
-        const PendingWb *wb;
-    };
-    std::vector<WbSnap> wbs;
-    Addr last_region = 0;
-    unsigned seq = 0;
-    l1.writebackBuffer().forEach([&](Addr region, const PendingWb &wb) {
-        // forEach is FIFO within a region; a sequence number keeps
-        // that order while the sort canonicalizes the region order.
-        seq = (wbs.empty() || region != last_region) ? 0 : seq + 1;
-        last_region = region;
-        wbs.push_back(WbSnap{region, seq, &wb});
+    mshrs.forEach([&](const MshrEntry &e) {
+        hx.feed(e.region);
+        hx.feed((std::uint64_t(e.need.start) << 40) |
+                (std::uint64_t(e.need.end) << 32) |
+                (std::uint64_t(e.pred.start) << 8) | e.pred.end);
+        hx.feed((std::uint64_t(e.isWrite) << 2) |
+                (std::uint64_t(e.upgrade) << 1) |
+                std::uint64_t(e.upgradeBroken));
+        hx.feed(e.pc);
+        hx.feed(e.accessAddr);
+        hx.feed(e.storeValue);
     });
-    std::sort(wbs.begin(), wbs.end(),
-              [](const WbSnap &a, const WbSnap &b) {
-                  return std::tie(a.region, a.seq) <
-                         std::tie(b.region, b.seq);
-              });
-    hx.feed(wbs.size());
-    for (const WbSnap &s : wbs) {
-        const PendingWb &wb = *s.wb;
-        hx.feed(s.region);
+
+    // The containers below walk in ascending region order, FIFO within
+    // a region: a canonical order without sorting.
+    const WbBuffer &wbs = l1.writebackBuffer();
+    hx.feed(wbs.pendingCount());
+    wbs.forEach([&](Addr region, const PendingWb &wb) {
+        hx.feed(region);
         hx.feed((std::uint64_t(wb.seg.range.start) << 8) |
                 wb.seg.range.end);
         for (unsigned w = 0; w < wb.seg.words.size(); ++w)
@@ -137,7 +112,7 @@ feedL1(Hasher &hx, L1Controller &l1, const SystemConfig &cfg)
         hx.feed((std::uint64_t(wb.touched) << 2) |
                 (std::uint64_t(wb.last) << 1) |
                 std::uint64_t(wb.demoteOwner));
-    }
+    });
 }
 
 void
@@ -174,16 +149,10 @@ feedDir(Hasher &hx, DirController &dir)
             hx.feed(e.words[w]);
     }
 
-    std::vector<DirController::TxnView> txns;
-    dir.forEachTxn(
-        [&](const DirController::TxnView &t) { txns.push_back(t); });
-    std::sort(txns.begin(), txns.end(),
-              [](const DirController::TxnView &a,
-                 const DirController::TxnView &b) {
-                  return a.region < b.region;
-              });
-    hx.feed(txns.size());
-    for (const auto &t : txns) {
+    std::size_t txns = 0;
+    dir.forEachTxn([&](const DirController::TxnView &) { ++txns; });
+    hx.feed(txns);
+    dir.forEachTxn([&](const DirController::TxnView &t) {
         hx.feed(t.region);
         hx.feed(static_cast<std::uint64_t>(t.reqType));
         hx.feed((std::uint64_t(t.requester) << 24) |
@@ -195,32 +164,15 @@ feedDir(Hasher &hx, DirController &dir)
                 (std::uint64_t(t.directSupplied) << 1) |
                 std::uint64_t(t.unblocked));
         hx.feed(t.parentRegion);
-    }
-
-    struct WaitSnap
-    {
-        Addr region;
-        unsigned seq;
-        std::uint64_t hash;
-    };
-    std::vector<WaitSnap> waits;
-    Addr last_region = 0;
-    unsigned seq = 0;
-    dir.forEachWaitingMsg([&](Addr region, const CoherenceMsg &m) {
-        seq = (waits.empty() || region != last_region) ? 0 : seq + 1;
-        last_region = region;
-        waits.push_back(WaitSnap{region, seq, m.fingerprint()});
     });
-    std::sort(waits.begin(), waits.end(),
-              [](const WaitSnap &a, const WaitSnap &b) {
-                  return std::tie(a.region, a.seq) <
-                         std::tie(b.region, b.seq);
-              });
-    hx.feed(waits.size());
-    for (const auto &w : waits) {
-        hx.feed(w.region);
-        hx.feed(w.hash);
-    }
+
+    std::size_t waits = 0;
+    dir.forEachWaitingMsg([&](Addr, const CoherenceMsg &) { ++waits; });
+    hx.feed(waits);
+    dir.forEachWaitingMsg([&](Addr region, const CoherenceMsg &m) {
+        hx.feed(region);
+        hx.feed(m.fingerprint());
+    });
 }
 
 } // namespace
@@ -248,7 +200,7 @@ fingerprintSystem(System &sys, const std::vector<Addr> &regions,
             hx.feed((std::uint64_t(src) << 32) | dst);
             hx.feed(chan.size());
             for (const Mesh::Parked &p : chan)
-                hx.feed(p.msg.fingerprint());
+                hx.feed(p.value.fingerprint());
         });
 
     for (const Addr region : regions) {

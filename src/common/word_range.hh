@@ -108,6 +108,14 @@ struct WordRange
             (start == o.start && end == o.end);
     }
 
+    /** True when non-empty and inside a region of @p region_words
+     *  words: what every range restored from a snapshot must be. */
+    constexpr bool
+    within(unsigned region_words) const
+    {
+        return start <= end && end < region_words;
+    }
+
     /** A full-region range for a region of @p region_words words. */
     static constexpr WordRange
     full(unsigned region_words)

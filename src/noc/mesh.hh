@@ -33,15 +33,14 @@
 #ifndef PROTOZOA_NOC_MESH_HH
 #define PROTOZOA_NOC_MESH_HH
 
-#include <algorithm>
 #include <cstdlib>
 #include <span>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "common/config.hh"
 #include "common/fixed_array.hh"
+#include "common/keyed_fifo.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/serialize.hh"
@@ -65,7 +64,7 @@ class Mesh
           faultSeed(cfg.seed ^ 0x6d657368ULL),  // "mesh"
           lastArrival(channelCount()),
           pairSeq(faultInjection ? channelCount() : 0),
-          oracleOn(cfg.scheduleOracle)
+          oracleOn(cfg.scheduleOracle), parked(oracleOn ? 16 : 0)
     {
     }
 
@@ -121,15 +120,13 @@ class Mesh
 
     // ---- schedule oracle (protocheck) -------------------------------
 
-    /** One message parked under the schedule oracle. */
-    struct Parked
-    {
-        /** Channel id, src * nodes + dst. */
-        std::uint32_t channel = 0;
-        /** The message itself: everything the explorer, the state
-         *  fingerprint and the snapshot read comes from here. */
-        CoherenceMsg msg;
-    };
+    /**
+     * One message parked under the schedule oracle: its channel id
+     * (src * nodes + dst) as the key and the message itself as the
+     * value. Everything the explorer, the state fingerprint and the
+     * snapshot read comes from the message.
+     */
+    using Parked = KeyedFifo<std::uint32_t, CoherenceMsg>::Item;
 
     bool scheduleOracleEnabled() const { return oracleOn; }
 
@@ -146,11 +143,7 @@ class Mesh
     {
         PROTO_ASSERT(oracleOn, "park() requires the schedule oracle");
         account(src, dst, bytes);
-        const std::uint32_t id = src * cols * rows + dst;
-        const auto at = std::upper_bound(
-            parked.begin(), parked.end(), id,
-            [](std::uint32_t c, const Parked &q) { return c < q.channel; });
-        parked.insert(at, Parked{id, std::move(msg)});
+        parked.push(src * cols * rows + dst, std::move(msg));
     }
 
     /** Messages currently parked across all channels. */
@@ -167,16 +160,10 @@ class Mesh
     forEachParkedChannel(F &&fn) const
     {
         const unsigned nodes = cols * rows;
-        for (auto it = parked.begin(); it != parked.end();) {
-            const auto end =
-                std::find_if(it, parked.end(), [&](const Parked &p) {
-                    return p.channel != it->channel;
-                });
-            fn(it->channel / nodes, it->channel % nodes,
-               std::span<const Parked>(
-                   &*it, static_cast<std::size_t>(end - it)));
-            it = end;
-        }
+        parked.forEachRun(
+            [&](std::uint32_t id, std::span<const Parked> chan) {
+                fn(id / nodes, id % nodes, chan);
+            });
     }
 
     /** Pop and return the FIFO head of channel (src,dst). */
@@ -186,15 +173,7 @@ class Mesh
         const unsigned nodes = cols * rows;
         PROTO_ASSERT(oracleOn, "schedule oracle is not enabled");
         PROTO_ASSERT(src < nodes && dst < nodes, "channel out of range");
-        const std::uint32_t id = src * nodes + dst;
-        const auto head = std::lower_bound(
-            parked.begin(), parked.end(), id,
-            [](const Parked &p, std::uint32_t c) { return p.channel < c; });
-        PROTO_ASSERT(head != parked.end() && head->channel == id,
-                     "delivering from an empty channel");
-        CoherenceMsg msg = std::move(head->msg);
-        parked.erase(head);
-        return msg;
+        return parked.popFront(src * nodes + dst);
     }
 
     /**
@@ -225,10 +204,10 @@ class Mesh
         s.writeU32(chans);
         forEachParkedChannel(
             [&](unsigned, unsigned, std::span<const Parked> chan) {
-                s.writeU32(chan.front().channel);
+                s.writeU32(chan.front().key);
                 s.writeU32(static_cast<std::uint32_t>(chan.size()));
                 for (const Parked &p : chan)
-                    p.msg.save(s);
+                    p.value.save(s);
             });
     }
 
@@ -262,12 +241,10 @@ class Mesh
             next = std::uint64_t(id) + 1;
             const unsigned nodes = cols * rows;
             for (std::uint32_t i = 0; i < n; ++i) {
-                Parked p;
-                p.channel = id;
-                if (!p.msg.load(d, nodes) ||
-                    p.msg.srcNode * nodes + p.msg.dstNode != id)
+                CoherenceMsg m;
+                if (!m.load(d, nodes) || m.srcNode * nodes + m.dstNode != id)
                     return false;
-                parked.push_back(std::move(p));
+                parked.push(id, std::move(m));
             }
         }
         return !d.failed();
@@ -382,9 +359,9 @@ class Mesh
     FixedArray<std::uint64_t> pairSeq;
 
     bool oracleOn;
-    /** Parked messages (oracle), sorted by channel id and FIFO within
-     *  a channel; an empty channel holds nothing. */
-    std::vector<Parked> parked;
+    /** Parked messages (oracle) by channel id, FIFO within a channel;
+     *  an empty channel holds nothing. */
+    KeyedFifo<std::uint32_t, CoherenceMsg> parked;
 };
 
 } // namespace protozoa

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstring>
 #include <sstream>
 
@@ -187,14 +188,11 @@ DirController::busy(Addr region) const
     // sibling waiter in the queue, conclude the region is pinned, and
     // re-defer behind it — two cross-region waiters then block each
     // other forever (reachable with 3+ cores storming one L2 set).
-    const auto *q = waiting.find(region);
-    if (!q)
-        return false;
-    bool own = false;
-    waitPool.forEach(*q, [&](const CoherenceMsg &m) {
-        own = own || m.region == region;
-    });
-    return own;
+    for (const auto &item : waiting.run(region)) {
+        if (item.value.region == region)
+            return true;
+    }
+    return false;
 }
 
 DirController::DirView
@@ -219,8 +217,7 @@ DirController::receive(CoherenceMsg msg)
       case MsgType::GETX:
       case MsgType::PUT:
         if (active.contains(msg.region)) {
-            waitPool.push(*waiting.findOrCreate(msg.region),
-                          std::move(msg));
+            waiting.push(msg.region, std::move(msg));
             return;
         }
         dispatch(msg);
@@ -273,7 +270,7 @@ DirController::startRequest(const CoherenceMsg &msg)
     txn.covEvent = msg.type == MsgType::GETS
         ? DirEvent::GetS
         : (msg.upgrade ? DirEvent::Upgrade : DirEvent::GetX);
-    active.emplace(msg.region, txn);
+    active.pushUnique(msg.region, txn);
 
     occupy(cfg.l2Latency);
 
@@ -320,10 +317,10 @@ DirController::startRequest(const CoherenceMsg &msg)
             if (!pinned)
                 panic("dir %u: no evictable L2 entry in set %u",
                       tileId, setIndexOf(msg.region));
-            active.erase(msg.region);
+            active.popFront(msg.region);
             --stats.requests;
             --stats.l2Misses;
-            waitPool.push(*waiting.findOrCreate(blocker), msg);
+            waiting.push(blocker, msg);
             return;
         }
         beginRecall(regionAt(slot), msg.region);
@@ -365,7 +362,7 @@ DirController::beginRecall(Addr victim, Addr parent)
     });
 
     txn.pending = probes;
-    active.emplace(victim, txn);
+    active.pushUnique(victim, txn);
     if (probes == 0)
         finishRecall(victim);
 }
@@ -373,7 +370,7 @@ DirController::beginRecall(Addr victim, Addr parent)
 void
 DirController::finishRecall(Addr victim)
 {
-    Txn *txn = active.find(victim);
+    const Txn *txn = active.front(victim);
     PROTO_ASSERT(txn && txn->kind == Txn::Kind::Recall,
                  "finishRecall without recall txn");
     const Addr parent = txn->parentRegion;
@@ -392,7 +389,7 @@ DirController::finishRecall(Addr victim)
     tags[slot] = parent | kValid | kFilling;
     lru[slot] = ++lruClock;
 
-    active.erase(victim);
+    active.popFront(victim);
     fetchFromMemory(parent);
     drainQueue(victim);
 }
@@ -436,7 +433,7 @@ DirController::recordOwnedCensus(Slot s)
 void
 DirController::probePhase(Addr region)
 {
-    Txn *txn_p = active.find(region);
+    Txn *txn_p = active.front(region);
     PROTO_ASSERT(txn_p, "probePhase without txn");
     Txn &txn = *txn_p;
     const Slot slot = lookup(region);
@@ -559,7 +556,7 @@ DirController::updateSetsFromResponse(Slot s, const CoherenceMsg &msg)
 void
 DirController::handleProbeResponse(const CoherenceMsg &msg)
 {
-    Txn *txn_p = active.find(msg.region);
+    Txn *txn_p = active.front(msg.region);
     PROTO_ASSERT(txn_p, "probe response without txn");
     Txn &txn = *txn_p;
     PROTO_ASSERT(txn.pending > 0, "unexpected probe response");
@@ -586,7 +583,7 @@ DirController::handleProbeResponse(const CoherenceMsg &msg)
 void
 DirController::respond(Addr region)
 {
-    Txn *txn_p = active.find(region);
+    Txn *txn_p = active.front(region);
     PROTO_ASSERT(txn_p, "respond without txn");
     Txn &txn = *txn_p;
     const Slot slot = lookup(region);
@@ -651,7 +648,7 @@ DirController::respond(Addr region)
     if (txn.unblocked) {
         // The requester's UNBLOCK beat the final probe response
         // (possible in 3-hop mode: the requester is served directly).
-        active.erase(region);
+        active.popFront(region);
         drainQueue(region);
         return;
     }
@@ -698,7 +695,7 @@ DirController::handlePut(const CoherenceMsg &msg)
 void
 DirController::finishTxn(Addr region)
 {
-    Txn *txn = active.find(region);
+    Txn *txn = active.front(region);
     PROTO_ASSERT(txn, "UNBLOCK without txn");
     occupy(cfg.l2Latency);
     if (!txn->waitingUnblock) {
@@ -709,7 +706,7 @@ DirController::finishTxn(Addr region)
         txn->unblocked = true;
         return;
     }
-    active.erase(region);
+    active.popFront(region);
     drainQueue(region);
 }
 
@@ -728,7 +725,7 @@ DirController::describeRegion(Addr region) const
     } else {
         os << "no entry";
     }
-    if (const Txn *t = active.find(region)) {
+    if (const Txn *t = active.front(region)) {
         os << "; txn " << (t->kind == Txn::Kind::Recall ? "recall"
                                                         : "request")
            << " (" << dirEventName(t->covEvent) << ") from core "
@@ -738,11 +735,10 @@ DirController::describeRegion(Addr region) const
     } else {
         os << "; no active txn";
     }
-    if (const auto *q = waiting.find(region); q && !q->empty()) {
+    if (const auto queued = waiting.run(region); !queued.empty()) {
         os << "; queued:";
-        waitPool.forEach(*q, [&](const CoherenceMsg &m) {
-            os << " " << m.toString();
-        });
+        for (const auto &item : queued)
+            os << " " << item.value.toString();
     }
     return os.str();
 }
@@ -750,38 +746,16 @@ DirController::describeRegion(Addr region) const
 void
 DirController::drainQueue(Addr region)
 {
-    auto *q = waiting.find(region);
-    if (!q)
-        return;
-    while (!q->empty() && !active.contains(region)) {
-        CoherenceMsg msg = waitPool.popFront(*q);
+    while (!active.contains(region) && waiting.contains(region)) {
+        CoherenceMsg msg = waiting.popFront(region);
         // A request deferred by a pinned L2 set waits in *another*
         // region's queue; requeue it if its own region became active
         // while it waited.
-        const bool requeue =
-            msg.region != region && active.contains(msg.region);
-        if (q->empty()) {
-            waiting.erase(region);
-            if (requeue)
-                waitPool.push(*waiting.findOrCreate(msg.region),
-                              std::move(msg));
-            else
-                dispatch(msg);
-            return;
-        }
-        // dispatch() may recurse into other regions' queues and
-        // relocate table entries; re-find our queue handle after it.
-        if (requeue)
-            waitPool.push(*waiting.findOrCreate(msg.region),
-                          std::move(msg));
+        if (msg.region != region && active.contains(msg.region))
+            waiting.push(msg.region, std::move(msg));
         else
             dispatch(msg);
-        q = waiting.find(region);
-        if (!q)
-            return;
     }
-    if (q->empty())
-        waiting.erase(region);
 }
 
 void
@@ -823,20 +797,18 @@ DirController::saveState(Serializer &s) const
                      std::size_t(e.wordCount) * sizeof(std::uint64_t));
     }
 
-    // Active transactions and wait queues, replayed at restore in the
-    // same table order (per-region FIFO order is what matters).
+    // Active transactions and wait queues in ascending region order,
+    // FIFO within a region; restore pushes them back one by one.
     s.writeU32(static_cast<std::uint32_t>(active.size()));
-    active.forEach([&](Addr region, const Txn &t) {
+    for (const auto &[region, t] : active) {
         s.writeU64(region);
         s.writeRaw(t);
-    });
-    std::uint32_t queued = 0;
-    forEachWaitingMsg([&](Addr, const CoherenceMsg &) { ++queued; });
-    s.writeU32(queued);
-    forEachWaitingMsg([&](Addr region, const CoherenceMsg &m) {
+    }
+    s.writeU32(static_cast<std::uint32_t>(waiting.size()));
+    for (const auto &[region, m] : waiting) {
         s.writeU64(region);
         m.save(s);
-    });
+    }
 
     s.writeU8(bloomReaders ? 1 : 0);
     if (bloomReaders) {
@@ -908,16 +880,32 @@ DirController::restoreState(Deserializer &d)
     if (!restoreEntries(d))
         return false;
 
+    // Transactions fail closed on a flag byte other than 0/1, an
+    // enum out of range, a requester outside the machine, a request
+    // range outside the region and a second transaction on a region.
     const std::uint32_t txns = d.readU32();
     if (d.failed())
         return false;
     for (std::uint32_t i = 0; i < txns; ++i) {
         const Addr region = d.readU64();
         Txn t;
-        d.readRaw(t);
-        if (d.failed())
+        if (!d.readRawChecked(t, {offsetof(Txn, upgrade),
+                                  offsetof(Txn, waitingUnblock),
+                                  offsetof(Txn, directSupplied),
+                                  offsetof(Txn, unblocked)}))
             return false;
-        active.emplace(region, t);
+        const bool ok =
+            (t.kind == Txn::Kind::Request ||
+             t.kind == Txn::Kind::Recall) &&
+            (t.reqType == MsgType::GETS || t.reqType == MsgType::GETX) &&
+            t.requester < cfg.numCores &&
+            t.reqRange.within(cfg.regionWords()) &&
+            static_cast<unsigned>(t.covBefore) < kNumDirStates &&
+            static_cast<unsigned>(t.covEvent) < kNumDirEvents &&
+            !active.contains(region);
+        if (!ok)
+            return false;
+        active.pushUnique(region, t);
     }
     const std::uint32_t queued = d.readU32();
     if (d.failed())
@@ -927,7 +915,7 @@ DirController::restoreState(Deserializer &d)
         CoherenceMsg m;
         if (!m.load(d, cfg.numCores))
             return false;
-        waitPool.push(*waiting.findOrCreate(region), std::move(m));
+        waiting.push(region, std::move(m));
     }
 
     const bool has_bloom = d.readU8() != 0;

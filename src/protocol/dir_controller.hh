@@ -38,7 +38,7 @@
 #include "common/config.hh"
 #include "common/core_mask.hh"
 #include "common/fixed_array.hh"
-#include "common/flat_table.hh"
+#include "common/keyed_fifo.hh"
 #include "common/rng.hh"
 #include "common/serialize.hh"
 #include "common/stats.hh"
@@ -144,40 +144,69 @@ class DirController
     };
 
     /**
-     * Visit every active transaction in table order (unspecified
-     * region order, but stable for a given table): the watchdog scan,
-     * the explorer's deadlock check, the state fingerprint and the POR
-     * emit targets all read them through this one view.
+     * Visit every active transaction in ascending region order: the
+     * watchdog scan, the explorer's deadlock check, the state
+     * fingerprint and the POR emit targets all read them through this
+     * one view.
      */
     template <typename F>
     void
     forEachTxn(F &&fn) const
     {
-        active.forEach([&](Addr region, const Txn &t) {
-            const auto *q = waiting.find(region);
+        for (const auto &[region, t] : active) {
             fn(TxnView{region, t.kind == Txn::Kind::Recall, t.reqType,
                        t.requester, t.reqRange, t.upgrade, t.pending,
                        t.waitingUnblock, t.directSupplied, t.unblocked,
-                       t.parentRegion, t.start, q ? q->size() : 0});
-        });
+                       t.parentRegion, t.start,
+                       waiting.run(region).size()});
+        }
     }
 
     /**
-     * Visit queued requests as (region, msg), FIFO order within a
-     * region; region order is unspecified (hash-table order).
+     * Visit queued requests as (region, msg) in ascending region
+     * order, FIFO within a region.
      */
     template <typename F>
     void
     forEachWaitingMsg(F &&fn) const
     {
-        waiting.forEach(
-            [&](Addr region,
-                const PooledFifo<CoherenceMsg>::Queue &q) {
-                waitPool.forEach(q, [&](const CoherenceMsg &m) {
-                    fn(region, m);
-                });
-            });
+        for (const auto &[region, m] : waiting)
+            fn(region, m);
     }
+
+    /**
+     * An in-flight transaction (request or inclusive-eviction recall).
+     * saveState writes it raw; restoreState checks every field before
+     * the tile uses it.
+     */
+    struct Txn
+    {
+        enum class Kind { Request, Recall };
+        Kind kind = Kind::Request;
+        MsgType reqType = MsgType::GETS;
+        CoreId requester = 0;
+        WordRange reqRange;
+        bool upgrade = false;
+        unsigned pending = 0;
+        bool waitingUnblock = false;
+        /** A probed owner sent DATA directly to the requester. */
+        bool directSupplied = false;
+        /** The requester's UNBLOCK arrived before respond() ran. */
+        bool unblocked = false;
+        /** Recall only: the region whose miss triggered the recall. */
+        Addr parentRegion = 0;
+
+        /** Cycle the transaction began (deadlock-watchdog bound). */
+        Cycle start = 0;
+        /** Abstract state when the transaction began (coverage). */
+        DirState covBefore = DirState::NP;
+        /** Abstract event of this transaction (coverage). */
+        DirEvent covEvent = DirEvent::GetS;
+    };
+
+    /** L2 set of @p region within its home tile. The explorer's POR
+     *  footprints read the same mapping. */
+    unsigned setIndexOf(Addr region) const;
 
     /** Serialize / restore all mutable tile state (L2 sets, active
      *  transactions, wait queues, Bloom counters, occupancy, stats).
@@ -222,36 +251,9 @@ class DirController
         unsigned wordCount = 0;
     };
 
-    /** An in-flight transaction (request or inclusive-eviction recall). */
-    struct Txn
-    {
-        enum class Kind { Request, Recall };
-        Kind kind = Kind::Request;
-        MsgType reqType = MsgType::GETS;
-        CoreId requester = 0;
-        WordRange reqRange;
-        bool upgrade = false;
-        unsigned pending = 0;
-        bool waitingUnblock = false;
-        /** A probed owner sent DATA directly to the requester. */
-        bool directSupplied = false;
-        /** The requester's UNBLOCK arrived before respond() ran. */
-        bool unblocked = false;
-        /** Recall only: the region whose miss triggered the recall. */
-        Addr parentRegion = 0;
-
-        /** Cycle the transaction began (deadlock-watchdog bound). */
-        Cycle start = 0;
-        /** Abstract state when the transaction began (coverage). */
-        DirState covBefore = DirState::NP;
-        /** Abstract event of this transaction (coverage). */
-        DirEvent covEvent = DirEvent::GetS;
-    };
-
     Cycle occupy(Cycle latency);
     void sendMsg(CoherenceMsg msg, Cycle when);
 
-    unsigned setIndexOf(Addr region) const;
     /** The valid slot holding @p region, or kNoSlot. */
     Slot lookup(Addr region) const;
     Addr regionAt(Slot s) const { return tags[s] & ~kFlagBits; }
@@ -324,15 +326,12 @@ class DirController
     FixedArray<EntryData> sidecars;
     Slot sidecarCount = 0;
 
-    // Per-region transaction and wait-queue bookkeeping: flat
-    // open-addressing tables plus a pooled FIFO arena, so the
-    // steady-state request path performs no node allocation. Entry
-    // pointers are invalidated by any insert or erase on the same
-    // table (backshift deletion relocates entries) — re-find after
-    // every dispatch.
-    AddrTable<Txn> active;
-    AddrTable<PooledFifo<CoherenceMsg>::Queue> waiting;
-    PooledFifo<CoherenceMsg> waitPool;
+    // Per-region bookkeeping: one transaction per active region, and
+    // the requests queued behind a region (FIFO within it). A Txn
+    // pointer is invalidated by any push or pop on `active`: re-find
+    // after every dispatch.
+    KeyedFifo<Addr, Txn> active;
+    KeyedFifo<Addr, CoherenceMsg> waiting;
 
     /** TaglessBloom mode: Bloom-summarized sharer tracking. */
     std::unique_ptr<CountingBloomSharers> bloomReaders;

@@ -12,7 +12,7 @@ L1Controller::L1Controller(CoreId id, const SystemConfig &config,
                            ConformanceCoverage *cov_tracker)
     : cfg(config), coreId(id), eventq(eq), golden(gm),
       coverage(cov_tracker), cache(config),
-      predictor(makePredictor(config)), mshrs(1),
+      predictor(makePredictor(config)),
       occRng(config.seed ^ 0x6c31ULL ^ (std::uint64_t(id) << 40))
 {
 }
@@ -128,6 +128,21 @@ L1Controller::sendDirectData(const CoherenceMsg &probe, GrantState grant,
     sendMsg(std::move(data), when, /*count_stats=*/false);
 }
 
+WordRange
+L1Controller::predictFetch(Pc pc, Addr region, unsigned word,
+                           const WordRange &need)
+{
+    WordRange pred = predictor->predict(pc, word, need, cfg.regionWords());
+    // Clip the predicted range so it cannot overlap any resident block
+    // of the region (dirty data must never be refetched, and insertion
+    // requires non-overlap).
+    AmoebaCache::BlockPtrs resident_blocks;
+    cache.blocksOfRegion(region, resident_blocks);
+    for (AmoebaBlock *b : resident_blocks)
+        pred = clipAgainst(pred, need, b->range);
+    return pred;
+}
+
 void
 L1Controller::requestAccess(const MemAccess &acc)
 {
@@ -195,7 +210,6 @@ L1Controller::handleMiss(const MemAccess &acc, Addr region, unsigned word)
     PROTO_ASSERT(!mshrs.full(), "core issued access with MSHR busy");
 
     const WordRange need(word, word);
-    const unsigned region_words = cfg.regionWords();
 
     // Upgrade path: a resident S block already holds the word; ask for
     // permission over exactly that block's range.
@@ -208,14 +222,7 @@ L1Controller::handleMiss(const MemAccess &acc, Addr region, unsigned word)
         upgrade = true;
         pred = resident->range;
     } else {
-        pred = predictor->predict(acc.pc, word, need, region_words);
-        // Clip the predicted range so it cannot overlap any resident
-        // block of the region (dirty data must never be refetched, and
-        // insertion requires non-overlap).
-        AmoebaCache::BlockPtrs resident_blocks;
-        cache.blocksOfRegion(region, resident_blocks);
-        for (AmoebaBlock *b : resident_blocks)
-            pred = clipAgainst(pred, need, b->range);
+        pred = predictFetch(acc.pc, region, word, need);
     }
 
     MshrEntry entry;
@@ -360,12 +367,7 @@ L1Controller::handleData(const CoherenceMsg &msg)
             unblock();
             mshr->upgrade = false;
             mshr->upgradeBroken = false;
-            mshr->pred = predictor->predict(
-                mshr->pc, word, mshr->need, cfg.regionWords());
-            AmoebaCache::BlockPtrs resident_blocks;
-            cache.blocksOfRegion(region, resident_blocks);
-            for (AmoebaBlock *b : resident_blocks)
-                mshr->pred = clipAgainst(mshr->pred, mshr->need, b->range);
+            mshr->pred = predictFetch(mshr->pc, region, word, mshr->need);
 
             CoherenceMsg retry;
             retry.type = MsgType::GETX;
@@ -488,55 +490,8 @@ L1Controller::handleFwdGetS(const CoherenceMsg &msg)
     if (processed == 0)
         cov(L1State::I, L1Event::FwdGetS, L1State::I);
 
-    wbBuffer.forEachOverlapping(
-        region, msg.range, [&](const PendingWb &wb) {
-            payload.addRun(wb.seg.range, wb.seg.words.data());
-            countOutgoingData(wb.seg.range, wb.touched);
-            ++processed;
-        });
-
-    // An E/M block that survives keeps silent-write permission, so the
-    // directory must keep tracking this core as a writer.
-    bool still_owner = false;
-    bool still_sharer = false;
-    AmoebaCache::BlockPtrs remaining;
-    cache.blocksOfRegion(region, remaining);
-    for (AmoebaBlock *b : remaining) {
-        still_sharer = true;
-        if (b->state != BlockState::S)
-            still_owner = true;
-    }
-    // A dirty PUT in flight whose segment this (partial-range) probe
-    // did not collect: stay tracked, or the directory drops the PUT's
-    // data as stale. A sharer bit suffices and, unlike an owner bit,
-    // cannot re-grow the writer set of a single-writer protocol.
-    // debugLostStoreBug re-injects the pre-fix race for protocheck.
-    if (!cfg.debugLostStoreBug &&
-        wbBuffer.hasUncollected(region, msg.range))
-        still_sharer = true;
-
-    CoherenceMsg resp;
-    if (!payload.empty())
-        resp.type = MsgType::WB_RESP;
-    else if (still_sharer)
-        resp.type = MsgType::ACK_S;
-    else
-        resp.type = MsgType::NACK;
-    resp.dstNode = homeTile(region);
-    resp.dstIsDir = true;
-    resp.region = region;
-    resp.range = msg.range;
-    resp.requester = msg.requester;
-    resp.data = payload;
-    resp.stillOwner = still_owner;
-    resp.stillSharer = still_sharer;
-    resp.suppliedDirect = direct;
-
-    const Cycle when =
-        occupy(cfg.l1Latency + cfg.l1GatherPerBlock * processed);
-    if (direct)
-        sendDirectData(msg, GrantState::S, direct_words, when);
-    sendMsg(std::move(resp), when);
+    answerProbe(msg, payload, processed, false,
+                direct ? &direct_words : nullptr);
 }
 
 void
@@ -606,13 +561,25 @@ L1Controller::handleInvProbe(const CoherenceMsg &msg)
         }
     }
 
+    answerProbe(msg, payload, processed, removed_any,
+                direct ? &direct_words : nullptr);
+}
+
+void
+L1Controller::answerProbe(const CoherenceMsg &probe, MsgData &payload,
+                          unsigned processed, bool removed_any,
+                          const MsgData *direct_words)
+{
+    const Addr region = probe.region;
     wbBuffer.forEachOverlapping(
-        region, msg.range, [&](const PendingWb &wb) {
+        region, probe.range, [&](const PendingWb &wb) {
             payload.addRun(wb.seg.range, wb.seg.words.data());
             countOutgoingData(wb.seg.range, wb.touched);
             ++processed;
         });
 
+    // An E/M block that survives keeps silent-write permission, so the
+    // directory must keep tracking this core as a writer.
     bool still_owner = false;
     bool still_sharer = false;
     AmoebaCache::BlockPtrs remaining;
@@ -622,11 +589,13 @@ L1Controller::handleInvProbe(const CoherenceMsg &msg)
         if (b->state != BlockState::S)
             still_owner = true;
     }
-    // Same eviction race as in handleFwdGetS: an uncollected in-flight
-    // writeback must keep this core tracked (as a sharer) so the
-    // directory patches the PUT's data instead of dropping it.
+    // A dirty PUT in flight whose segment this (partial-range) probe
+    // did not collect: stay tracked, or the directory drops the PUT's
+    // data as stale. A sharer bit suffices and, unlike an owner bit,
+    // cannot re-grow the writer set of a single-writer protocol.
+    // debugLostStoreBug re-injects the pre-fix race for protocheck.
     if (!cfg.debugLostStoreBug &&
-        wbBuffer.hasUncollected(region, msg.range))
+        wbBuffer.hasUncollected(region, probe.range))
         still_sharer = true;
 
     CoherenceMsg resp;
@@ -641,17 +610,20 @@ L1Controller::handleInvProbe(const CoherenceMsg &msg)
     resp.dstNode = homeTile(region);
     resp.dstIsDir = true;
     resp.region = region;
-    resp.range = msg.range;
-    resp.requester = msg.requester;
+    resp.range = probe.range;
+    resp.requester = probe.requester;
     resp.data = payload;
     resp.stillOwner = still_owner;
     resp.stillSharer = still_sharer;
-    resp.suppliedDirect = direct;
+    resp.suppliedDirect = direct_words != nullptr;
 
     const Cycle when =
         occupy(cfg.l1Latency + cfg.l1GatherPerBlock * processed);
-    if (direct)
-        sendDirectData(msg, GrantState::M, direct_words, when);
+    if (direct_words) {
+        const GrantState grant = probe.type == MsgType::FWD_GETS
+            ? GrantState::S : GrantState::M;
+        sendDirectData(probe, grant, *direct_words, when);
+    }
     sendMsg(std::move(resp), when);
 }
 
@@ -691,7 +663,8 @@ L1Controller::restoreState(Deserializer &d)
     if (d.failed())
         return false;
     return cache.restoreState(d) && predictor->restoreState(d) &&
-           mshrs.restoreState(d) && wbBuffer.restoreState(d) &&
+           mshrs.restoreState(d, cfg.regionWords()) &&
+           wbBuffer.restoreState(d, cfg.regionWords()) &&
            !d.failed();
 }
 

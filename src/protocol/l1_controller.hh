@@ -131,6 +131,26 @@ class L1Controller
     void handleFwdGetS(const CoherenceMsg &msg);
     void handleInvProbe(const CoherenceMsg &msg);
 
+    /**
+     * The fetch range for a miss on @p word: the predictor's range,
+     * clipped so that it overlaps no resident block of @p region and
+     * still covers @p need.
+     */
+    WordRange predictFetch(Pc pc, Addr region, unsigned word,
+                           const WordRange &need);
+
+    /**
+     * Finish a probe once its blocks are handled: add the overlapping
+     * buffered writebacks to @p payload, answer the directory with
+     * WB_RESP, ACK_S, ACK (only when @p removed_any) or NACK, and send
+     * the 3-hop DATA when @p direct_words is set (S for FWD_GETS, M
+     * otherwise).
+     * @param processed blocks handled so far (gather occupancy).
+     */
+    void answerProbe(const CoherenceMsg &probe, MsgData &payload,
+                     unsigned processed, bool removed_any,
+                     const MsgData *direct_words);
+
     /** Evicted-block disposal: silent drop or PUT via the WB buffer. */
     void disposeEvicted(AmoebaCache::Evicted &evicted, Cycle when);
 

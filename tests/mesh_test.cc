@@ -160,7 +160,7 @@ TEST(Mesh, ParkedChannelsAscendingAndFifo)
             ids.emplace_back(src, dst);
             chans.emplace_back();
             for (const Mesh::Parked &p : c)
-                chans.back().push_back(p.msg.region);
+                chans.back().push_back(p.value.region);
         });
     const std::vector<std::pair<unsigned, unsigned>> want_ids = {
         {0, 1}, {0, 15}, {9, 3}};

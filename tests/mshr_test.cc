@@ -22,7 +22,7 @@ entryFor(Addr region)
 
 TEST(MshrFile, AllocFindFree)
 {
-    MshrFile mshrs(2);
+    MshrFile mshrs;
     EXPECT_FALSE(mshrs.full());
     EXPECT_EQ(mshrs.find(0x1000), nullptr);
 
@@ -30,16 +30,23 @@ TEST(MshrFile, AllocFindFree)
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->region, 0x1000u);
     EXPECT_EQ(mshrs.find(0x1000), e);
+    EXPECT_EQ(mshrs.find(0x2000), nullptr);
     EXPECT_EQ(mshrs.size(), 1u);
 
     mshrs.free(0x1000);
     EXPECT_EQ(mshrs.find(0x1000), nullptr);
     EXPECT_EQ(mshrs.size(), 0u);
+
+    // The one entry is free again: a miss on another region fits.
+    EXPECT_NE(mshrs.alloc(entryFor(0x2000)), nullptr);
+    EXPECT_EQ(mshrs.find(0x2000)->region, 0x2000u);
 }
 
+// The in-order core has one outstanding miss, so the file holds one
+// entry: a second miss on another region is refused.
 TEST(MshrFile, CapacityEnforced)
 {
-    MshrFile mshrs(1);
+    MshrFile mshrs;
     mshrs.alloc(entryFor(0x1000));
     EXPECT_TRUE(mshrs.full());
     EXPECT_DEATH(mshrs.alloc(entryFor(0x2000)), "MSHR file full");
@@ -47,15 +54,17 @@ TEST(MshrFile, CapacityEnforced)
 
 TEST(MshrFile, DoubleAllocSameRegionPanics)
 {
-    MshrFile mshrs(4);
+    MshrFile mshrs;
     mshrs.alloc(entryFor(0x1000));
     EXPECT_DEATH(mshrs.alloc(entryFor(0x1000)), "outstanding MSHR");
 }
 
 TEST(MshrFile, FreeAbsentPanics)
 {
-    MshrFile mshrs(4);
+    MshrFile mshrs;
     EXPECT_DEATH(mshrs.free(0x1000), "freeing absent MSHR");
+    mshrs.alloc(entryFor(0x1000));
+    EXPECT_DEATH(mshrs.free(0x2000), "freeing absent MSHR");
 }
 
 /** Collect the overlap visitor's output for easy assertions. */

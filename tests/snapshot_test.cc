@@ -753,7 +753,7 @@ parkedFrontier(System &sys)
     sys.mesh().forEachParkedChannel(
         [&](unsigned src, unsigned dst, std::span<const Mesh::Parked> chan) {
             for (const Mesh::Parked &p : chan)
-                out.emplace_back(src, dst, p.msg.fingerprint());
+                out.emplace_back(src, dst, p.value.fingerprint());
         });
     return out;
 }
@@ -1184,6 +1184,302 @@ TEST(SnapshotReject, AccessWriteByteNotZeroOrOne)
             static_cast<std::uint8_t>(v);
         expectEventRejected(bytes);
     }
+}
+
+// ---- the raw controller records --------------------------------------
+
+/**
+ * A mid-run image with the offset of one raw record of each kind the
+ * controllers write: a directory transaction's Txn bytes, an MSHR
+ * entry, a writeback segment (at its u64 region) and an L1 block (at
+ * its u64 region). Each offset is found from its component's own
+ * section, located in the image by content.
+ */
+struct RecordImage
+{
+    std::vector<std::uint8_t> bytes;
+    std::size_t txnAt = 0;
+    std::size_t mshrAt = 0;
+    std::size_t wbAt = 0;
+    std::size_t blockAt = 0;
+};
+
+/** An 8-set L1 evicts dirty blocks early, so writebacks are pending
+ *  mid-run. */
+SystemConfig
+recordCfg()
+{
+    SystemConfig cfg;
+    cfg.seed = 3;
+    cfg.l1Sets = 8;
+    return cfg;
+}
+
+std::size_t
+sectionAt(const std::vector<std::uint8_t> &img, const Serializer &sec)
+{
+    const auto at = std::search(img.begin(), img.end(), sec.bytes().begin(),
+                                sec.bytes().end());
+    EXPECT_NE(at, img.end());
+    return static_cast<std::size_t>(at - img.begin());
+}
+
+/** Where the part of @p l1's section that starts @p tail bytes
+ *  before its end lies in @p img. */
+std::size_t
+l1TailAt(const std::vector<std::uint8_t> &img, L1Controller &l1,
+         std::size_t tail)
+{
+    Serializer sec;
+    l1.saveState(sec);
+    return sectionAt(img, sec) + sec.size() - tail;
+}
+
+/** The first stop (in 250-cycle steps) with an active transaction, an
+ *  outstanding miss and a pending writeback. */
+RecordImage
+recordImage()
+{
+    const SystemConfig cfg = recordCfg();
+    System donor(cfg, bench(cfg));
+    for (Cycle stop = 250; stop <= 200000; stop += 250) {
+        donor.runTo(stop);
+        int tile = -1;
+        int miss = -1;
+        int wb = -1;
+        for (TileId t = 0; t < cfg.l2Tiles && tile < 0; ++t) {
+            donor.dir(t).forEachTxn(
+                [&](const DirController::TxnView &) { tile = int(t); });
+        }
+        for (CoreId c = 0; c < cfg.numCores; ++c) {
+            if (miss < 0 && donor.l1(c).mshrFile().size() > 0)
+                miss = int(c);
+            if (wb < 0 && donor.l1(c).writebackBuffer().pendingCount() > 0)
+                wb = int(c);
+        }
+        if (tile < 0 || miss < 0 || wb < 0)
+            continue;
+
+        RecordImage im;
+        Serializer img;
+        std::string err;
+        EXPECT_TRUE(donor.saveSnapshot(img, &err)) << err;
+        im.bytes = img.bytes();
+
+        // The directory section ends with u32 txn count, the txns (u64
+        // region, raw Txn), u32 queued count, the queued requests (u64
+        // region, message) and the Bloom flag byte.
+        DirController &dir = donor.dir(TileId(tile));
+        Serializer dsec;
+        dir.saveState(dsec);
+        EXPECT_EQ(dsec.bytes().back(), 0u);
+        std::size_t txns = 0;
+        std::size_t queued = 0;
+        dir.forEachTxn([&](const DirController::TxnView &) { ++txns; });
+        dir.forEachWaitingMsg([&](Addr, const CoherenceMsg &) { ++queued; });
+        const std::size_t tail = 1 + 4 + queued * (8 + sizeof(CoherenceMsg)) +
+                                 4 + txns * (8 + sizeof(DirController::Txn));
+        im.txnAt = sectionAt(im.bytes, dsec) + dsec.size() - tail + 4 + 8;
+
+        // An L1 section ends with the MSHR file (u32 capacity, u8
+        // used, entry) and then the writeback buffer (u32 count,
+        // records).
+        L1Controller &ml1 = donor.l1(CoreId(miss));
+        Serializer msec;
+        Serializer mwb;
+        ml1.mshrFile().saveState(msec);
+        ml1.writebackBuffer().saveState(mwb);
+        im.mshrAt = l1TailAt(im.bytes, ml1, mwb.size() + msec.size()) + 5;
+
+        L1Controller &wl1 = donor.l1(CoreId(wb));
+        Serializer wsec;
+        wl1.writebackBuffer().saveState(wsec);
+        im.wbAt = l1TailAt(im.bytes, wl1, wsec.size()) + 4;
+
+        // The cache section follows the stats, busyUntil, 4 RNG words
+        // and the access flag: u64 LRU clock, u32 set count, then per
+        // set u32 block count and its blocks.
+        Serializer lsec;
+        ml1.saveState(lsec);
+        std::size_t at = sectionAt(im.bytes, lsec) + sizeof(L1Stats) + 8 +
+                         4 * 8 + 1 + 8 + 4;
+        while (getU32(im.bytes, at) == 0)
+            at += 4;
+        im.blockAt = at + 4;
+        return im;
+    }
+    ADD_FAILURE() << "no stop holds every raw record";
+    return {};
+}
+
+void
+expectRecordRejected(const std::vector<std::uint8_t> &img)
+{
+    expectRejected(recordCfg(), img);
+}
+
+/** Set byte @p at of @p im to each of @p bad in turn; each refused. */
+void
+expectByteRejected(const RecordImage &im, std::size_t at,
+                   std::initializer_list<unsigned> bad)
+{
+    for (const unsigned v : bad) {
+        std::vector<std::uint8_t> bytes = im.bytes;
+        bytes[at] = static_cast<std::uint8_t>(v);
+        expectRecordRejected(bytes);
+    }
+}
+
+/** Overwrite the WordRange at @p at with [start, end]. */
+void
+putRange(std::vector<std::uint8_t> &b, std::size_t at, unsigned start,
+         unsigned end)
+{
+    const WordRange r(start, end);
+    std::memcpy(&b[at], &r, sizeof(r));
+}
+
+WordRange
+getRange(const std::vector<std::uint8_t> &b, std::size_t at)
+{
+    WordRange r;
+    std::memcpy(&r, &b[at], sizeof(r));
+    return r;
+}
+
+/**
+ * The range at @p at, shifted past the region's last word with its
+ * length kept (a word count that follows it still matches), then
+ * made empty; each refused.
+ */
+void
+expectRangeRejected(const RecordImage &im, std::size_t at)
+{
+    const unsigned words = recordCfg().regionWords();
+    const WordRange r = getRange(im.bytes, at);
+    ASSERT_TRUE(r.within(words)) << r.toString();
+    std::vector<std::uint8_t> bytes = im.bytes;
+    putRange(bytes, at, r.start + words - r.end, words);
+    expectRecordRejected(bytes);
+    bytes = im.bytes;
+    putRange(bytes, at, r.end + 1, r.end);
+    expectRecordRejected(bytes);
+}
+
+using Txn = DirController::Txn;
+
+TEST(SnapshotReject, DirTxnFlagByteNotZeroOrOne)
+{
+    const RecordImage im = recordImage();
+    ASSERT_FALSE(im.bytes.empty());
+    for (const std::size_t field :
+         {offsetof(Txn, upgrade), offsetof(Txn, waitingUnblock),
+          offsetof(Txn, directSupplied), offsetof(Txn, unblocked)})
+        expectByteRejected(im, im.txnAt + field, {2, 255});
+}
+
+TEST(SnapshotReject, DirTxnEnumOutOfRange)
+{
+    const RecordImage im = recordImage();
+    ASSERT_FALSE(im.bytes.empty());
+    expectByteRejected(im, im.txnAt + offsetof(Txn, kind), {2, 255});
+    expectByteRejected(im, im.txnAt + offsetof(Txn, reqType),
+                       {unsigned(MsgType::PUT), kNumMsgTypes, 255});
+    expectByteRejected(im, im.txnAt + offsetof(Txn, covBefore),
+                       {kNumDirStates, 255});
+    expectByteRejected(im, im.txnAt + offsetof(Txn, covEvent),
+                       {kNumDirEvents, 255});
+}
+
+TEST(SnapshotReject, DirTxnRequesterOutsideMachine)
+{
+    const RecordImage im = recordImage();
+    ASSERT_FALSE(im.bytes.empty());
+    std::vector<std::uint8_t> bytes = im.bytes;
+    const CoreId outside = CoreId(recordCfg().numCores);
+    std::memcpy(&bytes[im.txnAt + offsetof(Txn, requester)], &outside,
+                sizeof(outside));
+    expectRecordRejected(bytes);
+}
+
+TEST(SnapshotReject, DirTxnRangeOutsideRegion)
+{
+    const RecordImage im = recordImage();
+    ASSERT_FALSE(im.bytes.empty());
+    expectRangeRejected(im, im.txnAt + offsetof(Txn, reqRange));
+}
+
+TEST(SnapshotReject, DirTxnSecondOnARegion)
+{
+    // Copy the first transaction's region over the second's (or add a
+    // copy of the first record when there is only one).
+    const RecordImage im = recordImage();
+    ASSERT_FALSE(im.bytes.empty());
+    std::vector<std::uint8_t> bytes = im.bytes;
+    const std::size_t rec = 8 + sizeof(Txn);
+    const std::size_t first = im.txnAt - 8;
+    const std::uint32_t count = getU32(bytes, first - 4);
+    if (count >= 2) {
+        std::copy_n(bytes.begin() + first, 8, bytes.begin() + first + rec);
+    } else {
+        putU32(bytes, first - 4, count + 1);
+        bytes.insert(bytes.begin() + first + rec, im.bytes.begin() + first,
+                     im.bytes.begin() + first + rec);
+    }
+    expectRecordRejected(bytes);
+}
+
+TEST(SnapshotReject, MshrFlagByteNotZeroOrOne)
+{
+    const RecordImage im = recordImage();
+    ASSERT_FALSE(im.bytes.empty());
+    for (const std::size_t field :
+         {offsetof(MshrEntry, isWrite), offsetof(MshrEntry, upgrade),
+          offsetof(MshrEntry, upgradeBroken)})
+        expectByteRejected(im, im.mshrAt + field, {2, 255});
+}
+
+TEST(SnapshotReject, MshrRangeOutsideRegion)
+{
+    const RecordImage im = recordImage();
+    ASSERT_FALSE(im.bytes.empty());
+    expectRangeRejected(im, im.mshrAt + offsetof(MshrEntry, need));
+    expectRangeRejected(im, im.mshrAt + offsetof(MshrEntry, pred));
+}
+
+TEST(SnapshotReject, WbSegmentFlagByteNotZeroOrOne)
+{
+    // u64 region, range, u32 word count, the words, u64 touched, then
+    // the last and demoteOwner bytes.
+    const RecordImage im = recordImage();
+    ASSERT_FALSE(im.bytes.empty());
+    const std::size_t words = getU32(im.bytes, im.wbAt + 8 + sizeof(WordRange));
+    const std::size_t flags =
+        im.wbAt + 8 + sizeof(WordRange) + 4 + words * 8 + 8;
+    expectByteRejected(im, flags, {2, 255});
+    expectByteRejected(im, flags + 1, {2, 255});
+}
+
+TEST(SnapshotReject, WbSegmentRangeOutsideRegion)
+{
+    const RecordImage im = recordImage();
+    ASSERT_FALSE(im.bytes.empty());
+    expectRangeRejected(im, im.wbAt + 8);
+}
+
+TEST(SnapshotReject, L1BlockStateOutOfRange)
+{
+    // u64 region, range, then the state byte.
+    const RecordImage im = recordImage();
+    ASSERT_FALSE(im.bytes.empty());
+    expectByteRejected(im, im.blockAt + 8 + sizeof(WordRange), {3, 255});
+}
+
+TEST(SnapshotReject, L1BlockRangeOutsideRegion)
+{
+    const RecordImage im = recordImage();
+    ASSERT_FALSE(im.bytes.empty());
+    expectRangeRejected(im, im.blockAt + 8);
 }
 
 TEST(SnapshotImage, OracleImageRestoresParkedChannels)
