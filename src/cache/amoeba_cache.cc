@@ -56,10 +56,11 @@ AmoebaCache::~AmoebaCache()
     for (unsigned set = 0; set < numSets; ++set)
         for (const std::uint16_t s : liveOrder(set))
             blockAt(base(set) + s).~AmoebaBlock();
-    // Only claimed blocks can be poisoned; clear them, as the memory
-    // may next serve an unrelated allocation.
-    ASAN_UNPOISON_MEMORY_REGION(blocks.data(),
-                                blocksClaimed * sizeof(AmoebaBlock));
+    // Only blocks claimed at some point can be poisoned; clear them,
+    // as the memory may next serve an unrelated allocation.
+    ASAN_UNPOISON_MEMORY_REGION(
+        blocks.data(),
+        std::max(blocksClaimed, blocksEverClaimed) * sizeof(AmoebaBlock));
 }
 
 unsigned
@@ -152,6 +153,17 @@ AmoebaCache::hasWritableRegion(Addr region)
     return false;
 }
 
+void
+AmoebaCache::destroyBlock(AmoebaBlock *blk)
+{
+    blk->~AmoebaBlock();
+    // Under AddressSanitizer a freed block stays poisoned until a block
+    // is constructed there again, so a stale AmoebaBlock* kept across
+    // removeExact, an eviction or a restore faults on its next use
+    // instead of reading a destroyed object.
+    ASAN_POISON_MEMORY_REGION(blk, sizeof(AmoebaBlock));
+}
+
 AmoebaBlock
 AmoebaCache::takeAt(unsigned set, unsigned pos)
 {
@@ -161,12 +173,7 @@ AmoebaCache::takeAt(unsigned set, unsigned pos)
     const std::uint16_t s = run[pos];
     AmoebaBlock *blk = &blockAt(b + s);
     AmoebaBlock out = std::move(*blk);
-    blk->~AmoebaBlock();
-    // Under AddressSanitizer a freed block stays poisoned until a block
-    // is constructed there again, so a stale AmoebaBlock* kept across
-    // removeExact or an eviction faults on its next use instead of
-    // reading a destroyed object.
-    ASAN_POISON_MEMORY_REGION(blk, sizeof(AmoebaBlock));
+    destroyBlock(blk);
 
     std::copy(run + pos + 1, run + m.live, run + pos);
     --m.live;
@@ -326,8 +333,17 @@ AmoebaCache::saveState(Serializer &s) const
 bool
 AmoebaCache::restoreState(Deserializer &d)
 {
-    PROTO_ASSERT(blockCount() == 0,
-                 "cache restore requires a fresh cache");
+    // Empty the cache in place: destroy the live blocks and give every
+    // set its constructed bookkeeping back, so the restored blocks
+    // claim slots and block storage in the order a new cache would.
+    for (unsigned set = 0; set < numSets; ++set) {
+        for (const std::uint16_t s : liveOrder(set))
+            destroyBlock(&blockAt(base(set) + s));
+        meta[set] = SetMeta{};
+    }
+    blocksEverClaimed = std::max(blocksEverClaimed, blocksClaimed);
+    blocksClaimed = 0;
+
     lruClock = d.readU64();
     if (d.readU32() != numSets)
         return false;

@@ -179,11 +179,11 @@ class AmoebaCache
      */
     void saveState(Serializer &s) const;
     /**
-     * Rebuild from a snapshot. Must be called on a freshly-constructed
-     * cache of the same geometry; reproduces insertion order, LRU
-     * stamps and all derived metadata exactly. Fails closed on a state
-     * byte above M, a range outside the region, a word count other
-     * than the range's and a block outside its set.
+     * Rebuild from a snapshot over whatever the cache holds (same
+     * geometry); reproduces insertion order, LRU stamps and all
+     * derived metadata exactly, as a new cache would. Fails closed on
+     * a state byte above M, a range outside the region, a word count
+     * other than the range's and a block outside its set.
      */
     bool restoreState(Deserializer &d);
 
@@ -243,6 +243,8 @@ class AmoebaCache
 
     /** Remove order position @p pos of @p set; returns the block. */
     AmoebaBlock takeAt(unsigned set, unsigned pos);
+    /** Destroy a live block in place (poisoned under ASan). */
+    static void destroyBlock(AmoebaBlock *blk);
 
     /** Insert preserving blk.lruStamp (also the snapshot restore path). */
     AmoebaBlock *placeBlock(AmoebaBlock blk);
@@ -255,6 +257,9 @@ class AmoebaCache
     unsigned slotCap;
     /** Blocks [0, blocksClaimed) belong to slots; the rest are unused. */
     std::uint32_t blocksClaimed = 0;
+    /** Most blocks claimed before a restore emptied the cache: those
+     *  past blocksClaimed may still be poisoned. */
+    std::uint32_t blocksEverClaimed = 0;
     std::uint64_t lruClock = 0;
 
     /**

@@ -246,15 +246,14 @@ class WbBuffer
     }
 
     /**
-     * Restore into an empty buffer. Fails closed on a segment range
-     * outside a region of @p region_words words, a word count other
-     * than the range's and a flag byte other than 0/1.
+     * Restore over whatever the buffer holds. Fails closed on a
+     * segment range outside a region of @p region_words words, a word
+     * count other than the range's and a flag byte other than 0/1.
      */
     bool
     restoreState(Deserializer &d, unsigned region_words)
     {
-        PROTO_ASSERT(pendingCount() == 0,
-                     "WB buffer restore requires an empty buffer");
+        pending.clear();
         const std::uint32_t n = d.readU32();
         if (d.failed())
             return false;

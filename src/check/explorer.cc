@@ -134,22 +134,50 @@ independent(const ChannelInfo &a, const ChannelInfo &b)
     return !a.emit.intersects(b.emit);
 }
 
+/** Describe the delivery of channel head @p ci, for a counterexample. */
+ScheduleStep
+describe(const ChannelInfo &ci)
+{
+    ScheduleStep step;
+    step.src = ci.src;
+    step.dst = ci.dst;
+    std::ostringstream os;
+    os << msgTypeName(ci.type) << " region=0x" << std::hex << ci.region
+       << std::dec << " words=" << ci.range.toString() << " n" << ci.src
+       << " -> " << (ci.dstIsDir ? "dir" : "l1") << ci.dst;
+    step.desc = os.str();
+    return step;
+}
+
+/**
+ * Attach the path to @p v: the choice indices and one description per
+ * delivered head. Descriptions are built here, for a returned
+ * violation only.
+ */
+Violation
+withPath(Violation v, const std::vector<unsigned> &path,
+         const std::vector<ChannelInfo> &delivered)
+{
+    v.schedule = path;
+    v.steps.reserve(delivered.size());
+    for (const ChannelInfo &ci : delivered)
+        v.steps.push_back(describe(ci));
+    return v;
+}
+
 /**
  * One live execution of a scenario: a System driven access-by-access,
  * advanced from quiescent point to quiescent point by delivering one
- * parked message at a time. Heap-allocated and pinned: the System's
- * access sink captures `this`.
+ * parked message at a time, and sent back to an earlier quiescent
+ * point by restoring its image in place. Heap-allocated and pinned:
+ * the System's access sink captures `this`.
  */
 class Run
 {
   public:
-    /**
-     * @param fresh_start issue the scenario's first accesses and run
-     *        to the root quiescent point. Pass false only to follow up
-     *        with restore() — the system must stay untouched for
-     *        System::restoreSnapshot.
-     */
-    Run(const Scenario &s, ProtocolKind proto, bool fresh_start = true)
+    /** Issue the scenario's first accesses and run to the root
+     *  quiescent point. */
+    Run(const Scenario &s, ProtocolKind proto)
         : scenario(s), cfg(s.toConfig(proto)),
           sys(cfg, emptyWorkload(cfg.numCores))
     {
@@ -169,8 +197,6 @@ class Run
             issueNext(c);
         });
 
-        if (!fresh_start)
-            return;
         for (CoreId c = 0; c < cfg.numCores; ++c)
             issueNext(c);
         quiesce();
@@ -180,14 +206,15 @@ class Run
     Run &operator=(const Run &) = delete;
 
     /**
-     * Serialize this quiescent point into one buffer: the
-     * scenario-issue progress counters, then the full system image
-     * (last, so the snapshot layer's trailing-bytes check ends it).
+     * Serialize this quiescent point into @p out, reusing its
+     * capacity: the scenario-issue progress counters, then the full
+     * system image (last, so the snapshot layer's trailing-bytes check
+     * ends it).
      */
     void
     snapshot(std::vector<std::uint8_t> &out) const
     {
-        Serializer s;
+        Serializer s(std::move(out));
         for (std::size_t v : issued)
             s.writeU64(v);
         for (unsigned v : completed)
@@ -195,12 +222,12 @@ class Run
         std::string err;
         if (!sys.saveSnapshot(s, &err))
             panic("explorer snapshot failed: %s", err.c_str());
-        out = s.bytes();
+        out = s.take();
     }
 
     /**
-     * Rebuild the snapshotted quiescent point into this
-     * freshly-constructed (fresh_start = false) run.
+     * Return this run, in place, to the quiescent point @p img holds.
+     * It was taken at a checked point, so no cascade livelocked there.
      */
     void
     restore(const std::vector<std::uint8_t> &img)
@@ -213,6 +240,7 @@ class Run
         std::string err;
         if (!sys.restoreSnapshot(d, &err))
             panic("explorer snapshot restore failed: %s", err.c_str());
+        livelocked = false;
         quiesce();
     }
 
@@ -221,23 +249,6 @@ class Run
 
     /** Mesh nodes (channel ids are src * nodes + dst). */
     unsigned nodes() const { return cfg.numCores; }
-
-    /** Describe the head message of frontier channel @p k. */
-    ScheduleStep
-    describe(unsigned k) const
-    {
-        const ChannelInfo &ci = front[k];
-        ScheduleStep step;
-        step.src = ci.src;
-        step.dst = ci.dst;
-        std::ostringstream os;
-        os << msgTypeName(ci.type) << " region=0x" << std::hex << ci.region
-           << std::dec << " words=" << ci.range.toString() << " n"
-           << ci.src << " -> " << (ci.dstIsDir ? "dir" : "l1")
-           << ci.dst;
-        step.desc = os.str();
-        return step;
-    }
 
     /** Deliver the head of frontier channel @p k and run to quiescence. */
     void
@@ -616,8 +627,13 @@ explore(const Scenario &s, ProtocolKind proto, const ExploreLimits &lim)
     };
     std::vector<Level> stack;
     std::vector<unsigned> path;
-    std::vector<ScheduleStep> steps;
+    /** The channel head delivered at each step of `path`. */
+    std::vector<ChannelInfo> delivered;
+    /** Image buffers of popped levels, reused by the next saves. */
+    std::vector<std::vector<std::uint8_t>> spareImages;
 
+    // One run for the whole search: snapshot backtracking restores
+    // each branch point into it; the replay backtracker rebuilds it.
     auto run = std::make_unique<Run>(s, proto);
     const unsigned nodes = run->nodes();
     // One sleep bit per (src,dst) channel: nodes^2 bits, multi-word
@@ -656,9 +672,7 @@ explore(const Scenario &s, ProtocolKind proto, const ExploreLimits &lim)
         const std::vector<ChannelInfo> &frontier = run->frontier();
         const unsigned width = static_cast<unsigned>(frontier.size());
         if (auto v = run->check(width == 0)) {
-            v->schedule = path;
-            v->steps = steps;
-            res.violation = std::move(v);
+            res.violation = withPath(std::move(*v), path, delivered);
             return res;
         }
 
@@ -710,12 +724,17 @@ explore(const Scenario &s, ProtocolKind proto, const ExploreLimits &lim)
             lv.order = std::move(order);
             lv.sleepIn = sleep;
             lv.explored = ChanMask(chanBits);
-            if (lim.snapshotBacktrack && lv.order.size() > 1)
+            if (lim.snapshotBacktrack && lv.order.size() > 1) {
+                if (!spareImages.empty()) {
+                    lv.snap = std::move(spareImages.back());
+                    spareImages.pop_back();
+                }
                 run->snapshot(lv.snap);
+            }
             const unsigned k = lv.order[0];
             sleep = childSleep(lv, k);
             path.push_back(k);
-            steps.push_back(run->describe(k));
+            delivered.push_back(frontier[k]);
             stack.push_back(std::move(lv));
             run->step(k);
             ++res.deliveriesExecuted;
@@ -723,7 +742,8 @@ explore(const Scenario &s, ProtocolKind proto, const ExploreLimits &lim)
         }
 
         // Backtrack to the deepest level with an untried choice, then
-        // rebuild a fresh run and replay the prefix (deterministic).
+        // restore its image into the run, or rebuild a fresh run and
+        // replay the prefix (deterministic).
         bool done = false;
         for (;;) {
             if (stack.empty()) {
@@ -736,9 +756,11 @@ explore(const Scenario &s, ProtocolKind proto, const ExploreLimits &lim)
             ++lv.pos;
             if (lv.pos < lv.order.size())
                 break;
+            if (lv.snap.capacity() > 0)
+                spareImages.push_back(std::move(lv.snap));
             stack.pop_back();
             path.pop_back();
-            steps.pop_back();
+            delivered.pop_back();
         }
         if (done)
             break;
@@ -746,8 +768,7 @@ explore(const Scenario &s, ProtocolKind proto, const ExploreLimits &lim)
         const unsigned k = lv.order[lv.pos];
         path.back() = k;
         if (lim.snapshotBacktrack) {
-            // One restore replaces the whole prefix replay.
-            run = std::make_unique<Run>(s, proto, /*fresh_start=*/false);
+            // One in-place restore replaces the whole prefix replay.
             run->restore(lv.snap);
         } else {
             run = std::make_unique<Run>(s, proto);
@@ -757,7 +778,7 @@ explore(const Scenario &s, ProtocolKind proto, const ExploreLimits &lim)
             }
         }
         sleep = childSleep(lv, k);
-        steps.back() = run->describe(k);
+        delivered.back() = run->frontier()[k];
         run->step(k);
         ++res.deliveriesExecuted;
     }
@@ -777,17 +798,14 @@ replaySchedule(const Scenario &s, ProtocolKind proto,
 {
     auto run = std::make_unique<Run>(s, proto);
     std::vector<unsigned> path;
-    std::vector<ScheduleStep> steps;
+    std::vector<ChannelInfo> delivered;
     std::size_t i = 0;
     const ExploreLimits lim;
     for (;;) {
         const unsigned width =
             static_cast<unsigned>(run->frontier().size());
-        if (auto v = run->check(width == 0)) {
-            v->schedule = path;
-            v->steps = steps;
-            return v;
-        }
+        if (auto v = run->check(width == 0))
+            return withPath(std::move(*v), path, delivered);
         if (width == 0 || path.size() >= lim.maxDepth)
             return std::nullopt;
         unsigned k = (i < prefix.size()) ? prefix[i] : 0;
@@ -795,7 +813,7 @@ replaySchedule(const Scenario &s, ProtocolKind proto,
             k = 0;
         ++i;
         path.push_back(k);
-        steps.push_back(run->describe(k));
+        delivered.push_back(run->frontier()[k]);
         run->step(k);
     }
 }

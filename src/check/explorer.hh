@@ -12,18 +12,23 @@
  * (the one network ordering assumption the protocol makes), so the
  * explored space is exactly the set of legal network behaviours.
  *
- * Search is depth-first. Descending extends the live System in place;
- * backtracking restores the in-memory snapshot taken when the level
- * was first expanded (the src/snapshot serialization of the full
- * quiescent state, plus the run's progress counters), so revisiting a
- * sibling costs one restore instead of replaying the whole choice
- * prefix from the root. ExploreLimits::snapshotBacktrack turns the
- * old replay-from-root backtracking back on — the simulator is
- * deterministic given a schedule, so both modes visit the same states
- * and return identical verdicts; ExploreResult::deliveriesExecuted
- * counts the work each actually did. Visited states are memoized by
- * canonical fingerprint (state_fingerprint.hh), collapsing confluent
- * interleavings.
+ * Search is depth-first over one live System, built once per
+ * explore() call. Descending extends it in place; backtracking
+ * restores, into that same System, the in-memory snapshot taken when
+ * the level was first expanded (the src/snapshot serialization of the
+ * full quiescent state, plus the run's progress counters), so
+ * revisiting a sibling costs one in-place restore instead of a new
+ * System and a replay of the whole choice prefix from the root. Image
+ * buffers of finished levels are reused by later ones, and a step's
+ * human-readable description is built only for a returned violation.
+ * ExploreLimits::snapshotBacktrack = false turns the old
+ * replay-from-root backtracking back on (a fresh System per
+ * backtrack, independent of restore) — the simulator is deterministic
+ * given a schedule, so both modes visit the same states and return
+ * identical verdicts and step descriptions;
+ * ExploreResult::deliveriesExecuted counts the work each actually
+ * did. Visited states are memoized by canonical fingerprint
+ * (state_fingerprint.hh), collapsing confluent interleavings.
  *
  * Partial-order reduction (ExploreLimits::por, on by default): two
  * pending deliveries *commute* when they target different controllers
@@ -97,10 +102,12 @@ struct ExploreLimits
      */
     bool collectFingerprints = false;
     /**
-     * Backtrack by restoring per-level in-memory snapshots instead of
-     * replaying the choice prefix from the root. Off = the legacy
-     * replay backtracker (kept for comparison tests; verdicts and
-     * fingerprint sets are identical either way).
+     * Backtrack by restoring per-level in-memory snapshots into the
+     * one live System instead of replaying the choice prefix from the
+     * root. Off = the legacy replay backtracker, which builds a fresh
+     * System per backtrack (kept for comparison tests; verdicts,
+     * schedules, step descriptions and fingerprint sets are identical
+     * either way).
      */
     bool snapshotBacktrack = true;
 };

@@ -192,19 +192,39 @@ class CalendarQueue
 
     /**
      * Visit every pending event as (when, seq, const Record &), in no
-     * particular order. The snapshot writer sorts by (when, seq) before
-     * serializing.
+     * particular order; only the occupied ring buckets are walked. The
+     * snapshot writer sorts by (when, seq) before serializing.
      */
     template <typename F>
     void
     forEachPending(F &&fn) const
     {
-        for (unsigned b = 0; b < kNumBuckets; ++b)
+        forEachSetBit(occupancy.data(), occupancy.size(), [&](unsigned b) {
             for (std::uint32_t n = bucketHead[b]; n != kNil;
                  n = pool[n].next)
                 fn(pool[n].when, pool[n].seq, pool[n].rec);
+        });
         for (const SpillRef &r : spill)
             fn(r.when, r.seq, pool[r.node].rec);
+    }
+
+    /**
+     * Drop every pending event (restore-only), in time proportional to
+     * the occupied buckets. The node pool keeps its capacity and hands
+     * out nodes in the order a new queue does. The clock, sequence
+     * counter and kernel counters are left for the restore to set.
+     */
+    void
+    clear()
+    {
+        forEachSetBit(occupancy.data(), occupancy.size(), [&](unsigned b) {
+            bucketHead[b] = bucketTail[b] = kNil;
+        });
+        occupancy.fill(0);
+        spill.clear();
+        pool.clear();
+        freeHead = kNil;
+        pending = 0;
     }
 
     /**
@@ -223,7 +243,7 @@ class CalendarQueue
         place(when, seq, rec);
     }
 
-    /** Set the clock (restore-only; queue must be empty). */
+    /** Set the clock (restore-only; queue must be empty: clear()). */
     void
     setClock(Cycle c)
     {

@@ -25,6 +25,7 @@
 #include <initializer_list>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace protozoa {
@@ -32,6 +33,15 @@ namespace protozoa {
 class Serializer
 {
   public:
+    Serializer() = default;
+
+    /** Write into @p storage from its start, reusing its capacity. */
+    explicit Serializer(std::vector<std::uint8_t> storage)
+        : buf(std::move(storage))
+    {
+        buf.clear();
+    }
+
     void
     writeBytes(const void *p, std::size_t n)
     {
@@ -94,6 +104,9 @@ class Serializer
 
     const std::vector<std::uint8_t> &bytes() const { return buf; }
     std::size_t size() const { return buf.size(); }
+
+    /** Move the image out; the serializer is left empty. */
+    std::vector<std::uint8_t> take() { return std::exchange(buf, {}); }
 
     /** Atomically-ish persist the buffer (write temp + rename). */
     bool

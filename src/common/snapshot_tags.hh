@@ -22,8 +22,8 @@ namespace protozoa {
 /** Snapshot file magic: "PZSN". */
 constexpr std::uint32_t kSnapshotMagic = 0x4e535a50u;
 
-/** Bump on any serialized-layout change. */
-constexpr std::uint32_t kSnapshotVersion = 6;
+/** Bump on any serialized-layout change (v7: sparse coverage cells). */
+constexpr std::uint32_t kSnapshotVersion = 7;
 
 /**
  * Kind of every event the simulator schedules (protocol/event.hh).

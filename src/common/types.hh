@@ -10,6 +10,7 @@
 #ifndef PROTOZOA_COMMON_TYPES_HH
 #define PROTOZOA_COMMON_TYPES_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstddef>
 
@@ -48,6 +49,17 @@ constexpr unsigned kWordMaskBits = 8 * sizeof(WordMask);
 
 static_assert(kMaxRegionWords <= kWordMaskBits,
               "WordMask too narrow for kMaxRegionWords; widen WordMask");
+
+/** Call @p fn with the index of each set bit of the @p n words at
+ *  @p words, in ascending order (bit i of word w is index 64w + i). */
+template <typename F>
+constexpr void
+forEachSetBit(const std::uint64_t *words, std::size_t n, F &&fn)
+{
+    for (std::size_t w = 0; w < n; ++w)
+        for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1)
+            fn(static_cast<unsigned>(w * 64 + std::countr_zero(bits)));
+}
 
 /** Round an address down to its containing word. */
 constexpr Addr

@@ -26,6 +26,7 @@
 #ifndef PROTOZOA_MEM_GOLDEN_MEMORY_HH
 #define PROTOZOA_MEM_GOLDEN_MEMORY_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -42,7 +43,7 @@ class WordStore
     /** Words per page; pages are aligned to kPageWords * kWordBytes. */
     static constexpr unsigned kPageWords = kMaxRegionWords;
 
-    WordStore() { reset(64); }
+    WordStore() { reset(kInitialPages); }
 
     /** Deterministic initial content of a word (before any store). */
     static std::uint64_t
@@ -92,7 +93,22 @@ class WordStore
     /** Words ever written (not merely residing on a touched page). */
     std::size_t touchedWords() const { return written; }
 
-    void clear() { reset(64); }
+    /**
+     * Forget every word, in place: a table that grew goes back to its
+     * constructed capacity, so refilling it places pages (and orders
+     * forEachWritten) exactly as in a new store.
+     */
+    void
+    clear()
+    {
+        if (pages.size() != kInitialPages) {
+            reset(kInitialPages);
+            return;
+        }
+        std::fill(used.begin(), used.end(), 0);
+        count = 0;
+        written = 0;
+    }
 
     /**
      * Visit every explicitly-written word as (addr, value), in
@@ -115,15 +131,14 @@ class WordStore
     }
 
     /**
-     * Restore into a fresh store. Replays the written set through
-     * write(), which reproduces page population, the written bitmaps,
-     * and touchedWords() exactly.
+     * Restore over whatever the store holds: clear(), then replay the
+     * written set through write(), which reproduces page population,
+     * the written bitmaps, touchedWords() and the save order exactly.
      */
     bool
     restoreState(Deserializer &d)
     {
-        if (touchedWords() != 0)
-            return false;
+        clear();
         std::uint64_t n = 0;
         if (!d.readRaw(n))
             return false;
@@ -137,6 +152,9 @@ class WordStore
     }
 
   private:
+    /** Page-table capacity of a new (or cleared) store. */
+    static constexpr std::size_t kInitialPages = 64;
+
     struct Page
     {
         Addr base = 0;
@@ -295,7 +313,7 @@ class GoldenMemory
         s.writeU64(lastObserved);
     }
 
-    /** Restore into a fresh oracle. */
+    /** Restore over the oracle's current image and record. */
     bool
     restoreState(Deserializer &d)
     {

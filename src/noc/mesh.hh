@@ -33,6 +33,7 @@
 #ifndef PROTOZOA_NOC_MESH_HH
 #define PROTOZOA_NOC_MESH_HH
 
+#include <algorithm>
 #include <cstdlib>
 #include <span>
 #include <type_traits>
@@ -62,6 +63,7 @@ class Mesh
           jitterMax(cfg.faultJitterMax),
           reorderProb(cfg.faultReorderProb),
           faultSeed(cfg.seed ^ 0x6d657368ULL),  // "mesh"
+          regionWords(cfg.regionWords()),
           lastArrival(channelCount()),
           pairSeq(faultInjection ? channelCount() : 0),
           oracleOn(cfg.scheduleOracle), parked(oracleOn ? 16 : 0)
@@ -212,12 +214,13 @@ class Mesh
     }
 
     /**
-     * Restore into a freshly constructed mesh of the same geometry and
-     * fault configuration (matrix entries the image does not list keep
-     * their zero). Fails closed on a size mismatch, an index or channel
-     * id out of range or not strictly ascending, a zero matrix value,
-     * an empty channel, a message the loader refuses and a message
-     * whose (srcNode, dstNode) is not its channel.
+     * Restore over whatever a mesh of the same geometry and fault
+     * configuration holds (matrix entries the image does not list are
+     * zeroed, parked channels it does not list are emptied). Fails
+     * closed on a size mismatch, an index or channel id out of range
+     * or not strictly ascending, a zero matrix value, an empty
+     * channel, a message the loader refuses and a message whose
+     * (srcNode, dstNode) is not its channel.
      */
     bool
     restoreState(Deserializer &d)
@@ -242,7 +245,8 @@ class Mesh
             const unsigned nodes = cols * rows;
             for (std::uint32_t i = 0; i < n; ++i) {
                 CoherenceMsg m;
-                if (!m.load(d, nodes) || m.srcNode * nodes + m.dstNode != id)
+                if (!m.load(d, nodes, regionWords) ||
+                    m.srcNode * nodes + m.dstNode != id)
                     return false;
                 parked.push(id, std::move(m));
             }
@@ -283,15 +287,17 @@ class Mesh
         const std::uint32_t count = d.readU32();
         if (d.failed() || size != a.size() || count > size)
             return false;
-        std::uint64_t next = 0;
+        std::size_t next = 0;
         for (std::uint32_t i = 0; i < count; ++i) {
             const std::uint32_t index = d.readU32();
             const std::uint64_t value = d.readU64();
             if (d.failed() || index < next || index >= size || value == 0)
                 return false;
-            next = std::uint64_t(index) + 1;
+            std::fill(a.data() + next, a.data() + index, T(0));
             a[index] = static_cast<T>(value);
+            next = std::size_t(index) + 1;
         }
+        std::fill(a.data() + next, a.data() + a.size(), T(0));
         return true;
     }
 
@@ -350,6 +356,8 @@ class Mesh
     double reorderProb;
     /** Base seed of the counter-based jitter hash. */
     std::uint64_t faultSeed;
+    /** Words per region: the bound on a restored message's ranges. */
+    unsigned regionWords;
 
     NetStats stats;
     /** Flat nodes*nodes matrix of last delivery cycle per (src,dst). */

@@ -122,7 +122,7 @@ CoherenceMsg::save(Serializer &s) const
 }
 
 bool
-CoherenceMsg::load(Deserializer &d, unsigned nodes)
+CoherenceMsg::load(Deserializer &d, unsigned nodes, unsigned region_words)
 {
     if (!d.readRawChecked(
             *this, {offsetof(CoherenceMsg, dstIsDir),
@@ -136,9 +136,16 @@ CoherenceMsg::load(Deserializer &d, unsigned nodes)
                     offsetof(CoherenceMsg, last),
                     offsetof(CoherenceMsg, demoteOwner)}))
         return false;
+    // An empty range (the {1,0} default included) is legal; a
+    // non-empty one must lie inside the region.
+    const auto in_region = [region_words](const WordRange &r) {
+        return r.empty() || r.within(region_words);
+    };
     const bool ok = static_cast<unsigned>(type) < kNumMsgTypes &&
                     grant <= GrantState::M && srcNode < nodes &&
-                    dstNode < nodes && sender < nodes && requester < nodes;
+                    dstNode < nodes && sender < nodes &&
+                    requester < nodes && in_region(range) &&
+                    in_region(reqFetchRange);
     if (!ok)
         d.setFailed();
     return ok;

@@ -300,10 +300,11 @@ struct CoherenceMsg
     /**
      * Read one message written by save(), failing closed (false, and
      * @p d failed) on a flag byte other than 0 or 1, a MsgType or
-     * GrantState out of range, or a srcNode, dstNode, sender or
-     * requester at or above @p nodes.
+     * GrantState out of range, a srcNode, dstNode, sender or
+     * requester at or above @p nodes, or a non-empty range or
+     * reqFetchRange outside a region of @p region_words words.
      */
-    bool load(Deserializer &d, unsigned nodes);
+    bool load(Deserializer &d, unsigned nodes, unsigned region_words);
 
     std::string toString() const;
 };

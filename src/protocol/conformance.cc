@@ -1,5 +1,8 @@
 #include "protocol/conformance.hh"
 
+#include <algorithm>
+#include <bit>
+#include <iterator>
 #include <sstream>
 
 #include "common/log.hh"
@@ -360,7 +363,7 @@ ConformanceCoverage::recordL1(L1State from, L1Event ev, L1State to)
               protocolName(proto), l1StateName(from), l1EventName(ev),
               l1StateName(to));
     seen[idx(profile)] = true;
-    ++l1Counts[idx(profile)][idx(from)][idx(ev)][idx(to)];
+    l1.add(l1Cell(idx(profile), from, ev, to), 1);
 }
 
 void
@@ -372,7 +375,7 @@ ConformanceCoverage::recordDir(DirState from, DirEvent ev, DirState to)
               protocolName(proto), dirStateName(from), dirEventName(ev),
               dirStateName(to));
     seen[idx(profile)] = true;
-    ++dirCounts[idx(profile)][idx(from)][idx(ev)][idx(to)];
+    dir.add(dirCell(idx(profile), from, ev, to), 1);
 }
 
 void
@@ -380,17 +383,70 @@ ConformanceCoverage::merge(const ConformanceCoverage &other)
 {
     PROTO_ASSERT(other.proto == proto,
                  "merging coverage across protocols");
-    for (unsigned p = 0; p < kNumKnobProfiles; ++p) {
+    for (unsigned p = 0; p < kNumKnobProfiles; ++p)
         seen[p] = seen[p] || other.seen[p];
-        for (unsigned f = 0; f < kNumL1States; ++f)
-            for (unsigned e = 0; e < kNumL1Events; ++e)
-                for (unsigned t = 0; t < kNumL1States; ++t)
-                    l1Counts[p][f][e][t] += other.l1Counts[p][f][e][t];
-        for (unsigned f = 0; f < kNumDirStates; ++f)
-            for (unsigned e = 0; e < kNumDirEvents; ++e)
-                for (unsigned t = 0; t < kNumDirStates; ++t)
-                    dirCounts[p][f][e][t] += other.dirCounts[p][f][e][t];
+    other.l1.forEachNonZero(
+        [&](unsigned c) { l1.add(c, other.l1.counts[c]); });
+    other.dir.forEachNonZero(
+        [&](unsigned c) { dir.add(c, other.dir.counts[c]); });
+}
+
+template <unsigned Cells>
+void
+ConformanceCoverage::Matrix<Cells>::save(Serializer &s) const
+{
+    unsigned n = 0;
+    for (const std::uint64_t w : nonZero)
+        n += static_cast<unsigned>(std::popcount(w));
+    s.writeU32(Cells);
+    s.writeU32(n);
+    forEachNonZero([&](unsigned c) {
+        s.writeU32(c);
+        s.writeU64(counts[c]);
+    });
+}
+
+template <unsigned Cells>
+bool
+ConformanceCoverage::Matrix<Cells>::restore(Deserializer &d)
+{
+    forEachNonZero([&](unsigned c) { counts[c] = 0; });
+    std::fill(std::begin(nonZero), std::end(nonZero), 0);
+    const std::uint32_t cells = d.readU32();
+    const std::uint32_t n = d.readU32();
+    if (d.failed() || cells != Cells || n > Cells)
+        return false;
+    std::uint64_t next = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const std::uint32_t c = d.readU32();
+        const std::uint64_t count = d.readU64();
+        if (d.failed() || c < next || c >= Cells || count == 0)
+            return false;
+        next = std::uint64_t(c) + 1;
+        add(c, count);
     }
+    return true;
+}
+
+void
+ConformanceCoverage::saveState(Serializer &s) const
+{
+    for (const bool b : seen)
+        s.writeU8(b ? 1 : 0);
+    l1.save(s);
+    dir.save(s);
+}
+
+bool
+ConformanceCoverage::restoreState(Deserializer &d)
+{
+    for (bool &b : seen) {
+        const std::uint8_t v = d.readU8();
+        if (d.failed() || v > 1)
+            return false;
+        b = v != 0;
+    }
+    return l1.restore(d) && dir.restore(d);
 }
 
 unsigned

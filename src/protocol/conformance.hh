@@ -39,10 +39,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 #include "common/config.hh"
 #include "common/serialize.hh"
+#include "common/types.hh"
 
 namespace protozoa {
 
@@ -171,7 +173,7 @@ class ConformanceCoverage
     {
         std::uint64_t n = 0;
         for (unsigned p = 0; p < kNumKnobProfiles; ++p)
-            n += l1Counts[p][idx(from)][idx(ev)][idx(to)];
+            n += l1.counts[l1Cell(p, from, ev, to)];
         return n;
     }
 
@@ -180,7 +182,7 @@ class ConformanceCoverage
     {
         std::uint64_t n = 0;
         for (unsigned p = 0; p < kNumKnobProfiles; ++p)
-            n += dirCounts[p][idx(from)][idx(ev)][idx(to)];
+            n += dir.counts[dirCell(p, from, ev, to)];
         return n;
     }
 
@@ -188,14 +190,14 @@ class ConformanceCoverage
     std::uint64_t
     l1CountAt(KnobProfile p, L1State from, L1Event ev, L1State to) const
     {
-        return l1Counts[idx(p)][idx(from)][idx(ev)][idx(to)];
+        return l1.counts[l1Cell(idx(p), from, ev, to)];
     }
 
     std::uint64_t
     dirCountAt(KnobProfile p, DirState from, DirEvent ev,
                DirState to) const
     {
-        return dirCounts[idx(p)][idx(from)][idx(ev)][idx(to)];
+        return dir.counts[dirCell(idx(p), from, ev, to)];
     }
 
     /** True when at least one transition ran under profile @p p. */
@@ -229,25 +231,23 @@ class ConformanceCoverage
     static const L1TransitionDoc *l1Inventory(std::size_t &count);
     static const DirTransitionDoc *dirInventory(std::size_t &count);
 
-    /** Serialize the observation matrices (snapshot subsystem); the
-     *  documented-row cubes are derived from the protocol and rebuilt
-     *  by the constructor. */
-    void
-    saveState(Serializer &s) const
-    {
-        s.writeBytes(seen, sizeof(seen));
-        s.writeBytes(l1Counts, sizeof(l1Counts));
-        s.writeBytes(dirCounts, sizeof(dirCounts));
-    }
+    /**
+     * Serialize the observation matrices (snapshot subsystem): the
+     * seen byte of each knob profile, then the L1 and the directory
+     * matrix, each as u32 cell count, u32 count of non-zero cells and
+     * per non-zero cell in ascending order u32 cell, u64 count. The
+     * documented-row cubes are derived from the protocol and rebuilt
+     * by the constructor.
+     */
+    void saveState(Serializer &s) const;
 
-    /** Restore into a tracker of the same protocol and profile. */
-    bool
-    restoreState(Deserializer &d)
-    {
-        return d.readBytes(seen, sizeof(seen)) &&
-               d.readBytes(l1Counts, sizeof(l1Counts)) &&
-               d.readBytes(dirCounts, sizeof(dirCounts));
-    }
+    /**
+     * Restore over the tracker's current counts (same protocol and
+     * profile). Fails closed on a seen byte other than 0/1, a cell
+     * count other than the matrix's, a cell out of range or not
+     * strictly ascending, and a zero count.
+     */
+    bool restoreState(Deserializer &d);
 
   private:
     template <typename E>
@@ -257,14 +257,67 @@ class ConformanceCoverage
         return static_cast<unsigned>(e);
     }
 
+    static constexpr unsigned kL1Cells =
+        kNumKnobProfiles * kNumL1States * kNumL1Events * kNumL1States;
+    static constexpr unsigned kDirCells =
+        kNumKnobProfiles * kNumDirStates * kNumDirEvents * kNumDirStates;
+
+    /** Flat (profile, from, event, to) cell of each matrix. */
+    static unsigned
+    l1Cell(unsigned p, L1State from, L1Event ev, L1State to)
+    {
+        return ((p * kNumL1States + idx(from)) * kNumL1Events + idx(ev)) *
+                   kNumL1States +
+               idx(to);
+    }
+
+    static unsigned
+    dirCell(unsigned p, DirState from, DirEvent ev, DirState to)
+    {
+        return ((p * kNumDirStates + idx(from)) * kNumDirEvents +
+                idx(ev)) *
+                   kNumDirStates +
+               idx(to);
+    }
+
+    /**
+     * One observation matrix: a count per cell plus a bitmap of the
+     * non-zero cells, so saving and restoring cost what the run
+     * observed, not the size of the matrix.
+     */
+    template <unsigned Cells>
+    struct Matrix
+    {
+        std::uint64_t counts[Cells] = {};
+        std::uint64_t nonZero[(Cells + 63) / 64] = {};
+
+        /** Add @p n (> 0) to @p cell. */
+        void
+        add(unsigned cell, std::uint64_t n)
+        {
+            if (counts[cell] == 0)
+                nonZero[cell / 64] |= std::uint64_t(1) << (cell % 64);
+            counts[cell] += n;
+        }
+
+        /** Call @p fn with each non-zero cell, ascending. */
+        template <typename F>
+        void
+        forEachNonZero(F &&fn) const
+        {
+            forEachSetBit(nonZero, std::size(nonZero), fn);
+        }
+
+        void save(Serializer &s) const;
+        bool restore(Deserializer &d);
+    };
+
     ProtocolKind proto;
     /** Profile this tracker records under (merge mixes profiles). */
     KnobProfile profile;
     bool seen[kNumKnobProfiles] = {};
-    std::uint64_t l1Counts[kNumKnobProfiles][kNumL1States][kNumL1Events]
-                          [kNumL1States] = {};
-    std::uint64_t dirCounts[kNumKnobProfiles][kNumDirStates]
-                           [kNumDirEvents][kNumDirStates] = {};
+    Matrix<kL1Cells> l1;
+    Matrix<kDirCells> dir;
     /** Documented-row lookup cubes for this protocol. */
     bool l1Doc[kNumL1States][kNumL1Events][kNumL1States] = {};
     bool dirDoc[kNumDirStates][kNumDirEvents][kNumDirStates] = {};

@@ -171,7 +171,9 @@ DirController::claimSlot(Slot s, Addr region)
                  static_cast<unsigned long long>(region));
     // Capacity covers every slot, and each slot claims once.
     sidecarOf[s] = sidecarCount;
-    sidecars[sidecarCount++] = EntryData{};
+    EntryData &e = sidecars[sidecarCount++];
+    e = EntryData{};
+    e.slot = s;
     tags[s] = region | kValid | kFilling;
     lru[s] = ++lruClock;
 }
@@ -826,8 +828,9 @@ DirController::restoreEntries(Deserializer &d)
     // or outside its slot's set, a sharer at or above numCores, or a
     // word count other than regionWords() (0 only while the slot's
     // first fill is still in flight).
-    PROTO_ASSERT(sidecarCount == 0,
-                 "directory restore requires a fresh tile");
+    for (Slot i = 0; i < sidecarCount; ++i)
+        tags[sidecars[i].slot] = 0;
+    sidecarCount = 0;
     const std::uint32_t count = d.readU32();
     if (d.failed() || count > tags.size())
         return false;
@@ -847,6 +850,7 @@ DirController::restoreEntries(Deserializer &d)
 
         sidecarOf[slot] = sidecarCount;
         EntryData &e = sidecars[sidecarCount++];
+        e.slot = slot;
         d.readRaw(e.readers);
         d.readRaw(e.writers);
         e.wordCount = d.readU8();
@@ -883,6 +887,8 @@ DirController::restoreState(Deserializer &d)
     // Transactions fail closed on a flag byte other than 0/1, an
     // enum out of range, a requester outside the machine, a request
     // range outside the region and a second transaction on a region.
+    active.clear();
+    waiting.clear();
     const std::uint32_t txns = d.readU32();
     if (d.failed())
         return false;
@@ -913,7 +919,7 @@ DirController::restoreState(Deserializer &d)
     for (std::uint32_t i = 0; i < queued; ++i) {
         const Addr region = d.readU64();
         CoherenceMsg m;
-        if (!m.load(d, cfg.numCores))
+        if (!m.load(d, cfg.numCores, cfg.regionWords()))
             return false;
         waiting.push(region, std::move(m));
     }

@@ -210,7 +210,8 @@ class DirController
 
     /** Serialize / restore all mutable tile state (L2 sets, active
      *  transactions, wait queues, Bloom counters, occupancy, stats).
-     *  Restore requires a freshly constructed tile. */
+     *  Restore overwrites whatever the tile holds, in time
+     *  proportional to its valid entries. */
     void saveState(Serializer &s) const;
     bool restoreState(Deserializer &d);
 
@@ -241,7 +242,8 @@ class DirController
      * wordCount is 0 until the first fill and regionWords() afterwards
      * (it survives slot reuse, exactly like the size of the heap
      * vector the inline array replaced, so protocheck fingerprints
-     * are unchanged).
+     * are unchanged). `slot` names the owner, so a restore can
+     * invalidate the valid slots by walking the claimed sidecars.
      */
     struct EntryData
     {
@@ -249,6 +251,7 @@ class DirController
         CoreSet writers;
         std::array<std::uint64_t, kMaxRegionWords> words;
         unsigned wordCount = 0;
+        Slot slot = 0;
     };
 
     Cycle occupy(Cycle latency);
@@ -266,7 +269,8 @@ class DirController
     /** Make never-filled slot @p s valid for @p region: claim its
      *  sidecar and stamp it. */
     void claimSlot(Slot s, Addr region);
-    /** Read the sparse entry list written by saveState. */
+    /** Invalidate the valid slots, then read the sparse entry list
+     *  written by saveState. */
     bool restoreEntries(Deserializer &d);
     /** True when a region has an active txn or queued messages. */
     bool busy(Addr region) const;

@@ -97,17 +97,21 @@ class System
 
     /**
      * Serialize the complete mutable simulation state — every cache,
-     * controller, core, queue and pending event — so a fresh System
-     * built from the same config can resume bit-identically.
+     * controller, core, queue and pending event — so any System built
+     * from the same config can resume bit-identically.
      * @return false (with *error set) if a test hook is pending.
      */
     bool saveSnapshot(Serializer &s, std::string *error = nullptr) const;
 
     /**
-     * Restore a snapshot into this freshly-constructed System (same
-     * config, nothing run yet). On success the system resumes from the
-     * saved cycle via run()/runTo() and produces a stats digest
-     * bit-identical to the uninterrupted run.
+     * Restore a snapshot into this System (same config), fresh or
+     * already run: each component overwrites its state in place, in
+     * time proportional to what it holds. Installed hooks (the access
+     * sink, the message filter, the watchdog handler) stay. On success
+     * the system resumes from the saved cycle via run()/runTo() and
+     * produces a stats digest bit-identical to the uninterrupted run,
+     * and re-saves the image it restored byte for byte. On failure the
+     * System is half-restored and must be discarded.
      */
     bool restoreSnapshot(Deserializer &d, std::string *error = nullptr);
 

@@ -3,7 +3,7 @@
  * System checkpoint/restore implementation: the byte layout lives
  * here and nowhere else (see snapshot.hh for the contract).
  *
- * Layout (version 6, all little-endian; raw structs are written with
+ * Layout (version 7, all little-endian; raw structs are written with
  * their padding zeroed, so identical runs save identical bytes):
  *
  *   u32 magic "PZSN"        u32 version        u64 configFingerprint
@@ -11,7 +11,10 @@
  *      watchdog records, dropped-message count, runtime-enable knobs
  *      (checkPeriod, watchdogBound)
  *   -- golden memory, backing memory image
- *   -- conformance coverage
+ *   -- conformance coverage: the per-knob-profile seen bytes, then the
+ *      L1 and the directory matrices, each as u32 cell count, u32
+ *      count of non-zero cells, and per non-zero cell in ascending
+ *      order u32 cell, u64 count
  *   -- cores, L1s (outstanding-access flag inside), each L1 holding
  *      its cache's resident blocks per set in insertion order, then a
  *      sparse predictor table: u32 table size, u32 count of trained
@@ -165,9 +168,10 @@ saveQueue(const EventQueue &q, Serializer &s, std::string *error)
 
 /**
  * Rebuild one calendar queue from its serialized image, record by
- * record, mirroring saveQueue. Fails closed on a kind no saver writes,
- * a core or tile id out of range, a payload the message or access
- * loader refuses, and records out of (when, seq) order.
+ * record, mirroring saveQueue, after dropping whatever it held. Fails
+ * closed on a kind no saver writes, a core or tile id out of range, a
+ * payload the message or access loader refuses, and records out of
+ * (when, seq) order.
  */
 bool
 restoreQueue(const SystemConfig &cfg, EventQueue &q, Deserializer &d,
@@ -185,6 +189,7 @@ restoreQueue(const SystemConfig &cfg, EventQueue &q, Deserializer &d,
                         "corrupt snapshot: queue claims more events "
                         "than the image can hold");
 
+    q.clear();
     q.setClock(clock);
 
     Cycle prev_when = 0;
@@ -229,7 +234,7 @@ restoreQueue(const SystemConfig &cfg, EventQueue &q, Deserializer &d,
           case EventKind::L1Send:
           case EventKind::DirSend:
           case EventKind::Deliver:
-            ok = ev.msg.load(d, cfg.numCores) && ok;
+            ok = ev.msg.load(d, cfg.numCores, cfg.regionWords()) && ok;
             break;
           default:
             break;
@@ -335,11 +340,6 @@ System::saveSnapshot(Serializer &s, std::string *error) const
 bool
 System::restoreSnapshot(Deserializer &d, std::string *error)
 {
-    if (started)
-        return setError(error,
-                        "restore target must be a freshly constructed "
-                        "System (nothing run yet)");
-
     if (d.readU32() != kSnapshotMagic)
         return setError(error, "not a snapshot (bad magic)");
     const std::uint32_t ver = d.readU32();
@@ -357,6 +357,10 @@ System::restoreSnapshot(Deserializer &d, std::string *error)
     if (d.failed())
         return setError(error, "snapshot truncated in header");
 
+    // Every section overwrites its component in place, so the target
+    // may be fresh or already run. The host-time counter is the one
+    // field outside the image.
+    runWallSeconds = 0.0;
     started = d.readU8() != 0;
     finalized = d.readU8() != 0;
     coresRunning = d.readU32();

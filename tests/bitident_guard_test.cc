@@ -12,12 +12,18 @@
  *
  * If a deliberate behavioral change lands, rerun this test and update
  * kGoldenDigest to the value printed in the failure message.
+ *
+ * The second guard locks the schedule explorer's search the same way:
+ * its counters over the scenario library must not move when only the
+ * explorer's speed changes.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
+#include "check/explorer.hh"
+#include "check/scenario.hh"
 #include "protozoa/protozoa.hh"
 #include "stats_digest.hh"
 
@@ -43,6 +49,48 @@ TEST(BitIdenticalGuard, SmallRunDigestIsStable)
         << "stats digest changed: 0x" << std::hex << d.value()
         << " (update kGoldenDigest only for a deliberate behavioral "
            "change)";
+}
+
+/**
+ * check::explore at its default limits over every non-large library
+ * scenario x 4 protocols. Each pair's states visited, schedules
+ * completed, memo hits, POR prunes, POR commutations and deliveries
+ * executed fold into one digest per pair, and the pairs fold in
+ * library order: the same value the benchmark's protocheck workload
+ * reports. A change to this digest needs its reason stated, as for
+ * kGoldenDigest.
+ */
+TEST(BitIdenticalGuard, ExplorerCountersAreStable)
+{
+    constexpr std::uint64_t kExplorerDigest = 0x5ae441328e4cae07ULL;
+
+    Digest all;
+    for (const check::Scenario &s : check::scenarioLibrary()) {
+        if (s.large)
+            continue;
+        for (ProtocolKind kind :
+             {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
+              ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW}) {
+            const check::ExploreResult r = check::explore(s, kind);
+            EXPECT_FALSE(r.violation.has_value())
+                << s.name << " " << protocolName(kind);
+            EXPECT_FALSE(r.budgetExhausted)
+                << s.name << " " << protocolName(kind);
+            Digest d;
+            d.add(r.statesVisited);
+            d.add(r.schedulesCompleted);
+            d.add(r.memoHits);
+            d.add(r.porPruned);
+            d.add(r.porCommutations);
+            d.add(r.deliveriesExecuted);
+            all.add(d.value());
+        }
+    }
+
+    EXPECT_EQ(all.value(), kExplorerDigest)
+        << "explorer digest changed: 0x" << std::hex << all.value()
+        << " (update kExplorerDigest only for a deliberate change to "
+           "the search)";
 }
 
 } // namespace

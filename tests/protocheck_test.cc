@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -422,10 +423,33 @@ TEST(Explorer, SnapshotBacktrackMatchesReplayWithFewerDeliveries)
     }
 }
 
+namespace {
+
+/** Same schedule and, step by step, the same src, dst and description. */
+void
+expectSamePath(const Violation &x, const Violation &y, const char *what)
+{
+    EXPECT_EQ(x.kind, y.kind) << what;
+    EXPECT_EQ(x.schedule, y.schedule) << what;
+    ASSERT_EQ(x.steps.size(), x.schedule.size()) << what;
+    ASSERT_EQ(x.steps.size(), y.steps.size()) << what;
+    for (std::size_t i = 0; i < x.steps.size(); ++i) {
+        EXPECT_EQ(x.steps[i].src, y.steps[i].src) << what << " step " << i;
+        EXPECT_EQ(x.steps[i].dst, y.steps[i].dst) << what << " step " << i;
+        EXPECT_EQ(x.steps[i].desc, y.steps[i].desc)
+            << what << " step " << i;
+    }
+}
+
+} // namespace
+
 /**
  * The found-violation path must survive snapshot-backtracking too:
  * the re-injected lost-store bug is rediscovered with an identical
- * minimized schedule either way.
+ * schedule and identical step descriptions either way, and replaying
+ * that schedule describes every step the same way again. Each path
+ * keeps the channel heads it delivered and describes them only for a
+ * returned violation, so this locks what the three paths kept.
  */
 TEST(Explorer, SnapshotBacktrackFindsSameViolation)
 {
@@ -442,8 +466,13 @@ TEST(Explorer, SnapshotBacktrackFindsSameViolation)
         explore(buggy, ProtocolKind::ProtozoaMW, replay);
     ASSERT_TRUE(a.violation.has_value());
     ASSERT_TRUE(b.violation.has_value());
-    EXPECT_EQ(a.violation->kind, b.violation->kind);
-    EXPECT_EQ(a.violation->schedule, b.violation->schedule);
+    ASSERT_FALSE(a.violation->steps.empty());
+    expectSamePath(*a.violation, *b.violation, "snapshot vs replay");
+
+    const std::optional<Violation> r = replaySchedule(
+        buggy, ProtocolKind::ProtozoaMW, a.violation->schedule);
+    ASSERT_TRUE(r.has_value());
+    expectSamePath(*a.violation, *r, "explore vs replaySchedule");
 }
 
 TEST(ScenarioLibrary, SizeTiersAndStressTags)

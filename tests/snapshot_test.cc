@@ -1,11 +1,12 @@
 /**
  * @file
  * Checkpoint/restore property tests: the snapshot subsystem's contract
- * is digest-locked resumption — save at cycle C, restore into a fresh
- * System (same config, nothing run yet), run to completion, and the
- * full stats digest is bit-identical to the uninterrupted run. The
- * tests exercise that contract across all four protocols, with fault
- * jitter on and off, at randomized checkpoint cycles.
+ * is digest-locked resumption — save at cycle C, restore into a System
+ * of the same config (fresh, or already run to another cycle), run to
+ * completion, and the full stats digest is bit-identical to the
+ * uninterrupted run. The tests exercise that contract across all four
+ * protocols, with fault jitter on and off, at randomized checkpoint
+ * cycles.
  *
  * The rejection half: corrupted, truncated, version-skewed and
  * config-mismatched images must be refused with a clear error — never
@@ -246,11 +247,11 @@ TEST(SnapshotReject, VersionSkew)
     SystemConfig cfg;
     cfg.seed = 3;
     Serializer img = saveAt(cfg, 5000);
-    // The version field follows the magic. A newer image, a v5 image
-    // (whose parked messages each carried a u64 hash) and a v4 image
-    // (which still carried the engine-mode byte) are all refused
-    // before any section is read.
-    for (const std::uint32_t ver : {kSnapshotVersion + 1, 5u, 4u}) {
+    // The version field follows the magic. A newer image, a v6 image
+    // (dense coverage matrices), a v5 image (whose parked messages
+    // each carried a u64 hash) and a v4 image (which still carried the
+    // engine-mode byte) are all refused before any section is read.
+    for (const std::uint32_t ver : {kSnapshotVersion + 1, 6u, 5u, 4u}) {
         std::vector<std::uint8_t> bytes = img.bytes();
         std::memcpy(&bytes[4], &ver, sizeof(ver));
         System fresh(cfg, bench(cfg));
@@ -278,18 +279,49 @@ TEST(SnapshotReject, ConfigMismatch)
     EXPECT_NE(err.find("configuration"), std::string::npos) << err;
 }
 
-TEST(SnapshotReject, UsedTargetRefused)
+/**
+ * Restore overwrites in place. One image restored into a fresh System
+ * and into Systems already run short of its cycle, past it and to the
+ * end must re-save the same bytes, and every copy must finish with
+ * the uninterrupted run's digest. Fault jitter fills both mesh
+ * matrices; by the later stops the golden store has outgrown its
+ * first page table.
+ */
+TEST(Snapshot, RestoreIntoUsedSystemMatchesFresh)
 {
-    SystemConfig cfg;
-    cfg.seed = 3;
-    Serializer img = saveAt(cfg, 5000);
+    for (ProtocolKind kind :
+         {ProtocolKind::MESI, ProtocolKind::ProtozoaMW}) {
+        SystemConfig cfg;
+        cfg.protocol = kind;
+        cfg.seed = 3;
+        cfg.faultInjection = true;
+        const std::uint64_t want = digestOf(referenceRun(cfg));
+        const Serializer img = saveAt(cfg, 20000);
+        std::string err;
 
-    System used(cfg, bench(cfg));
-    used.runTo(100); // no longer fresh
-    Deserializer d(img.bytes().data(), img.size());
-    std::string err;
-    EXPECT_FALSE(used.restoreSnapshot(d, &err));
-    EXPECT_NE(err.find("fresh"), std::string::npos) << err;
+        System fresh(cfg, bench(cfg));
+        Deserializer d(img.bytes().data(), img.size());
+        ASSERT_TRUE(fresh.restoreSnapshot(d, &err)) << err;
+        Serializer resaved;
+        ASSERT_TRUE(fresh.saveSnapshot(resaved, &err)) << err;
+
+        for (const Cycle other :
+             {Cycle(5000), Cycle(60000), System::kNoStop}) {
+            System used(cfg, bench(cfg));
+            used.runTo(other);
+            Deserializer du(img.bytes().data(), img.size());
+            ASSERT_TRUE(used.restoreSnapshot(du, &err)) << err;
+            Serializer again;
+            ASSERT_TRUE(used.saveSnapshot(again, &err)) << err;
+            EXPECT_EQ(again.bytes(), resaved.bytes())
+                << protocolName(kind) << ", target run to " << other;
+            used.run();
+            EXPECT_EQ(digestOf(used.report()), want)
+                << protocolName(kind) << ", target run to " << other;
+        }
+        fresh.run();
+        EXPECT_EQ(digestOf(fresh.report()), want) << protocolName(kind);
+    }
 }
 
 TEST(SnapshotReject, TruncationAtEveryRegion)
@@ -847,6 +879,86 @@ TEST(SnapshotReject, MeshEmptyChannel)
     expectOracleRejected(im.bytes);
 }
 
+// ---- the sparse coverage section -------------------------------------
+
+/**
+ * A mid-run image with the offsets inside its coverage section
+ * (ConformanceCoverage::saveState): one seen byte per knob profile,
+ * then the L1 and the directory matrices, each u32 cell count, u32
+ * count of non-zero cells, then per non-zero cell u32 cell, u64 count.
+ */
+struct CoverageImage
+{
+    std::vector<std::uint8_t> bytes;
+    /** The L1 matrix's cell-count field. */
+    std::size_t l1At = 0;
+    std::uint32_t l1Cells = 0;
+    std::uint32_t l1Count = 0;
+
+    /** Where the L1 matrix's @p i-th non-zero cell is written. */
+    std::size_t cellAt(std::uint32_t i) const
+    {
+        return l1At + 8 + std::size_t(i) * (4 + 8);
+    }
+};
+
+CoverageImage
+coverageImage()
+{
+    System donor(pairCfg(), bench(pairCfg()));
+    donor.runTo(5000);
+    Serializer img;
+    std::string err;
+    EXPECT_TRUE(donor.saveSnapshot(img, &err)) << err;
+
+    Serializer sec;
+    donor.conformance().saveState(sec);
+    CoverageImage im;
+    im.bytes = img.bytes();
+    const auto at = std::search(im.bytes.begin(), im.bytes.end(),
+                                sec.bytes().begin(), sec.bytes().end());
+    EXPECT_NE(at, im.bytes.end());
+    if (at == im.bytes.end())
+        return im;
+    im.l1At = static_cast<std::size_t>(at - im.bytes.begin()) +
+              kNumKnobProfiles;
+    im.l1Cells = getU32(im.bytes, im.l1At);
+    im.l1Count = getU32(im.bytes, im.l1At + 4);
+    EXPECT_EQ(im.l1Cells,
+              kNumKnobProfiles * kNumL1States * kNumL1Events * kNumL1States);
+    return im;
+}
+
+TEST(SnapshotReject, CoverageCellOutOfRange)
+{
+    const CoverageImage im = coverageImage();
+    ASSERT_GE(im.l1Count, 1u);
+    // The last cell moves past the matrix; the order still ascends.
+    std::vector<std::uint8_t> bytes = im.bytes;
+    putU32(bytes, im.cellAt(im.l1Count - 1), im.l1Cells);
+    expectRejected(pairCfg(), bytes);
+}
+
+TEST(SnapshotReject, CoverageCellsNotAscending)
+{
+    const CoverageImage im = coverageImage();
+    ASSERT_GE(im.l1Count, 2u);
+    // The second cell repeats the first.
+    std::vector<std::uint8_t> bytes = im.bytes;
+    putU32(bytes, im.cellAt(1), getU32(bytes, im.cellAt(0)));
+    expectRejected(pairCfg(), bytes);
+}
+
+TEST(SnapshotReject, CoverageZeroCount)
+{
+    const CoverageImage im = coverageImage();
+    ASSERT_GE(im.l1Count, 1u);
+    std::vector<std::uint8_t> bytes = im.bytes;
+    const std::uint64_t zero = 0;
+    std::memcpy(&bytes[im.cellAt(0) + 4], &zero, sizeof(zero));
+    expectRejected(pairCfg(), bytes);
+}
+
 // ---- the event section and the message / access loaders -------------
 
 /** One pending event as the snapshot writes it. */
@@ -1158,6 +1270,26 @@ TEST(SnapshotReject, MessageNodeOutsideMachine)
           offsetof(CoherenceMsg, sender),
           offsetof(CoherenceMsg, requester)})
         expectMessageRejected(field, {16});
+}
+
+TEST(SnapshotReject, MessageRangeOutsideRegion)
+{
+    // Both images hold 8-word regions. An end at word 8 or past it
+    // leaves the region whatever the start: an empty range ({1,0} or
+    // a clipped one) becomes non-empty and a non-empty one overhangs.
+    ASSERT_EQ(eventCfg().regionWords(), 8u);
+    ASSERT_EQ(oracleCfg().regionWords(), 8u);
+    expectMessageRejected(
+        offsetof(CoherenceMsg, range) + offsetof(WordRange, end), {8, 255});
+}
+
+TEST(SnapshotReject, MessageFetchRangeOutsideRegion)
+{
+    ASSERT_EQ(eventCfg().regionWords(), 8u);
+    ASSERT_EQ(oracleCfg().regionWords(), 8u);
+    expectMessageRejected(offsetof(CoherenceMsg, reqFetchRange) +
+                              offsetof(WordRange, end),
+                          {8, 255});
 }
 
 TEST(SnapshotReject, ParkedMessageOffItsChannel)
