@@ -357,14 +357,19 @@ AmoebaCache::restoreState(Deserializer &d)
             d.readRaw(b.range);
             const std::uint8_t state = d.readU8();
             b.state = static_cast<BlockState>(state);
-            b.touched = d.readU64();
+            const std::uint64_t touched = d.readU64();
+            b.touched = static_cast<WordMask>(touched);
             b.fetchPc = d.readU64();
             b.missWord = d.readU8();
             b.lruStamp = d.readU64();
             const std::uint32_t nw = d.readU32();
+            const unsigned region_words = regionBytes / kWordBytes;
+            const WordMask region = WordRange::full(region_words).mask();
             if (d.failed() || state > std::uint8_t(BlockState::M) ||
-                !b.range.within(regionBytes / kWordBytes) ||
-                nw != b.range.words() || setOf(b.region) != si)
+                !b.range.within(region_words) ||
+                (touched & ~std::uint64_t(region)) != 0 ||
+                b.missWord >= region_words || nw != b.range.words() ||
+                setOf(b.region) != si)
                 return false;
             b.words.assign(nw, 0);
             for (std::uint32_t w = 0; w < nw; ++w)

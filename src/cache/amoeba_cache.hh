@@ -182,8 +182,10 @@ class AmoebaCache
      * Rebuild from a snapshot over whatever the cache holds (same
      * geometry); reproduces insertion order, LRU stamps and all
      * derived metadata exactly, as a new cache would. Fails closed on
-     * a state byte above M, a range outside the region, a word count
-     * other than the range's and a block outside its set.
+     * a state byte above M, a range outside the region, a touched
+     * mask with bits outside the region, a missWord at or above the
+     * region's word count, a word count other than the range's and a
+     * block outside its set.
      */
     bool restoreState(Deserializer &d);
 

@@ -34,26 +34,33 @@ WordOnlyPredictor::predict(Pc, unsigned, const WordRange &need, unsigned)
 
 PcSpatialPredictor::PcSpatialPredictor(unsigned table_entries,
                                        unsigned region_words)
-    : regionWords(region_words), table(table_entries)
+    : regionWords(region_words), table(table_entries),
+      trainedBits((table_entries + 63) / 64, 0)
 {
     PROTO_ASSERT(table_entries > 0, "empty predictor table");
     static_assert(kMaxRegionWords < Entry::kUntrained,
                   "extents must fit below the untrained marker");
 }
 
-PcSpatialPredictor::Entry &
-PcSpatialPredictor::entryFor(Pc pc)
+std::size_t
+PcSpatialPredictor::indexOf(Pc pc) const
 {
     // Fibonacci hash of the PC (word-aligned PCs have dead low bits).
     const std::uint64_t h = (pc >> 2) * 0x9e3779b97f4a7c15ULL;
-    return table[h % table.size()];
+    return static_cast<std::size_t>(h % table.size());
+}
+
+void
+PcSpatialPredictor::markTrained(std::size_t index)
+{
+    trainedBits[index / 64] |= std::uint64_t(1) << (index % 64);
 }
 
 WordRange
 PcSpatialPredictor::predict(Pc pc, unsigned miss_word,
                             const WordRange &need, unsigned region_words)
 {
-    const Entry &e = entryFor(pc);
+    const Entry &e = table[indexOf(pc)];
     if (!e.trained())
         return WordRange::full(region_words);
 
@@ -81,10 +88,12 @@ PcSpatialPredictor::learn(Pc pc, unsigned miss_word, WordMask touched,
     const unsigned new_left = miss_word >= lo ? miss_word - lo : 0;
     const unsigned new_right = hi >= miss_word ? hi - miss_word : 0;
 
-    Entry &e = entryFor(pc);
+    const std::size_t index = indexOf(pc);
+    Entry &e = table[index];
     if (!e.trained()) {
         e.left = static_cast<std::uint8_t>(new_left);
         e.right = static_cast<std::uint8_t>(new_right);
+        markTrained(index);
         return;
     }
     // Grow immediately (spatial locality discovered), shrink by EWMA so
@@ -99,17 +108,15 @@ void
 PcSpatialPredictor::saveState(Serializer &s) const
 {
     std::uint32_t trained = 0;
-    for (const Entry &e : table)
-        trained += e.trained() ? 1 : 0;
+    for (const std::uint64_t w : trainedBits)
+        trained += static_cast<std::uint32_t>(std::popcount(w));
     s.writeU32(static_cast<std::uint32_t>(table.size()));
     s.writeU32(trained);
-    for (std::uint32_t i = 0; i < table.size(); ++i) {
-        if (!table[i].trained())
-            continue;
+    forEachSetBit(trainedBits.data(), trainedBits.size(), [&](unsigned i) {
         s.writeU32(i);
         s.writeU8(table[i].left);
         s.writeU8(table[i].right);
-    }
+    });
 }
 
 bool
@@ -122,7 +129,9 @@ PcSpatialPredictor::restoreState(Deserializer &d)
     const std::uint32_t count = d.readU32();
     if (d.failed() || size != table.size() || count > size)
         return false;
-    std::fill(table.begin(), table.end(), Entry{});
+    forEachSetBit(trainedBits.data(), trainedBits.size(),
+                  [&](unsigned i) { table[i] = Entry{}; });
+    std::fill(trainedBits.begin(), trainedBits.end(), 0);
     std::uint64_t next = 0;
     for (std::uint32_t i = 0; i < count; ++i) {
         const std::uint32_t index = d.readU32();
@@ -133,6 +142,7 @@ PcSpatialPredictor::restoreState(Deserializer &d)
             return false;
         next = std::uint64_t(index) + 1;
         table[index] = Entry{left, right};
+        markTrained(index);
     }
     return true;
 }

@@ -13,6 +13,7 @@
 #ifndef PROTOZOA_CACHE_SPATIAL_PREDICTOR_HH
 #define PROTOZOA_CACHE_SPATIAL_PREDICTOR_HH
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -114,10 +115,14 @@ class PcSpatialPredictor : public SpatialPredictor
     /**
      * Sparse: u32 table size, u32 count of trained entries, then per
      * trained entry in ascending index order u32 index, u8 left,
-     * u8 right.
+     * u8 right. Visits only the trained entries.
      */
     void saveState(Serializer &s) const override;
-    /** Fails closed on anything saveState cannot have written. */
+    /**
+     * Fails closed on anything saveState cannot have written. Forgets
+     * only the entries trained before, so it costs what the two
+     * tables hold, not the table size.
+     */
     bool restoreState(Deserializer &d) override;
 
   private:
@@ -132,11 +137,14 @@ class PcSpatialPredictor : public SpatialPredictor
         bool trained() const { return left != kUntrained; }
     };
 
-    Entry &entryFor(Pc pc);
+    std::size_t indexOf(Pc pc) const;
+    void markTrained(std::size_t index);
 
     /** Region size the snapshot's extents are checked against. */
     unsigned regionWords;
     std::vector<Entry> table;
+    /** One bit per table entry, set exactly when it is trained. */
+    std::vector<std::uint64_t> trainedBits;
 };
 
 /** Factory for the policy selected in the configuration. */

@@ -9,6 +9,7 @@
 #include "check/state_fingerprint.hh"
 #include "common/log.hh"
 #include "common/serialize.hh"
+#include "common/small_vec.hh"
 #include "sim/system.hh"
 
 namespace protozoa::check {
@@ -58,14 +59,18 @@ struct ChannelInfo
  * channels, which stopped fitting one uint64 past 8 nodes and used to
  * auto-disable POR on the large-tier 8x8 scenarios; masks are now
  * runtime-sized word arrays (64 words for an 8x8 mesh) with the same
- * bulk word-parallel algebra. Search bookkeeping only — never on the
- * simulator hot path — so vector storage is fine.
+ * bulk word-parallel algebra. The words live inline up to a 16-node
+ * mesh, so building and copying the masks of a search step allocates
+ * nothing there.
  */
 class ChanMask
 {
   public:
     ChanMask() = default;
-    explicit ChanMask(unsigned bits) : w((bits + 63) / 64, 0) {}
+    explicit ChanMask(unsigned bits) { reset(bits); }
+
+    /** Resize to @p bits channels, all clear. */
+    void reset(unsigned bits) { w.assign((bits + 63) / 64, 0); }
 
     bool
     test(unsigned b) const
@@ -102,7 +107,7 @@ class ChanMask
     }
 
   private:
-    std::vector<std::uint64_t> w;
+    SmallVec<std::uint64_t, 4> w;
 };
 
 /**
@@ -261,7 +266,7 @@ class Run
     std::uint64_t
     fingerprint()
     {
-        return fingerprintSystem(sys, regions, completed);
+        return fingerprintSystem(sys, regions, completed, fpScratch);
     }
 
     /**
@@ -594,6 +599,7 @@ class Run
 
     /** Non-empty channels at the current quiescent point, canonical. */
     std::vector<ChannelInfo> front;
+    FingerprintScratch fpScratch;
 };
 
 } // namespace
@@ -610,7 +616,11 @@ explore(const Scenario &s, ProtocolKind proto, const ExploreLimits &lim)
     std::unordered_map<std::uint64_t, ChanMask> memo;
     std::unordered_map<std::uint64_t, bool> seen; // fingerprint set
 
-    /** One expanded quiescent point on the DFS stack. */
+    /**
+     * One expanded quiescent point on the DFS stack. Levels are kept
+     * when the search backs out of them: the next state expanded at
+     * the same depth reuses the level's buffers in place.
+     */
     struct Level
     {
         std::vector<ChannelInfo> frontier;
@@ -625,12 +635,12 @@ explore(const Scenario &s, ProtocolKind proto, const ExploreLimits &lim)
         /** This quiescent point's image (snapshot backtracking). */
         std::vector<std::uint8_t> snap;
     };
+    /** stack[0, path.size()) is the DFS stack; the rest are spare
+     *  levels. */
     std::vector<Level> stack;
     std::vector<unsigned> path;
     /** The channel head delivered at each step of `path`. */
     std::vector<ChannelInfo> delivered;
-    /** Image buffers of popped levels, reused by the next saves. */
-    std::vector<std::vector<std::uint8_t>> spareImages;
 
     // One run for the whole search: snapshot backtracking restores
     // each branch point into it; the replay backtracker rebuilds it.
@@ -648,10 +658,11 @@ explore(const Scenario &s, ProtocolKind proto, const ExploreLimits &lim)
     // Sleep set of the next explored child: every earlier-explored or
     // inherited-asleep channel that commutes with the chosen delivery
     // stays asleep below it; dependent channels wake up.
-    const auto childSleep = [&](const Level &lv, unsigned k) {
-        ChanMask out(chanBits);
+    const auto childSleep = [&](ChanMask &out, const Level &lv,
+                                unsigned k) {
+        out.reset(chanBits);
         if (!por)
-            return out;
+            return;
         ChanMask candidates = lv.sleepIn;
         candidates |= lv.explored;
         const ChannelInfo &chosen = lv.frontier[k];
@@ -663,10 +674,10 @@ explore(const Scenario &s, ProtocolKind proto, const ExploreLimits &lim)
                 ++res.porCommutations;
             }
         }
-        return out;
     };
 
     ChanMask sleep(chanBits); // mask entering the current state
+    std::vector<unsigned> order;
 
     for (;;) {
         const std::vector<ChannelInfo> &frontier = run->frontier();
@@ -680,7 +691,7 @@ explore(const Scenario &s, ProtocolKind proto, const ExploreLimits &lim)
         if (leaf)
             ++res.schedulesCompleted;
 
-        std::vector<unsigned> order;
+        order.clear();
         if (!leaf) {
             for (unsigned k = 0; k < width; ++k) {
                 if (por && sleep.test(chanIndex(frontier[k]))) {
@@ -696,19 +707,22 @@ explore(const Scenario &s, ProtocolKind proto, const ExploreLimits &lim)
                 leaf = true;
         }
 
-        std::uint64_t fp = 0;
-        if (lim.memo || lim.collectFingerprints)
-            fp = run->fingerprint();
-        if (lim.collectFingerprints)
-            seen.emplace(fp, true);
-        if (!leaf && lim.memo) {
-            auto [it, fresh] = memo.try_emplace(fp, sleep);
-            if (!fresh) {
-                if (it->second.isSubsetOf(sleep)) {
-                    ++res.memoHits;
-                    leaf = true;
-                } else {
-                    it->second &= sleep;
+        // Only memoization of a state to expand and the collected set
+        // read the fingerprint.
+        const bool memoize = !leaf && lim.memo;
+        if (memoize || lim.collectFingerprints) {
+            const std::uint64_t fp = run->fingerprint();
+            if (lim.collectFingerprints)
+                seen.emplace(fp, true);
+            if (memoize) {
+                auto [it, fresh] = memo.try_emplace(fp, sleep);
+                if (!fresh) {
+                    if (it->second.isSubsetOf(sleep)) {
+                        ++res.memoHits;
+                        leaf = true;
+                    } else {
+                        it->second &= sleep;
+                    }
                 }
             }
         }
@@ -719,23 +733,20 @@ explore(const Scenario &s, ProtocolKind proto, const ExploreLimits &lim)
                 res.budgetExhausted = true;
                 break;
             }
-            Level lv;
+            if (path.size() == stack.size())
+                stack.emplace_back();
+            Level &lv = stack[path.size()];
             lv.frontier = frontier;
-            lv.order = std::move(order);
+            std::swap(lv.order, order);
+            lv.pos = 0;
             lv.sleepIn = sleep;
-            lv.explored = ChanMask(chanBits);
-            if (lim.snapshotBacktrack && lv.order.size() > 1) {
-                if (!spareImages.empty()) {
-                    lv.snap = std::move(spareImages.back());
-                    spareImages.pop_back();
-                }
+            lv.explored.reset(chanBits);
+            if (lim.snapshotBacktrack && lv.order.size() > 1)
                 run->snapshot(lv.snap);
-            }
             const unsigned k = lv.order[0];
-            sleep = childSleep(lv, k);
+            childSleep(sleep, lv, k);
             path.push_back(k);
             delivered.push_back(frontier[k]);
-            stack.push_back(std::move(lv));
             run->step(k);
             ++res.deliveriesExecuted;
             continue;
@@ -746,25 +757,22 @@ explore(const Scenario &s, ProtocolKind proto, const ExploreLimits &lim)
         // replay the prefix (deterministic).
         bool done = false;
         for (;;) {
-            if (stack.empty()) {
+            if (path.empty()) {
                 done = true;
                 break;
             }
-            Level &lv = stack.back();
+            Level &lv = stack[path.size() - 1];
             if (por)
                 lv.explored.set(chanIndex(lv.frontier[lv.order[lv.pos]]));
             ++lv.pos;
             if (lv.pos < lv.order.size())
                 break;
-            if (lv.snap.capacity() > 0)
-                spareImages.push_back(std::move(lv.snap));
-            stack.pop_back();
             path.pop_back();
             delivered.pop_back();
         }
         if (done)
             break;
-        Level &lv = stack.back();
+        Level &lv = stack[path.size() - 1];
         const unsigned k = lv.order[lv.pos];
         path.back() = k;
         if (lim.snapshotBacktrack) {
@@ -777,7 +785,7 @@ explore(const Scenario &s, ProtocolKind proto, const ExploreLimits &lim)
                 ++res.deliveriesExecuted;
             }
         }
-        sleep = childSleep(lv, k);
+        childSleep(sleep, lv, k);
         delivered.back() = run->frontier()[k];
         run->step(k);
         ++res.deliveriesExecuted;

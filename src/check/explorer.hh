@@ -18,9 +18,11 @@
  * the level was first expanded (the src/snapshot serialization of the
  * full quiescent state, plus the run's progress counters), so
  * revisiting a sibling costs one in-place restore instead of a new
- * System and a replay of the whole choice prefix from the root. Image
- * buffers of finished levels are reused by later ones, and a step's
- * human-readable description is built only for a returned violation.
+ * System and a replay of the whole choice prefix from the root. The
+ * DFS keeps one level per depth and reuses its buffers (frontier,
+ * choice order, sleep masks, image) for the next state expanded at
+ * that depth, and a step's human-readable description is built only
+ * for a returned violation.
  * ExploreLimits::snapshotBacktrack = false turns the old
  * replay-from-root backtracking back on (a fresh System per
  * backtrack, independent of restore) — the simulator is deterministic
@@ -98,7 +100,9 @@ struct ExploreLimits
     /**
      * Collect every visited quiescent fingerprint in
      * ExploreResult::fingerprints (POR and memoization soundness
-     * tests; costs a hash per state even with memoization off).
+     * tests; costs a hash per state, leaves and memoization off
+     * included: otherwise only states to expand are hashed, and only
+     * under memoization).
      */
     bool collectFingerprints = false;
     /**

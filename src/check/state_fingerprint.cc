@@ -33,16 +33,9 @@ struct Hasher
     }
 };
 
-/** One L1 block, keyed for canonical (set, LRU-rank) ordering. */
-struct BlockSnap
-{
-    unsigned set;
-    std::uint64_t lruStamp;
-    const AmoebaBlock *blk;
-};
-
 void
-feedL1(Hasher &hx, L1Controller &l1, const SystemConfig &cfg)
+feedL1(Hasher &hx, L1Controller &l1, const SystemConfig &cfg,
+       FingerprintScratch &scratch)
 {
     // Only PcSpatial learns: a dying block trains it on the block's
     // fetchPc and missWord, and its table steers every later miss.
@@ -51,25 +44,28 @@ feedL1(Hasher &hx, L1Controller &l1, const SystemConfig &cfg)
     if (learns) {
         // saveState writes the trained entries in ascending index
         // order: canonical bytes of the whole table.
-        Serializer table;
+        Serializer table(std::move(scratch.predictorBytes));
         l1.predictorPolicy().saveState(table);
-        hx.feedBytes(table.bytes());
+        scratch.predictorBytes = table.take();
+        hx.feedBytes(scratch.predictorBytes);
     }
 
     AmoebaCache &cache = l1.cacheStorage();
-    std::vector<BlockSnap> blocks;
+    std::vector<FingerprintScratch::Block> &blocks = scratch.blocks;
+    blocks.clear();
     cache.forEach([&](const AmoebaBlock &b) {
-        blocks.push_back(BlockSnap{cache.setOf(b.region), b.lruStamp, &b});
+        blocks.push_back({cache.setOf(b.region), b.lruStamp, &b});
     });
     // Per-set LRU order canonicalizes the absolute stamps: only the
     // relative recency within a set affects future evictions.
     std::sort(blocks.begin(), blocks.end(),
-              [](const BlockSnap &a, const BlockSnap &b) {
+              [](const FingerprintScratch::Block &a,
+                 const FingerprintScratch::Block &b) {
                   return std::tie(a.set, a.lruStamp) <
                          std::tie(b.set, b.lruStamp);
               });
     hx.feed(blocks.size());
-    for (const BlockSnap &s : blocks) {
+    for (const FingerprintScratch::Block &s : blocks) {
         const AmoebaBlock &b = *s.blk;
         hx.feed(s.set);
         hx.feed(b.region);
@@ -116,9 +112,10 @@ feedL1(Hasher &hx, L1Controller &l1, const SystemConfig &cfg)
 }
 
 void
-feedDir(Hasher &hx, DirController &dir)
+feedDir(Hasher &hx, DirController &dir, FingerprintScratch &scratch)
 {
-    std::vector<DirController::EntrySnap> entries;
+    std::vector<DirController::EntrySnap> &entries = scratch.entries;
+    entries.clear();
     dir.forEachEntry([&](const DirController::EntrySnap &e) {
         entries.push_back(e);
     });
@@ -179,7 +176,8 @@ feedDir(Hasher &hx, DirController &dir)
 
 std::uint64_t
 fingerprintSystem(System &sys, const std::vector<Addr> &regions,
-                  const std::vector<unsigned> &progress)
+                  const std::vector<unsigned> &progress,
+                  FingerprintScratch &scratch)
 {
     const SystemConfig &cfg = sys.config();
     Hasher hx;
@@ -189,9 +187,9 @@ fingerprintSystem(System &sys, const std::vector<Addr> &regions,
         hx.feed(p);
 
     for (CoreId c = 0; c < cfg.numCores; ++c)
-        feedL1(hx, sys.l1(c), cfg);
+        feedL1(hx, sys.l1(c), cfg, scratch);
     for (TileId t = 0; t < cfg.l2Tiles; ++t)
-        feedDir(hx, sys.dir(t));
+        feedDir(hx, sys.dir(t), scratch);
 
     // Parked messages: channels in ascending (src,dst) order, FIFO
     // within a channel — the canonical in-flight multiset.

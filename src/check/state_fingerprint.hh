@@ -34,12 +34,33 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "protocol/dir_controller.hh"
 
 namespace protozoa {
 class System;
+struct AmoebaBlock;
 }
 
 namespace protozoa::check {
+
+/**
+ * The lists fingerprintSystem sorts and the predictor bytes it hashes,
+ * kept by the caller across calls: once their capacities cover the
+ * largest state seen, a fingerprint allocates nothing.
+ */
+struct FingerprintScratch
+{
+    /** One L1 block, keyed for canonical (set, LRU-rank) ordering. */
+    struct Block
+    {
+        unsigned set = 0;
+        std::uint64_t lruStamp = 0;
+        const AmoebaBlock *blk = nullptr;
+    };
+    std::vector<Block> blocks;
+    std::vector<DirController::EntrySnap> entries;
+    std::vector<std::uint8_t> predictorBytes;
+};
 
 /**
  * Fingerprint @p sys at a quiescent point (event queue drained, only
@@ -48,10 +69,12 @@ namespace protozoa::check {
  * @param regions  sorted region bases whose memory words to cover
  *                 (Scenario::regionFootprint()).
  * @param progress completed accesses per core.
+ * @param scratch  reusable buffers (FingerprintScratch).
  */
 std::uint64_t fingerprintSystem(System &sys,
                                 const std::vector<Addr> &regions,
-                                const std::vector<unsigned> &progress);
+                                const std::vector<unsigned> &progress,
+                                FingerprintScratch &scratch);
 
 } // namespace protozoa::check
 

@@ -3,11 +3,12 @@
  * Byte-level serialization primitives for the snapshot subsystem.
  *
  * Deliberately minimal: a Serializer appends raw little-endian bytes to
- * a growable buffer (or straight to a file), a Deserializer reads them
- * back with bounds checking. No exceptions — a short or corrupt input
- * flips a sticky fail flag and every subsequent read returns zeroed
- * values, so callers validate once at the end (or at section
- * boundaries) and surface a clear error string instead of UB.
+ * a growable buffer through a write cursor (one capacity compare and
+ * one memcpy per field; growth is out of line), and a Deserializer
+ * reads them back with bounds checking. No exceptions — a short or
+ * corrupt input flips a sticky fail flag and every subsequent read
+ * returns zeroed values, so callers validate once at the end (or at
+ * section boundaries) and surface a clear error string instead of UB.
  *
  * Only trivially-copyable types may cross this boundary raw; anything
  * with internal pointers (flat tables, pools, SmallVecs) is serialized
@@ -35,18 +36,41 @@ class Serializer
   public:
     Serializer() = default;
 
-    /** Write into @p storage from its start, reusing its capacity. */
+    /**
+     * Write into @p storage from its start, reusing its capacity; its
+     * current bytes are the first write window.
+     */
     explicit Serializer(std::vector<std::uint8_t> storage)
         : buf(std::move(storage))
     {
-        buf.clear();
+    }
+
+    Serializer(const Serializer &) = default;
+    Serializer &operator=(const Serializer &) = default;
+
+    /** A moved-from serializer is empty and reusable. */
+    Serializer(Serializer &&o) noexcept
+        : buf(std::move(o.buf)), len(std::exchange(o.len, 0))
+    {
+    }
+
+    Serializer &
+    operator=(Serializer &&o) noexcept
+    {
+        buf = std::move(o.buf);
+        len = std::exchange(o.len, 0);
+        return *this;
     }
 
     void
     writeBytes(const void *p, std::size_t n)
     {
-        const auto *b = static_cast<const std::uint8_t *>(p);
-        buf.insert(buf.end(), b, b + n);
+        if (n == 0)
+            return;
+        if (n > buf.size() - len)
+            grow(n);
+        std::memcpy(buf.data() + len, p, n);
+        len += n;
     }
 
     /**
@@ -102,11 +126,23 @@ class Serializer
         }
     }
 
-    const std::vector<std::uint8_t> &bytes() const { return buf; }
-    std::size_t size() const { return buf.size(); }
+    /** The bytes written so far (the unwritten window is dropped). */
+    const std::vector<std::uint8_t> &
+    bytes() const
+    {
+        buf.resize(len);
+        return buf;
+    }
+
+    std::size_t size() const { return len; }
 
     /** Move the image out; the serializer is left empty. */
-    std::vector<std::uint8_t> take() { return std::exchange(buf, {}); }
+    std::vector<std::uint8_t>
+    take()
+    {
+        buf.resize(std::exchange(len, 0));
+        return std::exchange(buf, {});
+    }
 
     /** Atomically-ish persist the buffer (write temp + rename). */
     bool
@@ -120,8 +156,7 @@ class Serializer
             return false;
         }
         const bool ok =
-            buf.empty() ||
-            std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
+            len == 0 || std::fwrite(buf.data(), 1, len, f) == len;
         const bool closed = std::fclose(f) == 0;
         if (!ok || !closed) {
             if (err)
@@ -139,7 +174,24 @@ class Serializer
     }
 
   private:
-    std::vector<std::uint8_t> buf;
+    /** Most bytes a growth zero-fills past the write that needed it. */
+    static constexpr std::size_t kWindow = 4096;
+
+    /**
+     * Make room for @p n more bytes. Capacity grows as an appending
+     * vector's does (to the written length plus the larger of it and
+     * @p n), so a long image reallocates at the same lengths, and
+     * peaks at the same memory, as before the write cursor. The
+     * writable window extends past the write only by as much as the
+     * buffer holds, and never by more than kWindow, so capacity
+     * beyond it stays untouched memory. Out of line: the write path
+     * stays one compare and one memcpy.
+     */
+    void grow(std::size_t n);
+
+    /** [0, len) is written; [len, buf.size()) is the write window. */
+    mutable std::vector<std::uint8_t> buf;
+    std::size_t len = 0;
 };
 
 class Deserializer

@@ -145,7 +145,8 @@ CoherenceMsg::load(Deserializer &d, unsigned nodes, unsigned region_words)
                     grant <= GrantState::M && srcNode < nodes &&
                     dstNode < nodes && sender < nodes &&
                     requester < nodes && in_region(range) &&
-                    in_region(reqFetchRange);
+                    in_region(reqFetchRange) &&
+                    (data.valid & ~WordRange::full(region_words).mask()) == 0;
     if (!ok)
         d.setFailed();
     return ok;

@@ -301,8 +301,9 @@ struct CoherenceMsg
      * Read one message written by save(), failing closed (false, and
      * @p d failed) on a flag byte other than 0 or 1, a MsgType or
      * GrantState out of range, a srcNode, dstNode, sender or
-     * requester at or above @p nodes, or a non-empty range or
-     * reqFetchRange outside a region of @p region_words words.
+     * requester at or above @p nodes, a non-empty range or
+     * reqFetchRange outside a region of @p region_words words, or a
+     * payload word marked valid outside that region.
      */
     bool load(Deserializer &d, unsigned nodes, unsigned region_words);
 

@@ -243,6 +243,9 @@ class System
     bool parallelEngine() const { return false; }
 
   private:
+    /** configFingerprint(cfg), computed on first use: the config
+     *  cannot change after construction. */
+    std::uint64_t configHash() const;
     /** Run one event: the single dispatch switch over EventKind. */
     void dispatch(const Event &ev);
     /** Step core @p c's trace; count the core out once it finishes. */
@@ -271,6 +274,8 @@ class System
     }
 
     SystemConfig cfg;
+    /** configHash()'s cache; 0 until first use. */
+    mutable std::uint64_t cfgHash = 0;
     EventQueue eventq;
     std::unique_ptr<ConformanceCoverage> coverage;
     std::unique_ptr<Mesh> net;

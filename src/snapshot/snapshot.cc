@@ -296,12 +296,20 @@ configFingerprint(const SystemConfig &cfg)
     return h;
 }
 
+std::uint64_t
+System::configHash() const
+{
+    if (cfgHash == 0)
+        cfgHash = configFingerprint(cfg);
+    return cfgHash;
+}
+
 bool
 System::saveSnapshot(Serializer &s, std::string *error) const
 {
     s.writeU32(kSnapshotMagic);
     s.writeU32(kSnapshotVersion);
-    s.writeU64(configFingerprint(cfg));
+    s.writeU64(configHash());
 
     s.writeU8(started ? 1 : 0);
     s.writeU8(finalized ? 1 : 0);
@@ -350,7 +358,7 @@ System::restoreSnapshot(Deserializer &d, std::string *error)
                             std::to_string(kSnapshotVersion) +
                             "); re-checkpoint from the source run");
     }
-    if (d.readU64() != configFingerprint(cfg))
+    if (d.readU64() != configHash())
         return setError(error,
                         "snapshot was taken under a different system "
                         "configuration");

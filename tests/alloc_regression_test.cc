@@ -21,7 +21,8 @@
  * pool) through a deliberately tiny L1/L2, so evictions, writebacks,
  * inclusive recalls and probe races all stay active inside the
  * measured window; a separate case grows the L2 footprint through
- * the whole window on the full-size L2.
+ * the whole window on the full-size L2. A last case holds the
+ * explorer's per-state work (save, restore, fingerprint) to zero.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +31,8 @@
 #include <fstream>
 #include <vector>
 
+#include "check/scenario.hh"
+#include "check/state_fingerprint.hh"
 #include "common/alloc_hook.hh"
 #include "common/rng.hh"
 #include "sim/system.hh"
@@ -319,6 +322,123 @@ TEST(AllocRegression, L1SetCountDoesNotScaleConstructionAllocs)
     const std::uint64_t b = constructionAllocs(large);
     EXPECT_EQ(a, b);
     EXPECT_LT(a, 1000u);
+}
+
+/**
+ * A scenario's System driven as the explorer drives it: each completed
+ * access issues the core's next one, and a step delivers the first
+ * parked channel head and runs to the next quiescent point.
+ */
+struct ScenarioRun
+{
+    explicit ScenarioRun(const check::Scenario &s)
+        : scenario(s), cfg(s.toConfig(ProtocolKind::ProtozoaMW)),
+          sys(cfg, hotPoolWorkload(cfg, 0)), issued(cfg.numCores, 0),
+          completed(cfg.numCores, 0)
+    {
+        sys.setAccessSink([this](CoreId c, std::uint64_t) {
+            ++completed[c];
+            issueNext(c);
+        });
+        for (CoreId c = 0; c < cfg.numCores; ++c)
+            issueNext(c);
+        sys.drain();
+    }
+
+    void
+    issueNext(CoreId c)
+    {
+        for (std::size_t seen = 0; const auto &a : scenario.accesses) {
+            if (a.core != c || seen++ < issued[c])
+                continue;
+            ++issued[c];
+            MemAccess acc;
+            acc.addr = a.addr;
+            acc.isWrite = a.isWrite;
+            acc.storeValue = a.value;
+            acc.pc = a.pc;
+            sys.l1(c).requestAccess(acc);
+            return;
+        }
+    }
+
+    void
+    step()
+    {
+        unsigned src = 0;
+        unsigned dst = 0;
+        bool found = false;
+        sys.mesh().forEachParkedChannel(
+            [&](unsigned s, unsigned d, auto) {
+                if (!found) {
+                    src = s;
+                    dst = d;
+                    found = true;
+                }
+            });
+        ASSERT_TRUE(found);
+        sys.deliverParked(src, dst);
+        sys.drain();
+    }
+
+    const check::Scenario &scenario;
+    const SystemConfig cfg;
+    System sys;
+    std::vector<std::size_t> issued;
+    std::vector<unsigned> completed;
+};
+
+/**
+ * The explorer's per-state work allocates nothing once its buffers
+ * are sized: at a quiescent point of a PcSpatial scenario under MW,
+ * with blocks cached, predictor entries trained and messages parked,
+ * save into a reused buffer, restore that image in place, and
+ * fingerprint.
+ */
+TEST(AllocRegression, ExplorerStateCycleIsAllocationFree)
+{
+    for (const char *name : {"mw-word-churn", "pcspatial-stride-3core"}) {
+        const check::Scenario *s = check::findScenario(name);
+        ASSERT_NE(s, nullptr) << name;
+        ASSERT_EQ(s->predictor, PredictorKind::PcSpatial) << name;
+        ScenarioRun run(*s);
+        // Deep enough that a block has died and trained its predictor.
+        bool trained = false;
+        for (int i = 0; i < 40 && !trained; ++i) {
+            run.step();
+            for (CoreId c = 0; c < run.cfg.numCores; ++c) {
+                Serializer table;
+                run.sys.l1(c).predictorPolicy().saveState(table);
+                trained = trained || table.size() > 8;
+            }
+        }
+        ASSERT_TRUE(trained) << name;
+        ASSERT_GT(run.sys.mesh().parkedMessages(), 0u) << name;
+
+        const std::vector<Addr> regions = s->regionFootprint();
+        std::vector<std::uint8_t> image;
+        check::FingerprintScratch scratch;
+        std::string err;
+        std::uint64_t fp = 0;
+        const auto cycle = [&] {
+            Serializer out(std::move(image));
+            EXPECT_TRUE(run.sys.saveSnapshot(out, &err)) << err;
+            image = out.take();
+            Deserializer d(image);
+            EXPECT_TRUE(run.sys.restoreSnapshot(d, &err)) << err;
+            fp = check::fingerprintSystem(run.sys, regions, run.completed,
+                                          scratch);
+        };
+        cycle();
+        const std::uint64_t warm = fp;
+        const std::uint64_t before = AllocHook::allocCount();
+        for (int i = 0; i < 100; ++i)
+            cycle();
+        EXPECT_EQ(AllocHook::allocCount() - before, 0u)
+            << name << ": heap allocations in 100 save/restore/"
+            << "fingerprint cycles";
+        EXPECT_EQ(fp, warm) << name;
+    }
 }
 
 TEST(AllocRegression, HookCountsAreLive)

@@ -15,7 +15,8 @@
  *
  * The second guard locks the schedule explorer's search the same way:
  * its counters over the scenario library must not move when only the
- * explorer's speed changes.
+ * explorer's speed changes. The third locks the fingerprint sets that
+ * search visits.
  */
 
 #include <gtest/gtest.h>
@@ -91,6 +92,43 @@ TEST(BitIdenticalGuard, ExplorerCountersAreStable)
         << "explorer digest changed: 0x" << std::hex << all.value()
         << " (update kExplorerDigest only for a deliberate change to "
            "the search)";
+}
+
+/**
+ * The same pairs' fingerprint sets: each pair folds the size and then
+ * the values of its sorted collectFingerprints set into one value,
+ * and the pairs fold in library order. The fingerprint's hash and
+ * feed order, and everything it covers, must not move when only its
+ * speed changes.
+ */
+TEST(BitIdenticalGuard, FingerprintSetsAreStable)
+{
+    constexpr std::uint64_t kFingerprintDigest = 0xaaa5ab56473513dfULL;
+
+    check::ExploreLimits lim;
+    lim.collectFingerprints = true;
+    Digest all;
+    for (const check::Scenario &s : check::scenarioLibrary()) {
+        if (s.large)
+            continue;
+        for (ProtocolKind kind :
+             {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
+              ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW}) {
+            const check::ExploreResult r = check::explore(s, kind, lim);
+            EXPECT_FALSE(r.violation.has_value())
+                << s.name << " " << protocolName(kind);
+            Digest d;
+            d.add(r.fingerprints.size());
+            for (const std::uint64_t fp : r.fingerprints)
+                d.add(fp);
+            all.add(d.value());
+        }
+    }
+
+    EXPECT_EQ(all.value(), kFingerprintDigest)
+        << "fingerprint digest changed: 0x" << std::hex << all.value()
+        << " (update kFingerprintDigest only for a deliberate change to "
+           "what the fingerprint covers)";
 }
 
 } // namespace

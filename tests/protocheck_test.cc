@@ -64,7 +64,8 @@ fingerprintAfterStores(bool swapIssueOrder, Addr a0, Addr a1,
     regions.erase(std::unique(regions.begin(), regions.end()),
                   regions.end());
     const std::vector<unsigned> progress{0, 0};
-    return fingerprintSystem(sys, regions, progress);
+    FingerprintScratch scratch;
+    return fingerprintSystem(sys, regions, progress, scratch);
 }
 
 constexpr Addr kBase = 0x40000000;
@@ -125,7 +126,8 @@ fingerprintAfterLoads(PredictorKind predictor, Pc pc,
         sys.l1(0).predictorPolicy().learn(trainPc, 0, 1, WordRange(0, 0));
     const std::vector<unsigned> progress{
         static_cast<unsigned>(words.size()), 0};
-    return fingerprintSystem(sys, {kBase}, progress);
+    FingerprintScratch scratch;
+    return fingerprintSystem(sys, {kBase}, progress, scratch);
 }
 
 } // namespace

@@ -1614,6 +1614,47 @@ TEST(SnapshotReject, L1BlockRangeOutsideRegion)
     expectRangeRejected(im, im.blockAt + 8);
 }
 
+TEST(SnapshotReject, L1BlockMissWordOutsideRegion)
+{
+    // u64 region, range, u8 state, u64 touched, u64 fetchPc, then the
+    // missWord byte.
+    const RecordImage im = recordImage();
+    ASSERT_FALSE(im.bytes.empty());
+    ASSERT_EQ(recordCfg().regionWords(), 8u);
+    expectByteRejected(im, im.blockAt + 8 + sizeof(WordRange) + 1 + 8 + 8,
+                       {8, 255});
+}
+
+TEST(SnapshotReject, L1BlockTouchedOutsideRegion)
+{
+    // The u64 touched mask after u64 region, range and u8 state: a bit
+    // past the region's 8 words, inside WordMask and past it.
+    const RecordImage im = recordImage();
+    ASSERT_FALSE(im.bytes.empty());
+    ASSERT_EQ(recordCfg().regionWords(), 8u);
+    const std::size_t at = im.blockAt + 8 + sizeof(WordRange) + 1;
+    for (const unsigned bit : {8u, 31u, 40u}) {
+        std::vector<std::uint8_t> bytes = im.bytes;
+        std::uint64_t touched = 0;
+        std::memcpy(&touched, &bytes[at], 8);
+        touched |= std::uint64_t(1) << bit;
+        std::memcpy(&bytes[at], &touched, 8);
+        expectRecordRejected(bytes);
+    }
+}
+
+TEST(SnapshotReject, MessageValidOutsideRegion)
+{
+    // Bits past both images' 8-word regions in the payload's validity
+    // mask: word 8, and words 16-31 that no region holds.
+    ASSERT_EQ(eventCfg().regionWords(), 8u);
+    ASSERT_EQ(oracleCfg().regionWords(), 8u);
+    const std::size_t valid =
+        offsetof(CoherenceMsg, data) + offsetof(MsgData, valid);
+    expectMessageRejected(valid + 1, {1, 255});
+    expectMessageRejected(valid + 3, {0x80});
+}
+
 TEST(SnapshotImage, OracleImageRestoresParkedChannels)
 {
     // An explorer image: a quiescent point with messages parked on
@@ -1638,8 +1679,9 @@ TEST(SnapshotImage, OracleImageRestoresParkedChannels)
     for (CoreId c = 0; c < cfg.numCores; ++c)
         regions.push_back(oracleAddr(c));
     const std::vector<unsigned> progress(cfg.numCores, 0);
-    EXPECT_EQ(check::fingerprintSystem(fresh, regions, progress),
-              check::fingerprintSystem(donor, regions, progress));
+    check::FingerprintScratch scratch;
+    EXPECT_EQ(check::fingerprintSystem(fresh, regions, progress, scratch),
+              check::fingerprintSystem(donor, regions, progress, scratch));
 }
 
 TEST(SnapshotImage, IdenticalRunsSaveIdenticalBytes)

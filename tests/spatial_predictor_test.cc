@@ -216,6 +216,67 @@ TEST(PcSpatialPredictor, SnapshotRoundTripPredictsIdentically)
     EXPECT_LT(img.size(), 8 + 6 * std::size_t(kEntries));
 }
 
+/**
+ * A restore forgets every entry the table had trained, whatever PCs
+ * trained it: restored over a table trained on other PCs, an image
+ * predicts and re-saves exactly as it does in a fresh predictor. An
+ * entry or a trained-entry mark left over from before the restore
+ * shows up in one of the two.
+ */
+TEST(PcSpatialPredictor, RestoreIntoTrainedTableMatchesFresh)
+{
+    constexpr unsigned kEntries = 1024;
+    const WordRange region(0, kRegionWords - 1);
+    // The image trains the indices of PCs 4k for even k below 64.
+    PcSpatialPredictor source(kEntries, kRegionWords);
+    for (unsigned k = 0; k < 64; k += 2)
+        source.learn(4 * k, k % kRegionWords, 0b110, region);
+    Serializer img;
+    source.saveState(img);
+
+    PcSpatialPredictor fresh(kEntries, kRegionWords);
+    Deserializer df(img.bytes().data(), img.size());
+    ASSERT_TRUE(fresh.restoreState(df));
+
+    // Trained on the odd k and on a stretch of the table the image
+    // leaves untrained, then restored twice: once from its own image
+    // and then from the source's.
+    PcSpatialPredictor used(kEntries, kRegionWords);
+    Rng rng(77);
+    for (unsigned i = 0; i < 900; ++i) {
+        const unsigned k =
+            1 + 2 * static_cast<unsigned>(rng.below(kEntries / 2));
+        used.learn(4 * k, static_cast<unsigned>(rng.below(kRegionWords)),
+                   static_cast<WordMask>(rng.below(256)), region);
+    }
+    Serializer own;
+    used.saveState(own);
+    for (unsigned k = 0; k < 64; k += 2)
+        used.learn(4 * k, 1, 0b1000000, region);
+    Deserializer du0(own.bytes().data(), own.size());
+    ASSERT_TRUE(used.restoreState(du0));
+    for (unsigned k = 300; k < 400; ++k)
+        used.learn(4 * k, 2, 0b1, region);
+    Deserializer du(img.bytes().data(), img.size());
+    ASSERT_TRUE(used.restoreState(du));
+    EXPECT_TRUE(du.atEnd());
+
+    for (unsigned k = 0; k < kEntries; ++k) {
+        for (unsigned miss = 0; miss < kRegionWords; ++miss) {
+            const WordRange need(miss, miss);
+            EXPECT_EQ(used.predict(4 * k, miss, need, kRegionWords),
+                      fresh.predict(4 * k, miss, need, kRegionWords))
+                << "index of pc " << 4 * k << ", miss word " << miss;
+        }
+    }
+    Serializer a;
+    Serializer b;
+    used.saveState(a);
+    fresh.saveState(b);
+    EXPECT_EQ(a.bytes(), b.bytes());
+    EXPECT_EQ(a.bytes(), img.bytes());
+}
+
 TEST(MakePredictor, FactorySelectsPolicy)
 {
     SystemConfig cfg;
