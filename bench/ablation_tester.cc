@@ -34,11 +34,11 @@ main()
     for (ProtocolKind kind : allProtocols()) {
         std::fprintf(stderr, "  fuzzing %s...\n", shortName(kind));
         RandomTester::Params p;
-        p.protocol = kind;
+        p.cfg.protocol = kind;
         p.accessesPerCore = accesses;
         p.regions = 16;
         p.checkPeriod = 128;
-        p.seed = 2026;
+        p.cfg.seed = 2026;
         const auto result = RandomTester::run(p);
 
         all_clean &= result.valueViolations == 0 &&

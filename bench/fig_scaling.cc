@@ -53,10 +53,7 @@ SystemConfig
 configFor(const MeshPoint &pt)
 {
     SystemConfig cfg;
-    cfg.numCores = pt.cores;
-    cfg.l2Tiles = pt.cores;
-    cfg.meshCols = pt.cols;
-    cfg.meshRows = pt.rows;
+    cfg.setMesh(pt.cols, pt.rows);
     cfg.l2BytesPerTile = (2ull * 1024 * 1024 * 16) / pt.cores;
     return cfg;
 }

@@ -142,8 +142,6 @@ main(int argc, char **argv)
 
     SystemConfig cfg;
     cfg.protocol = ProtocolKind::ProtozoaMW;
-    cfg.numCores = cores;
-    cfg.l2Tiles = cores;
     cfg.seed = seed;
 
     System sys(cfg, makeSyntheticStreamWorkload(seed, cores,

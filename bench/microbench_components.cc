@@ -173,8 +173,8 @@ BM_MsgPayloadBuild(benchmark::State &state)
     const std::uint64_t run2[] = {4, 5};
     for (auto _ : state) {
         MsgData data;
-        data.addRun(WordRange(0, 2), run1);
-        data.addRun(WordRange(5, 6), run2);
+        data.setRange(WordRange(0, 2), run1);
+        data.setRange(WordRange(5, 6), run2);
         std::uint64_t sum = 0;
         data.forEachWord(
             [&](unsigned, std::uint64_t v) { sum += v; });

@@ -105,9 +105,9 @@ void
 runSystemThroughput(benchmark::State &state, ProtocolKind proto)
 {
     RandomTester::Params p;
-    p.protocol = proto;
+    p.cfg.protocol = proto;
     p.accessesPerCore = 2000;
-    p.seed = 7;
+    p.cfg.seed = 7;
     std::uint64_t accesses = 0;
     for (auto _ : state) {
         auto res = RandomTester::run(p);

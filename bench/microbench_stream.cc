@@ -160,21 +160,18 @@ benchBinary(const std::vector<std::vector<TraceRecord>> &recs,
 }
 
 SnapshotPoint
-benchSnapshot(unsigned cores, unsigned cols, unsigned rows, double scale)
+benchSnapshot(unsigned cols, unsigned rows, double scale)
 {
     SystemConfig cfg;
     cfg.protocol = ProtocolKind::ProtozoaMW;
-    cfg.numCores = cores;
-    cfg.l2Tiles = cores;
-    cfg.meshCols = cols;
-    cfg.meshRows = rows;
+    cfg.setMesh(cols, rows);
     const BenchSpec &spec = findBenchmark("apache");
 
     System donor(cfg, spec.gen(cfg, scale));
     donor.runTo(50000);
 
     SnapshotPoint p;
-    p.cores = cores;
+    p.cores = cfg.numCores;
     Serializer img;
     std::string err;
     double t0 = now();
@@ -264,8 +261,8 @@ main(int argc, char **argv)
                     p.readSec > 0 ? p.records / p.readSec : 0.0);
 
     std::vector<SnapshotPoint> snaps;
-    snaps.push_back(benchSnapshot(16, 4, 4, 0.2 * scale + 0.01));
-    snaps.push_back(benchSnapshot(64, 8, 8, 0.05 * scale + 0.01));
+    snaps.push_back(benchSnapshot(4, 4, 0.2 * scale + 0.01));
+    snaps.push_back(benchSnapshot(8, 8, 0.05 * scale + 0.01));
 
     std::printf("\n%-8s %12s %12s %12s\n", "cores", "image B",
                 "save ms", "restore ms");

@@ -46,11 +46,12 @@ main(int argc, char **argv)
     CampaignSpec spec = small   ? CampaignSpec::smallSystem()
                         : large ? CampaignSpec::largeMesh()
                                 : CampaignSpec();
-    spec.accessesPerCore =
+    spec.tester.accessesPerCore =
         static_cast<std::uint64_t>(2000 * scale) + 1;
     spec.progress = false;
 
-    std::uint64_t per_proto = spec.accessesPerCore * spec.numCores;
+    std::uint64_t per_proto =
+        spec.tester.accessesPerCore * spec.tester.cfg.numCores;
     per_proto *= spec.profiles.size() * spec.patterns.size() *
                  spec.seeds.size();
     std::printf("stress campaign: %zu protocols x %zu profiles x %zu "

@@ -171,7 +171,6 @@ class AmoebaCache
 
     std::size_t blockCount() const;
     unsigned setOccupancyBytes(unsigned set_index) const;
-    unsigned bytesPerSet() const { return setBudget; }
 
     /**
      * Serialize every resident block (exact LRU stamps and per-set

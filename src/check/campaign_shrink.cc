@@ -22,6 +22,7 @@ std::optional<CampaignShrinkResult>
 shrinkCampaignFailure(const CampaignFailure &failure)
 {
     const RandomTester::Params &params = failure.params;
+    const SystemConfig &cfg = params.cfg;
     auto fails = [&](const std::vector<std::vector<TraceRecord>> &t) {
         const RandomTester::Result r = RandomTester::runTraces(params, t);
         return r.valueViolations + r.invariantViolations > 0;
@@ -33,9 +34,9 @@ shrinkCampaignFailure(const CampaignFailure &failure)
         return std::nullopt;
 
     std::ostringstream log;
-    log << "shrinking " << protocolName(params.protocol) << " "
+    log << "shrinking " << protocolName(cfg.protocol) << " "
         << RandomTester::patternName(params.pattern) << " seed="
-        << params.seed << " (" << before << " accesses)\n";
+        << cfg.seed << " (" << before << " accesses)\n";
 
     // 1. Halve every core's trace (prefix truncation) to a fixpoint.
     for (;;) {
@@ -85,7 +86,6 @@ shrinkCampaignFailure(const CampaignFailure &failure)
 
     CampaignShrinkResult out;
     out.failure = failure;
-    out.params = params;
     out.accessesBefore = before;
     out.accessesAfter = after;
 
@@ -93,7 +93,6 @@ shrinkCampaignFailure(const CampaignFailure &failure)
     // minimizer search for a schedule-exact counterexample. Bounded
     // best effort: the campaign failure may need occupancy or network
     // timing the explorer does not model, so nullopt here is fine.
-    const SystemConfig cfg = RandomTester::buildConfig(params);
     std::vector<int> coreMap(traces.size(), -1);
     unsigned active = 0;
     for (std::size_t c = 0; c < traces.size(); ++c) {
@@ -114,19 +113,10 @@ shrinkCampaignFailure(const CampaignFailure &failure)
         Scenario sc;
         sc.name = "campaign-shrink";
         sc.note = "converted from a failing stress-campaign point";
-        sc.numCores = std::max(active, 2u);
-        sc.regionBytes = cfg.regionBytes;
-        sc.predictor = cfg.predictor;
-        sc.fixedFetchWords = cfg.fixedFetchWords;
-        sc.l1Sets = cfg.l1Sets;
-        sc.l1BytesPerSet = cfg.l1BytesPerSet;
-        sc.l2BytesPerTile = cfg.l2BytesPerTile;
-        sc.l2Assoc = cfg.l2Assoc;
-        sc.threeHop = cfg.threeHop;
-        sc.directory = cfg.directory;
-        sc.bloomBuckets = cfg.bloomBuckets;
-        sc.bloomHashes = cfg.bloomHashes;
-        sc.debugLostStoreBug = cfg.debugLostStoreBug;
+        // The job's machine, its surviving cores renumbered onto an
+        // N x 1 mesh.
+        sc.cfg = cfg;
+        sc.cfg.setMesh(std::max(active, 2u), 1);
         // Interleave cores round-robin; only per-core order matters to
         // the explorer (it enumerates the cross-core interleavings).
         std::uint64_t value = 1;
@@ -147,7 +137,7 @@ shrinkCampaignFailure(const CampaignFailure &failure)
                 sc.accesses.push_back(acc);
             }
         }
-        out.minimized = minimize(sc, params.protocol);
+        out.minimized = minimize(sc, cfg.protocol);
         log << "  explorer conversion: "
             << (out.minimized ? "violation reproduced and minimized"
                               : "violation not reproduced (timing-"
@@ -167,7 +157,7 @@ shrinkCampaignFailure(const CampaignFailure &failure)
         if (after == 0)
             log << " empty survivor;";
         log << " keeping the campaign failure record (seed="
-            << params.seed << ")\n";
+            << cfg.seed << ")\n";
     }
 
     out.traces = std::move(traces);

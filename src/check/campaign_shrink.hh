@@ -38,8 +38,6 @@ struct CampaignShrinkResult
 {
     /** The original failing record, kept verbatim for re-runs. */
     CampaignFailure failure;
-    /** Parameters of the failing point (workload rebuild key). */
-    RandomTester::Params params;
     /** Shrunk per-core traces that still fail. */
     std::vector<std::vector<TraceRecord>> traces;
     std::uint64_t accessesBefore = 0;

@@ -16,16 +16,6 @@ namespace protozoa::check {
 
 namespace {
 
-Workload
-emptyWorkload(unsigned cores)
-{
-    Workload wl;
-    for (unsigned c = 0; c < cores; ++c)
-        wl.push_back(
-            std::make_unique<VectorTrace>(std::vector<TraceRecord>{}));
-    return wl;
-}
-
 /**
  * One deliverable channel head at a quiescent point, with everything
  * the POR independence rule needs. A delivery's only effects outside
@@ -358,7 +348,7 @@ class Run
         for (TileId t = 0; t < cfg.l2Tiles; ++t) {
             bool active = false;
             sys.dir(t).forEachTxn(
-                [&](const DirController::TxnView &) { active = true; });
+                [&](Addr, const DirController::Txn &) { active = true; });
             if (active) {
                 os << " tile " << unsigned(t)
                    << " has an active transaction;";
@@ -526,7 +516,7 @@ class Run
                 m |= e.writers;
             }
         });
-        d.forEachTxn([&](const DirController::TxnView &t) {
+        d.forEachTxn([&](Addr, const DirController::Txn &t) {
             m.set(t.requester);
         });
         d.forEachWaitingMsg([&](Addr, const CoherenceMsg &w) {

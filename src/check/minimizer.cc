@@ -1,6 +1,8 @@
 #include "check/minimizer.hh"
 
+#include <charconv>
 #include <sstream>
+#include <string_view>
 
 namespace protozoa::check {
 
@@ -52,30 +54,65 @@ buildRepro(const Scenario &s, ProtocolKind proto, const Violation &v)
         os << (i ? ", " : "") << v.schedule[i];
     os << "}).\n";
 
+    const SystemConfig cfg = s.toConfig(proto);
     os << "SystemConfig cfg;\n";
     os << "cfg.protocol = " << protocolEnumName(proto) << ";\n";
-    os << "cfg.predictor = " << predictorEnumName(s.predictor) << ";\n";
-    if (s.predictor == PredictorKind::Fixed)
-        os << "cfg.fixedFetchWords = " << s.fixedFetchWords << ";\n";
-    const SystemConfig full = s.toConfig(proto);
-    os << "cfg.numCores = " << full.numCores << ";\n";
-    os << "cfg.l2Tiles = " << full.l2Tiles << ";\n";
-    os << "cfg.meshCols = " << full.meshCols << ";\n";
-    os << "cfg.meshRows = " << full.meshRows << ";\n";
-    os << "cfg.regionBytes = " << s.regionBytes << ";\n";
-    os << "cfg.l1Sets = " << s.l1Sets << ";\n";
-    os << "cfg.l1BytesPerSet = " << full.l1BytesPerSet << ";\n";
-    os << "cfg.l2BytesPerTile = " << s.l2BytesPerTile << ";\n";
-    os << "cfg.l2Assoc = " << s.l2Assoc << ";\n";
-    if (s.threeHop)
+    os << "cfg.predictor = " << predictorEnumName(cfg.predictor) << ";\n";
+    if (cfg.predictor == PredictorKind::Fixed)
+        os << "cfg.fixedFetchWords = " << cfg.fixedFetchWords << ";\n";
+    os << "cfg.numCores = " << cfg.numCores << ";\n";
+    os << "cfg.l2Tiles = " << cfg.l2Tiles << ";\n";
+    os << "cfg.meshCols = " << cfg.meshCols << ";\n";
+    os << "cfg.meshRows = " << cfg.meshRows << ";\n";
+    os << "cfg.regionBytes = " << cfg.regionBytes << ";\n";
+    os << "cfg.l1Sets = " << cfg.l1Sets << ";\n";
+    os << "cfg.l1BytesPerSet = " << cfg.l1BytesPerSet << ";\n";
+    os << "cfg.l2BytesPerTile = " << cfg.l2BytesPerTile << ";\n";
+    os << "cfg.l2Assoc = " << cfg.l2Assoc << ";\n";
+    if (cfg.threeHop)
         os << "cfg.threeHop = true;\n";
-    if (s.directory == DirectoryKind::TaglessBloom) {
+    if (cfg.directory == DirectoryKind::TaglessBloom) {
         os << "cfg.directory = DirectoryKind::TaglessBloom;\n";
-        os << "cfg.bloomBuckets = " << s.bloomBuckets << ";\n";
-        os << "cfg.bloomHashes = " << s.bloomHashes << ";\n";
+        os << "cfg.bloomBuckets = " << cfg.bloomBuckets << ";\n";
+        os << "cfg.bloomHashes = " << cfg.bloomHashes << ";\n";
     }
-    if (s.debugLostStoreBug)
+    if (cfg.sliceHash == SliceHashKind::Spread)
+        os << "cfg.sliceHash = SliceHashKind::Spread;\n";
+    if (cfg.debugLostStoreBug)
         os << "cfg.debugLostStoreBug = true;\n";
+    // Every other field the explored machine moves off a default
+    // SystemConfig, so the repro rebuilds it field for field; only the
+    // schedule oracle stays off, since drain() runs the timed order.
+    // toConfig pins checkValues, the fault and jitter switches, the
+    // watchdog and the seed at their defaults.
+    const SystemConfig base;
+    const auto moved = [&](const char *name, auto SystemConfig::*field) {
+        if (cfg.*field == base.*field)
+            return;
+        // Shortest text that reads back as the same value.
+        char buf[32];
+        const char *end =
+            std::to_chars(buf, buf + sizeof buf, cfg.*field).ptr;
+        os << "cfg." << name << " = " << std::string_view(buf, end - buf)
+           << ";\n";
+    };
+    if (cfg.predictor != PredictorKind::Fixed)
+        moved("fixedFetchWords", &SystemConfig::fixedFetchWords);
+    if (cfg.directory != DirectoryKind::TaglessBloom) {
+        moved("bloomBuckets", &SystemConfig::bloomBuckets);
+        moved("bloomHashes", &SystemConfig::bloomHashes);
+    }
+    moved("l1Latency", &SystemConfig::l1Latency);
+    moved("l1GatherPerBlock", &SystemConfig::l1GatherPerBlock);
+    moved("l2Latency", &SystemConfig::l2Latency);
+    moved("flitBytes", &SystemConfig::flitBytes);
+    moved("hopLatency", &SystemConfig::hopLatency);
+    moved("flitSerialization", &SystemConfig::flitSerialization);
+    moved("memLatency", &SystemConfig::memLatency);
+    moved("controlBytes", &SystemConfig::controlBytes);
+    moved("faultJitterMax", &SystemConfig::faultJitterMax);
+    moved("faultReorderProb", &SystemConfig::faultReorderProb);
+    moved("occupancyJitterMax", &SystemConfig::occupancyJitterMax);
     os << "ProtocolDriver d(cfg);\n";
     for (const auto &a : s.accesses) {
         os << "d.issue(" << unsigned(a.core) << ", 0x" << std::hex

@@ -2,47 +2,20 @@
 
 #include <algorithm>
 
-#include "cache/amoeba_cache.hh"
-
 namespace protozoa::check {
 
 SystemConfig
 Scenario::toConfig(ProtocolKind proto) const
 {
-    SystemConfig cfg;
-    cfg.protocol = proto;
-    cfg.predictor = predictor;
-    cfg.fixedFetchWords = fixedFetchWords;
-    cfg.directory = directory;
-    cfg.bloomBuckets = bloomBuckets;
-    cfg.bloomHashes = bloomHashes;
-    cfg.threeHop = threeHop;
-    cfg.debugLostStoreBug = debugLostStoreBug;
-
-    cfg.numCores = numCores;
-    cfg.l2Tiles = numCores;
-    // Legacy scenarios use an N x 1 mesh (geometry only affects hop
-    // latency, not reachable protocol states); large-mesh scenarios
-    // pick a real 2-D grid.
-    cfg.meshCols = meshCols != 0 ? meshCols : numCores;
-    cfg.meshRows = meshRows != 0 ? meshRows : 1;
-
-    cfg.regionBytes = regionBytes;
-    cfg.l1Sets = l1Sets;
-    cfg.l1BytesPerSet =
-        l1BytesPerSet != 0
-            ? l1BytesPerSet
-            : 4 * (regionBytes + AmoebaCache::kTagBytes);
-    cfg.l2BytesPerTile = l2BytesPerTile;
-    cfg.l2Assoc = l2Assoc;
-
-    cfg.scheduleOracle = true;
-    cfg.checkValues = true;
-    cfg.faultInjection = false;
-    cfg.occupancyJitter = false;
-    cfg.watchdogCycles = 0;
-    cfg.seed = 1;
-    return cfg;
+    SystemConfig out = cfg;
+    out.protocol = proto;
+    out.scheduleOracle = true;
+    out.checkValues = true;
+    out.faultInjection = false;
+    out.occupancyJitter = false;
+    out.watchdogCycles = 0;
+    out.seed = 1;
+    return out;
 }
 
 std::vector<Addr>
@@ -50,7 +23,7 @@ Scenario::regionFootprint() const
 {
     std::vector<Addr> regions;
     for (const auto &acc : accesses)
-        regions.push_back(regionBase(acc.addr, regionBytes));
+        regions.push_back(regionBase(acc.addr, cfg.regionBytes));
     std::sort(regions.begin(), regions.end());
     regions.erase(std::unique(regions.begin(), regions.end()),
                   regions.end());
@@ -82,7 +55,6 @@ buildLibrary()
         s.name = "upgrade-race";
         s.note = "two cores race S->M upgrades on the same word";
         s.stresses = {"swmr", "value", "upgrade"};
-        s.numCores = 2;
         s.accesses = {
             {0, wordAddr(64, 0, 0), false, 0},
             {1, wordAddr(64, 0, 0), false, 0},
@@ -100,7 +72,6 @@ buildLibrary()
         s.name = "false-share-pingpong";
         s.note = "disjoint-word writers of one region, cross reads";
         s.stresses = {"swmr", "value", "mw-split"};
-        s.numCores = 2;
         s.accesses = {
             {0, wordAddr(64, 0, 0), true, 0x1a},
             {1, wordAddr(64, 0, 7), true, 0x1b},
@@ -122,12 +93,10 @@ buildLibrary()
         s.name = "evict-vs-partial-probe";
         s.note = "in-flight eviction PUT races a non-overlapping probe";
         s.stresses = {"value", "writeback", "mr-overlap"};
-        s.numCores = 2;
-        s.regionBytes = 16;
-        s.l1Sets = 1;
+        s.cfg.regionBytes = 16;
         // One single-word block (8 B payload + 8 B tag) fits; the
         // second store's fill must evict the first block.
-        s.l1BytesPerSet = 24;
+        s.cfg.l1BytesPerSet = 24;
         s.accesses = {
             {0, wordAddr(16, 0, 0), true, 0xa1},
             {0, wordAddr(16, 0, 1), true, 0xa2},
@@ -145,7 +114,6 @@ buildLibrary()
         s.name = "upgrade-retry";
         s.note = "probe invalidates an in-flight S->M upgrade target";
         s.stresses = {"swmr", "value", "upgrade"};
-        s.numCores = 2;
         s.accesses = {
             {0, wordAddr(64, 0, 0), false, 0},
             {0, wordAddr(64, 0, 0), true, 0x3a},
@@ -163,9 +131,8 @@ buildLibrary()
         s.name = "recall-inclusive";
         s.note = "L2 conflict recall races the victim's live sharers";
         s.stresses = {"inclusion", "recall", "value"};
-        s.numCores = 2;
-        s.l2BytesPerTile = 64;
-        s.l2Assoc = 1;
+        s.cfg.l2BytesPerTile = 64;
+        s.cfg.l2Assoc = 1;
         s.accesses = {
             {0, wordAddr(64, 0, 0), true, 0x4a},
             // Region index 2 (= l2Tiles) homes on tile 0 as well and
@@ -184,8 +151,7 @@ buildLibrary()
         s.name = "threehop-direct";
         s.note = "owner-to-requester direct DATA with late collection";
         s.stresses = {"3hop", "value", "swmr"};
-        s.numCores = 2;
-        s.threeHop = true;
+        s.cfg.threeHop = true;
         s.accesses = {
             {0, wordAddr(64, 0, 0), true, 0x5a},
             {1, wordAddr(64, 0, 0), false, 0},
@@ -205,10 +171,9 @@ buildLibrary()
         s.name = "bloom-false-probe";
         s.note = "fully-aliased Bloom filter forces false probe/NACK";
         s.stresses = {"bloom-nack", "value"};
-        s.numCores = 2;
-        s.directory = DirectoryKind::TaglessBloom;
-        s.bloomBuckets = 1;
-        s.bloomHashes = 1;
+        s.cfg.directory = DirectoryKind::TaglessBloom;
+        s.cfg.bloomBuckets = 1;
+        s.cfg.bloomHashes = 1;
         s.accesses = {
             // Region 2 homes on tile 0 (even index) and pollutes the
             // tile-0 filter with core 1.
@@ -230,10 +195,9 @@ buildLibrary()
         s.name = "bloom-nack-upgrade";
         s.note = "upgrade collects a false-probe NACK plus a real ack";
         s.stresses = {"bloom-nack", "upgrade", "swmr"};
-        s.numCores = 2;
-        s.directory = DirectoryKind::TaglessBloom;
-        s.bloomBuckets = 1;
-        s.bloomHashes = 1;
+        s.cfg.directory = DirectoryKind::TaglessBloom;
+        s.cfg.bloomBuckets = 1;
+        s.cfg.bloomHashes = 1;
         s.accesses = {
             {0, wordAddr(64, 0, 0), false, 0},
             {1, wordAddr(64, 2, 0), true, 0x7a},
@@ -252,9 +216,9 @@ buildLibrary()
         s.name = "recall-storm-3core";
         s.note = "3 cores churn one-entry L2 set, serial recalls";
         s.stresses = {"recall", "pinning", "inclusion", "value"};
-        s.numCores = 3;
-        s.l2BytesPerTile = 64;
-        s.l2Assoc = 1;
+        s.cfg.setMesh(3, 1);
+        s.cfg.l2BytesPerTile = 64;
+        s.cfg.l2Assoc = 1;
         s.accesses = {
             {0, wordAddr(64, 0, 0), true, 0x8a},
             {1, wordAddr(64, 3, 0), true, 0x8b},
@@ -276,9 +240,9 @@ buildLibrary()
         s.note = "4-core recall storm on a one-entry L2 set (deep)";
         s.stresses = {"recall", "pinning", "inclusion", "value"};
         s.deep = true;
-        s.numCores = 4;
-        s.l2BytesPerTile = 64;
-        s.l2Assoc = 1;
+        s.cfg.setMesh(4, 1);
+        s.cfg.l2BytesPerTile = 64;
+        s.cfg.l2Assoc = 1;
         s.accesses = {
             {0, wordAddr(64, 0, 0), true, 0x9a},
             {1, wordAddr(64, 4, 0), true, 0x9b},
@@ -306,10 +270,9 @@ buildLibrary()
         s.note = "10-access disjoint-word writer churn, cross reads";
         s.stresses = {"mw-split", "swmr", "value"};
         s.deep = true;
-        s.numCores = 2;
         // Distinct pcs per (core, word) stream keep the PcSpatial
         // predictor's table non-trivial.
-        s.predictor = PredictorKind::PcSpatial;
+        s.cfg.predictor = PredictorKind::PcSpatial;
         s.accesses = {
             {0, wordAddr(64, 0, 0), true, 0xa0, 0x100},
             {1, wordAddr(64, 0, 7), true, 0xb0, 0x200},
@@ -339,8 +302,8 @@ buildLibrary()
         s.note = "3 striding cores, 3 home tiles, PcSpatial (deep)";
         s.stresses = {"value", "swmr", "predictor"};
         s.deep = true;
-        s.numCores = 3;
-        s.predictor = PredictorKind::PcSpatial;
+        s.cfg.setMesh(3, 1);
+        s.cfg.predictor = PredictorKind::PcSpatial;
         s.accesses = {
             {0, wordAddr(64, 0, 0), true, 0x51, 0x400},
             {1, wordAddr(64, 1, 0), true, 0x61, 0x500},
@@ -368,10 +331,8 @@ buildLibrary()
         s.name = "mr-reader-overlap-evict";
         s.note = "overlapping readers race a clean eviction vs upgrade";
         s.stresses = {"mr-overlap", "value", "writeback"};
-        s.numCores = 2;
-        s.regionBytes = 16;
-        s.l1Sets = 1;
-        s.l1BytesPerSet = 24;
+        s.cfg.regionBytes = 16;
+        s.cfg.l1BytesPerSet = 24;
         s.accesses = {
             {0, wordAddr(16, 0, 0), false, 0},
             {1, wordAddr(16, 0, 0), false, 0},
@@ -391,11 +352,9 @@ buildLibrary()
         s.name = "wb-upgrade-cross-3hop";
         s.note = "dirty eviction PUT crosses a 3-hop forwarded GETX";
         s.stresses = {"writeback", "3hop", "value", "upgrade"};
-        s.numCores = 2;
-        s.regionBytes = 16;
-        s.l1Sets = 1;
-        s.l1BytesPerSet = 24;
-        s.threeHop = true;
+        s.cfg.regionBytes = 16;
+        s.cfg.l1BytesPerSet = 24;
+        s.cfg.threeHop = true;
         s.accesses = {
             {0, wordAddr(16, 0, 0), true, 0xd0},
             {0, wordAddr(16, 0, 1), true, 0xd1},
@@ -414,11 +373,10 @@ buildLibrary()
         s.name = "threehop-bloom-cross";
         s.note = "3-hop fast path meets a Bloom false-positive owner";
         s.stresses = {"3hop", "bloom-nack", "value"};
-        s.numCores = 2;
-        s.threeHop = true;
-        s.directory = DirectoryKind::TaglessBloom;
-        s.bloomBuckets = 1;
-        s.bloomHashes = 1;
+        s.cfg.threeHop = true;
+        s.cfg.directory = DirectoryKind::TaglessBloom;
+        s.cfg.bloomBuckets = 1;
+        s.cfg.bloomHashes = 1;
         s.accesses = {
             {1, wordAddr(64, 2, 0), true, 0xe0},
             {0, wordAddr(64, 0, 0), true, 0xe1},
@@ -441,9 +399,7 @@ buildLibrary()
         s.note = "corner cores 0/63 race upgrades on an 8x8 mesh";
         s.stresses = {"swmr", "value", "upgrade", "large-mesh"};
         s.large = true;
-        s.numCores = 64;
-        s.meshCols = 8;
-        s.meshRows = 8;
+        s.cfg.setMesh(8, 8);
         s.accesses = {
             {0, wordAddr(64, 0, 0), false, 0},
             {63, wordAddr(64, 0, 0), false, 0},
@@ -467,11 +423,9 @@ buildLibrary()
         s.stresses = {"recall", "pinning", "inclusion", "value",
                       "large-mesh"};
         s.large = true;
-        s.numCores = 64;
-        s.meshCols = 8;
-        s.meshRows = 8;
-        s.l2BytesPerTile = 64;
-        s.l2Assoc = 1;
+        s.cfg.setMesh(8, 8);
+        s.cfg.l2BytesPerTile = 64;
+        s.cfg.l2Assoc = 1;
         s.accesses = {
             {0, wordAddr(64, 0, 0), true, 0xc0},
             {63, wordAddr(64, 0, 1), false, 0},
@@ -494,9 +448,7 @@ buildLibrary()
         s.note = "cores 0/255 share one word on a 16x16 mesh";
         s.stresses = {"swmr", "value", "large-mesh"};
         s.large = true;
-        s.numCores = 256;
-        s.meshCols = 16;
-        s.meshRows = 16;
+        s.cfg.setMesh(16, 16);
         s.accesses = {
             {0, wordAddr(64, 0, 0), false, 0},
             {255, wordAddr(64, 0, 0), false, 0},

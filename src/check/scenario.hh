@@ -63,33 +63,29 @@ struct Scenario
      */
     bool large = false;
 
-    unsigned numCores = 2;
-    /** Mesh geometry; 0 = legacy numCores x 1 row. */
-    unsigned meshCols = 0;
-    unsigned meshRows = 0;
-    unsigned regionBytes = 64;
-    PredictorKind predictor = PredictorKind::WordOnly;
-    unsigned fixedFetchWords = 8;
-    unsigned l1Sets = 1;
-    /** 0 = roomy default (four full-region blocks per set). */
-    unsigned l1BytesPerSet = 0;
-    std::uint64_t l2BytesPerTile = 4096;
-    unsigned l2Assoc = 8;
-    bool threeHop = false;
-    DirectoryKind directory = DirectoryKind::InCacheExact;
-    /** TaglessBloom geometry (buckets=1 forces full aliasing). */
-    unsigned bloomBuckets = 256;
-    unsigned bloomHashes = 2;
-    /** Re-inject the fixed lost-store eviction race (regression). */
-    bool debugLostStoreBug = false;
+    /**
+     * The machine: 2 cores on a 2x1 mesh (geometry only affects hop
+     * latency, not reachable protocol states; large-mesh scenarios
+     * pick a real 2-D grid), WordOnly fetches, one 288-B L1 set per
+     * core (four full 64-B region blocks) and 4 KB L2 tiles. toConfig
+     * sets the protocol and the settings the explorer fixes.
+     */
+    SystemConfig cfg = [] {
+        SystemConfig c;
+        c.setMesh(2, 1);
+        c.predictor = PredictorKind::WordOnly;
+        c.l1Sets = 1;
+        c.l2BytesPerTile = 4096;
+        return c;
+    }();
 
     std::vector<ScenarioAccess> accesses;
 
     /**
-     * Full system configuration for one protocol: an N x 1 mesh with
-     * the schedule oracle and the golden-memory value oracle enabled,
-     * and every nondeterminism source other than delivery order
-     * (network/occupancy fault injection) disabled.
+     * cfg under @p proto with the schedule oracle and the
+     * golden-memory value oracle enabled, and every nondeterminism
+     * source other than delivery order (network/occupancy fault
+     * injection, the watchdog, the seed) fixed.
      */
     SystemConfig toConfig(ProtocolKind proto) const;
 

@@ -147,15 +147,16 @@ feedDir(Hasher &hx, DirController &dir, FingerprintScratch &scratch)
     }
 
     std::size_t txns = 0;
-    dir.forEachTxn([&](const DirController::TxnView &) { ++txns; });
+    dir.forEachTxn([&](Addr, const DirController::Txn &) { ++txns; });
     hx.feed(txns);
-    dir.forEachTxn([&](const DirController::TxnView &t) {
-        hx.feed(t.region);
+    dir.forEachTxn([&](Addr region, const DirController::Txn &t) {
+        const bool recall = t.kind == DirController::Txn::Kind::Recall;
+        hx.feed(region);
         hx.feed(static_cast<std::uint64_t>(t.reqType));
         hx.feed((std::uint64_t(t.requester) << 24) |
                 (std::uint64_t(t.reqRange.start) << 16) |
                 (std::uint64_t(t.reqRange.end) << 8) | t.pending);
-        hx.feed((std::uint64_t(t.recall) << 4) |
+        hx.feed((std::uint64_t(recall) << 4) |
                 (std::uint64_t(t.upgrade) << 3) |
                 (std::uint64_t(t.waitingUnblock) << 2) |
                 (std::uint64_t(t.directSupplied) << 1) |

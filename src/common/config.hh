@@ -194,6 +194,20 @@ struct SystemConfig
     unsigned regionWords() const { return regionBytes / kWordBytes; }
 
     /**
+     * Lay the machine out on a @p cols x @p rows mesh: one core and
+     * one L2 tile per mesh node, the tiled design validate() demands.
+     * Every config that chooses its mesh sets the four fields here.
+     */
+    void
+    setMesh(unsigned cols, unsigned rows)
+    {
+        meshCols = cols;
+        meshRows = rows;
+        numCores = cols * rows;
+        l2Tiles = cols * rows;
+    }
+
+    /**
      * Home tile (shared-L2 slice / directory bank) of @p region. Every
      * component that needs a region's home — L1 request routing, the
      * directory's recall diagnostics, the protocheck inclusion oracle —

@@ -49,15 +49,6 @@ warn(const char *fmt, ...)
 }
 
 void
-inform(const char *fmt, ...)
-{
-    std::va_list ap;
-    va_start(ap, fmt);
-    vreport("info", fmt, ap);
-    va_end(ap);
-}
-
-void
 dtrace(const char *fmt, ...)
 {
     if (!debugTraceEnabled.load(std::memory_order_relaxed))

@@ -27,9 +27,6 @@ namespace protozoa {
 void warn(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-void inform(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
 /**
  * Debug-trace control: when true, PROTO_DTRACE statements print.
  * Atomic so parallel sweep workers may race a toggle without UB

@@ -84,7 +84,7 @@ struct DataSegment
  * overlap, and an in-flight writeback's range cannot overlap a block
  * filled later, because its WB_ACK is ordered before that DATA on the
  * same directory->L1 channel), so a flat mask loses no information and
- * needs no per-segment heap storage. addRun() asserts the invariant.
+ * needs no per-segment heap storage. setRange() asserts the invariant.
  */
 struct MsgData
 {
@@ -140,13 +140,6 @@ struct MsgData
         std::memcpy(&words[r.start], src,
                     std::size_t(r.words()) * sizeof(std::uint64_t));
         valid |= m;
-    }
-
-    /** Add a contiguous run; @p src is indexed from r.start. */
-    void
-    addRun(const WordRange &r, const std::uint64_t *src)
-    {
-        setRange(r, src);
     }
 
     /**

@@ -156,7 +156,6 @@ class ConformanceCoverage
                                  KnobProfile profile = KnobProfile::Base);
 
     ProtocolKind protocol() const { return proto; }
-    KnobProfile knobProfile() const { return profile; }
 
     /** Record one L1 transition; panics when undocumented. */
     void recordL1(L1State from, L1Event ev, L1State to);

@@ -66,9 +66,6 @@ class DirController
 
     TileId id() const { return tileId; }
 
-    /** True when no transaction is active and no request is queued. */
-    bool idle() const { return active.empty() && waiting.empty(); }
-
     DirStats stats;
 
     /** Directory view of a region, for invariant checkers and tests. */
@@ -123,43 +120,25 @@ class DirController
     /** Number of valid L2 entries (each owns exactly one sidecar). */
     std::size_t occupancy() const { return sidecarCount; }
 
-    /** View of one in-flight transaction. */
-    struct TxnView
-    {
-        Addr region = 0;
-        bool recall = false;
-        MsgType reqType = MsgType::GETS;
-        CoreId requester = 0;
-        WordRange reqRange;
-        bool upgrade = false;
-        unsigned pending = 0;
-        bool waitingUnblock = false;
-        bool directSupplied = false;
-        bool unblocked = false;
-        Addr parentRegion = 0;
-        /** Cycle the transaction began (deadlock-watchdog bound). */
-        Cycle start = 0;
-        /** Requests queued behind it on the same region. */
-        std::size_t queued = 0;
-    };
-
     /**
-     * Visit every active transaction in ascending region order: the
-     * watchdog scan, the explorer's deadlock check, the state
-     * fingerprint and the POR emit targets all read them through this
-     * one view.
+     * Visit every active transaction as (region, txn) in ascending
+     * region order: the watchdog scan, the explorer's deadlock check,
+     * the state fingerprint and the POR emit targets all read them
+     * here.
      */
     template <typename F>
     void
     forEachTxn(F &&fn) const
     {
-        for (const auto &[region, t] : active) {
-            fn(TxnView{region, t.kind == Txn::Kind::Recall, t.reqType,
-                       t.requester, t.reqRange, t.upgrade, t.pending,
-                       t.waitingUnblock, t.directSupplied, t.unblocked,
-                       t.parentRegion, t.start,
-                       waiting.run(region).size()});
-        }
+        for (const auto &[region, t] : active)
+            fn(region, t);
+    }
+
+    /** Requests queued behind the transaction on @p region. */
+    std::size_t
+    queuedOn(Addr region) const
+    {
+        return waiting.run(region).size();
     }
 
     /**

@@ -318,7 +318,7 @@ L1Controller::disposeEvicted(AmoebaCache::Evicted &evicted, Cycle when)
         put.dstIsDir = true;
         put.region = blk.region;
         put.range = blk.range;
-        put.data.addRun(wb.seg.range, wb.seg.words.data());
+        put.data.setRange(wb.seg.range, wb.seg.words.data());
         put.last = wb.last;
         put.demoteOwner = wb.demoteOwner;
 
@@ -480,7 +480,7 @@ L1Controller::handleFwdGetS(const CoherenceMsg &msg)
         ++processed;
         cov(abstractOf(b->state), L1Event::FwdGetS, L1State::S);
         if (b->dirty()) {
-            payload.addRun(b->range, b->words.data());
+            payload.setRange(b->range, b->words.data());
             countOutgoingData(b->range, b->touched);
             b->state = BlockState::S;
         } else if (b->state == BlockState::E) {
@@ -528,7 +528,7 @@ L1Controller::handleInvProbe(const CoherenceMsg &msg)
         ++stats.blocksInvalidated;
         cov(abstractOf(blk.state), cov_ev, L1State::I);
         if (blk.dirty()) {
-            payload.addRun(blk.range, blk.words.data());
+            payload.setRange(blk.range, blk.words.data());
             countOutgoingData(blk.range, blk.touched);
         }
         classifyDeath(blk);
@@ -553,7 +553,7 @@ L1Controller::handleInvProbe(const CoherenceMsg &msg)
             if (b->state != BlockState::S)
                 cov(abstractOf(b->state), L1Event::Revoke, L1State::S);
             if (b->dirty()) {
-                payload.addRun(b->range, b->words.data());
+                payload.setRange(b->range, b->words.data());
                 countOutgoingData(b->range, b->touched);
                 ++processed;
             }
@@ -573,7 +573,7 @@ L1Controller::answerProbe(const CoherenceMsg &probe, MsgData &payload,
     const Addr region = probe.region;
     wbBuffer.forEachOverlapping(
         region, probe.range, [&](const PendingWb &wb) {
-            payload.addRun(wb.seg.range, wb.seg.words.data());
+            payload.setRange(wb.seg.range, wb.seg.words.data());
             countOutgoingData(wb.seg.range, wb.touched);
             ++processed;
         });

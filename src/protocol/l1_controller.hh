@@ -70,7 +70,6 @@ class L1Controller
     void finalizeStats();
 
     CoreId id() const { return coreId; }
-    bool hasOutstandingMiss() const { return mshrs.size() > 0; }
 
     L1Stats stats;
 

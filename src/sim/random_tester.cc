@@ -18,37 +18,11 @@ RandomTester::patternName(Pattern p)
     return "?";
 }
 
-SystemConfig
-RandomTester::buildConfig(const Params &params)
-{
-    SystemConfig cfg;
-    cfg.protocol = params.protocol;
-    cfg.predictor = params.predictor;
-    cfg.numCores = params.numCores;
-    cfg.l2Tiles = params.numCores;
-    cfg.meshCols = params.meshCols;
-    cfg.meshRows = params.meshRows;
-    cfg.seed = params.seed;
-    cfg.checkValues = true;
-    cfg.l1Sets = params.l1Sets;
-    cfg.l2BytesPerTile = params.l2BytesPerTile;
-    cfg.faultInjection = params.faultInjection;
-    cfg.faultJitterMax = params.faultJitterMax;
-    cfg.faultReorderProb = params.faultReorderProb;
-    cfg.occupancyJitter = params.occupancyJitter;
-    cfg.occupancyJitterMax = params.occupancyJitterMax;
-    cfg.threeHop = params.threeHop;
-    cfg.directory = params.directory;
-    cfg.debugLostStoreBug = params.debugLostStoreBug;
-    cfg.watchdogCycles = params.watchdogCycles;
-    return cfg;
-}
-
 std::vector<std::vector<TraceRecord>>
 RandomTester::buildTraces(const Params &params)
 {
-    const SystemConfig cfg = buildConfig(params);
-    Rng rng(params.seed * 0x5851f42d4c957f2dULL + 7);
+    const SystemConfig &cfg = params.cfg;
+    Rng rng(cfg.seed * 0x5851f42d4c957f2dULL + 7);
     const Addr base = 0x40000000;
     const unsigned region_words = cfg.regionWords();
 
@@ -130,7 +104,7 @@ RandomTester::Result
 RandomTester::runTraces(const Params &params,
                         const std::vector<std::vector<TraceRecord>> &traces)
 {
-    const SystemConfig cfg = buildConfig(params);
+    const SystemConfig &cfg = params.cfg;
 
     Workload wl;
     std::uint64_t accesses = 0;

@@ -55,12 +55,19 @@ class RandomTester
 
     struct Params
     {
-        ProtocolKind protocol = ProtocolKind::ProtozoaMW;
-        PredictorKind predictor = PredictorKind::PcSpatial;
-        /** System size (l2Tiles follows numCores; tiled design). */
-        unsigned numCores = 16;
-        unsigned meshCols = 4;
-        unsigned meshRows = 4;
+        /**
+         * The machine under test: the paper's 16-core 4x4 system with
+         * its L1 cut to 4 sets (evictions and writeback races) and its
+         * L2 tiles to 4 KB (inclusive recalls). cfg.seed seeds both
+         * the traces and the System.
+         */
+        SystemConfig cfg = [] {
+            SystemConfig c;
+            c.l1Sets = 4;
+            c.l2BytesPerTile = 4096;
+            return c;
+        }();
+        Pattern pattern = Pattern::Uniform;
         /** Hot pool size, in regions. */
         unsigned regions = 16;
         /**
@@ -73,29 +80,8 @@ class RandomTester
         unsigned coldRegions = 4096;
         std::uint64_t accessesPerCore = 2000;
         double writeFraction = 0.4;
-        std::uint64_t seed = 1;
         /** Invariant-scan period in cycles (0 = only at the end). */
         Cycle checkPeriod = 64;
-        /** Shrink the L1 to force evictions and writeback races. */
-        unsigned l1Sets = 4;
-        /** Shrink the L2 to force inclusive recalls. */
-        std::uint64_t l2BytesPerTile = 4096;
-
-        Pattern pattern = Pattern::Uniform;
-        /** Network fault injection (see SystemConfig::faultInjection). */
-        bool faultInjection = false;
-        Cycle faultJitterMax = 8;
-        double faultReorderProb = 0.05;
-        /** Controller occupancy jitter (SystemConfig::occupancyJitter). */
-        bool occupancyJitter = false;
-        Cycle occupancyJitterMax = 4;
-        /** Coherence knobs (conformance KnobProfile dimensions). */
-        bool threeHop = false;
-        DirectoryKind directory = DirectoryKind::InCacheExact;
-        /** Test-only lost-store bug re-injection (campaign-shrink). */
-        bool debugLostStoreBug = false;
-        /** Deadlock-watchdog bound in cycles (0 = off). */
-        Cycle watchdogCycles = 0;
     };
 
     struct Result
@@ -112,15 +98,14 @@ class RandomTester
     static Result run(const Params &params);
 
     /**
-     * The deterministic pieces a run is assembled from, exposed so the
+     * The deterministic traces a run drives, exposed so the
      * campaign-failure shrinker (src/check) can rebuild, truncate, and
      * replay the exact workload of a failing parameter point.
      */
-    static SystemConfig buildConfig(const Params &params);
     static std::vector<std::vector<TraceRecord>>
     buildTraces(const Params &params);
 
-    /** Run a (possibly edited) trace set under @p params' config. */
+    /** Run a (possibly edited) trace set on @p params' machine. */
     static Result
     runTraces(const Params &params,
               const std::vector<std::vector<TraceRecord>> &traces);

@@ -28,9 +28,7 @@ CampaignSpec
 CampaignSpec::smallSystem()
 {
     CampaignSpec spec;
-    spec.numCores = 4;
-    spec.meshCols = 2;
-    spec.meshRows = 2;
+    spec.tester.cfg.setMesh(2, 2);
     spec.seeds.clear();
     for (std::uint64_t s = 1; s <= 80; ++s)
         spec.seeds.push_back(s);
@@ -41,18 +39,19 @@ CampaignSpec
 CampaignSpec::largeMesh()
 {
     CampaignSpec spec;
-    spec.numCores = 64;
-    spec.meshCols = 8;
-    spec.meshRows = 8;
+    spec.tester.cfg.setMesh(8, 8);
     spec.seeds.clear();
     for (std::uint64_t s = 1; s <= 20; ++s)
         spec.seeds.push_back(s);
     // Quarter the per-tile L2 so 4x the tiles keeps the same
     // aggregate conflict pressure (two 8-way sets per tile), and
     // grow the hot pool 4x so per-region sharer counts match the
-    // 16-core grid (one core per hot region on average).
-    spec.l2BytesPerTile = 1024;
-    spec.hotRegions = 64;
+    // 16-core grid (one core per hot region on average): 64 cores on
+    // a 16-region pool bury every region under dozens of sharers,
+    // which starves the single-writer directory states (WR,
+    // last-writer evictions) that the coverage matrix requires.
+    spec.tester.cfg.l2BytesPerTile = 1024;
+    spec.tester.regions = 64;
     // Violations gate this grid; matrix completeness stays with the
     // 16/4-core grids. 64 cores dilute per-(core, region) density
     // until the multi-block-writer rows ((WR, Put) -> WR) need far
@@ -83,10 +82,10 @@ CampaignResult::report(bool verbose) const
        << " accesses, " << valueViolations << " value violations, "
        << invariantViolations << " invariant violations\n";
     for (const auto &f : failures) {
-        os << "  FAILED " << protocolName(f.params.protocol) << " "
+        os << "  FAILED " << protocolName(f.params.cfg.protocol) << " "
            << f.profile << " knobs=" << f.knobs << " "
            << RandomTester::patternName(f.params.pattern) << " seed="
-           << f.params.seed << " (" << f.valueViolations << " value, "
+           << f.params.cfg.seed << " (" << f.valueViolations << " value, "
            << f.invariantViolations << " invariant)\n";
     }
     for (const auto &cov : coverage)
@@ -112,29 +111,18 @@ runCampaign(const CampaignSpec &spec)
             for (const auto &knob : spec.knobs) {
                 for (const auto pattern : spec.patterns) {
                     for (const auto seed : spec.seeds) {
-                        Job job;
-                        job.protoIdx = p;
-                        job.profile = prof.name;
-                        job.knobs = knob.name;
+                        Job job{p, spec.tester, prof.name, knob.name};
                         auto &rp = job.params;
-                        rp.protocol = spec.protocols[p];
+                        rp.cfg.protocol = spec.protocols[p];
+                        rp.cfg.seed = seed;
+                        rp.cfg.faultInjection = prof.faultInjection;
+                        rp.cfg.faultJitterMax = prof.jitterMax;
+                        rp.cfg.faultReorderProb = prof.reorderProb;
+                        rp.cfg.occupancyJitter = prof.occJitterMax > 0;
+                        rp.cfg.occupancyJitterMax = prof.occJitterMax;
+                        rp.cfg.threeHop = knob.threeHop;
+                        rp.cfg.directory = knob.directory;
                         rp.pattern = pattern;
-                        rp.seed = seed;
-                        rp.numCores = spec.numCores;
-                        rp.meshCols = spec.meshCols;
-                        rp.meshRows = spec.meshRows;
-                        rp.accessesPerCore = spec.accessesPerCore;
-                        rp.l2BytesPerTile = spec.l2BytesPerTile;
-                        rp.regions = spec.hotRegions;
-                        rp.checkPeriod = spec.checkPeriod;
-                        rp.faultInjection = prof.faultInjection;
-                        rp.faultJitterMax = prof.jitterMax;
-                        rp.faultReorderProb = prof.reorderProb;
-                        rp.occupancyJitter = prof.occJitterMax > 0;
-                        rp.occupancyJitterMax = prof.occJitterMax;
-                        rp.threeHop = knob.threeHop;
-                        rp.directory = knob.directory;
-                        rp.watchdogCycles = spec.watchdogCycles;
                         jobs.push_back(job);
                     }
                 }
@@ -157,11 +145,11 @@ runCampaign(const CampaignSpec &spec)
             std::fprintf(stderr,
                          "[campaign %zu/%zu] %s %s %s seed=%llu\n",
                          i + 1, jobs.size(),
-                         protocolName(job.params.protocol),
+                         protocolName(job.params.cfg.protocol),
                          job.profile,
                          RandomTester::patternName(job.params.pattern),
                          static_cast<unsigned long long>(
-                             job.params.seed));
+                             job.params.cfg.seed));
         }
         const RandomTester::Result r = RandomTester::run(job.params);
         std::lock_guard<std::mutex> lock(merge_mutex);
@@ -186,11 +174,11 @@ runCampaign(const CampaignSpec &spec)
               [](const CampaignFailure &a, const CampaignFailure &b) {
                   const auto key = [](const CampaignFailure &f) {
                       return std::make_tuple(
-                          static_cast<int>(f.params.protocol),
+                          static_cast<int>(f.params.cfg.protocol),
                           std::string_view(f.profile),
                           std::string_view(f.knobs),
                           static_cast<int>(f.params.pattern),
-                          f.params.seed);
+                          f.params.cfg.seed);
                   };
                   return key(a) < key(b);
               });

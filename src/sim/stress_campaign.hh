@@ -79,35 +79,26 @@ struct CampaignSpec
         RandomTester::Pattern::UpgradeHeavy};
     /** Seeds; each grid point runs once per seed. */
     std::vector<std::uint64_t> seeds{1, 2, 3, 4, 5, 6, 7, 8};
-    /** System size per job (l2Tiles follows numCores). */
-    unsigned numCores = 16;
-    unsigned meshCols = 4;
-    unsigned meshRows = 4;
     /**
-     * Shared-L2 bytes per tile. The tester default (4 KB) keeps
-     * inclusion recalls frequent at 16 tiles; wider meshes shrink
-     * this further so the per-tile conflict pressure (and thus the
-     * recall rate) does not dilute with the tile count.
+     * The tester run every job starts from. Each job overwrites
+     * cfg.protocol and cfg.seed, the jitter profile's five fault
+     * fields (cfg.faultInjection, faultJitterMax, faultReorderProb,
+     * occupancyJitter, occupancyJitterMax), the knob setting's
+     * cfg.threeHop and cfg.directory, and the pattern; the machine,
+     * the pools, accessesPerCore and checkPeriod come from here. The
+     * default is the tester's own run with a generous deadlock
+     * watchdog: jitter holds stretch latencies, but a healthy protocol
+     * still completes every transaction within a few hundred cycles.
+     * Its 4 KB L2 tiles keep inclusion recalls frequent at 16 tiles;
+     * wider meshes shrink them further so the per-tile conflict
+     * pressure (and thus the recall rate) does not dilute with the
+     * tile count.
      */
-    std::uint64_t l2BytesPerTile = 4096;
-    /**
-     * Hot-pool size in regions (the tester default). Scaled with the
-     * core count for wide meshes: 64 cores on a 16-region pool bury
-     * every region under dozens of sharers, which starves the
-     * single-writer directory states (WR, last-writer evictions)
-     * that the coverage matrix requires.
-     */
-    unsigned hotRegions = 16;
-    /** Accesses per core per job. */
-    std::uint64_t accessesPerCore = 2000;
-    /** Invariant-scan period forwarded to RandomTester. */
-    Cycle checkPeriod = 64;
-    /**
-     * Deadlock-watchdog bound per job. Generous: jitter holds stretch
-     * latencies but a healthy protocol still completes every
-     * transaction within a few hundred cycles.
-     */
-    Cycle watchdogCycles = 50000;
+    RandomTester::Params tester = [] {
+        RandomTester::Params p;
+        p.cfg.watchdogCycles = 50000;
+        return p;
+    }();
     /** Worker threads (0 = envJobs()). */
     unsigned workers = 0;
     /** Serialized per-job progress lines on stderr. */

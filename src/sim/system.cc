@@ -355,18 +355,21 @@ System::watchdogScan(Cycle now)
             outstanding = true;
     }
     for (TileId t = 0; t < cfg.l2Tiles; ++t) {
-        dirs[t]->forEachTxn([&](const DirController::TxnView &v) {
+        dirs[t]->forEachTxn([&](Addr region,
+                                const DirController::Txn &txn) {
             outstanding = true;
-            if (now > v.start + watchdogBound) {
+            if (now > txn.start + watchdogBound) {
                 std::ostringstream os;
                 os << "dir" << t << " "
-                   << (v.recall ? "recall" : "request")
-                   << " txn for region 0x" << std::hex << v.region
-                   << std::dec << " outstanding since cycle " << v.start
-                   << " (pending probes=" << v.pending
-                   << (v.waitingUnblock ? ", waiting UNBLOCK" : "")
-                   << ", queued=" << v.queued << ")";
-                overdue.emplace_back(v.region, os.str());
+                   << (txn.kind == DirController::Txn::Kind::Recall
+                           ? "recall"
+                           : "request")
+                   << " txn for region 0x" << std::hex << region
+                   << std::dec << " outstanding since cycle " << txn.start
+                   << " (pending probes=" << txn.pending
+                   << (txn.waitingUnblock ? ", waiting UNBLOCK" : "")
+                   << ", queued=" << dirs[t]->queuedOn(region) << ")";
+                overdue.emplace_back(region, os.str());
             }
         });
     }

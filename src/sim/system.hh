@@ -156,11 +156,6 @@ class System
      */
     void enableWindowStats(Cycle period, std::string json_path = {});
 
-    const std::vector<WindowSample> &windowSamples() const
-    {
-        return windows;
-    }
-
     /** Aggregate statistics (valid after run()). */
     RunStats report() const;
 

@@ -89,6 +89,20 @@ class VectorTrace : public TraceSource
 /** Per-core traces for a whole system run. */
 using Workload = std::vector<std::unique_ptr<TraceSource>>;
 
+/**
+ * One empty trace per core, for a System whose accesses are issued
+ * from outside (the explorer's runs and the tests' ProtocolDriver).
+ */
+inline Workload
+emptyWorkload(unsigned cores)
+{
+    Workload wl;
+    for (unsigned c = 0; c < cores; ++c)
+        wl.push_back(
+            std::make_unique<VectorTrace>(std::vector<TraceRecord>{}));
+    return wl;
+}
+
 } // namespace protozoa
 
 #endif // PROTOZOA_WORKLOAD_TRACE_HH

@@ -400,7 +400,7 @@ TEST(AllocRegression, ExplorerStateCycleIsAllocationFree)
     for (const char *name : {"mw-word-churn", "pcspatial-stride-3core"}) {
         const check::Scenario *s = check::findScenario(name);
         ASSERT_NE(s, nullptr) << name;
-        ASSERT_EQ(s->predictor, PredictorKind::PcSpatial) << name;
+        ASSERT_EQ(s->cfg.predictor, PredictorKind::PcSpatial) << name;
         ScenarioRun run(*s);
         // Deep enough that a block has died and trained its predictor.
         bool trained = false;

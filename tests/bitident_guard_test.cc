@@ -16,7 +16,8 @@
  * The second guard locks the schedule explorer's search the same way:
  * its counters over the scenario library must not move when only the
  * explorer's speed changes. The third locks the fingerprint sets that
- * search visits.
+ * search visits, and the fourth the machines the scenarios, the
+ * random tester and the stress campaign run.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,8 @@
 #include "check/explorer.hh"
 #include "check/scenario.hh"
 #include "protozoa/protozoa.hh"
+#include "sim/stress_campaign.hh"
+#include "snapshot/snapshot.hh"
 #include "stats_digest.hh"
 
 namespace protozoa {
@@ -129,6 +132,37 @@ TEST(BitIdenticalGuard, FingerprintSetsAreStable)
         << "fingerprint digest changed: 0x" << std::hex << all.value()
         << " (update kFingerprintDigest only for a deliberate change to "
            "what the fingerprint covers)";
+}
+
+/**
+ * configFingerprint of the machines the layers above System build:
+ * toConfig of every library scenario (the large tier included) x 4
+ * protocols, then the base machines of the random tester and of the
+ * default, small and large campaign grids. A machine that moves here
+ * runs different experiments under the same names; change
+ * kConfigDigest only with the reason stated.
+ */
+TEST(BitIdenticalGuard, MachineConfigsAreStable)
+{
+    constexpr std::uint64_t kConfigDigest = 0x2490da406cf90ab7ULL;
+
+    Digest d;
+    for (const check::Scenario &s : check::scenarioLibrary()) {
+        for (ProtocolKind kind :
+             {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
+              ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW})
+            d.add(configFingerprint(s.toConfig(kind)));
+    }
+    d.add(configFingerprint(RandomTester::Params{}.cfg));
+    for (const CampaignSpec &spec :
+         {CampaignSpec{}, CampaignSpec::smallSystem(),
+          CampaignSpec::largeMesh()})
+        d.add(configFingerprint(spec.tester.cfg));
+
+    EXPECT_EQ(d.value(), kConfigDigest)
+        << "machine digest changed: 0x" << std::hex << d.value()
+        << " (update kConfigDigest only for a deliberate change to a "
+           "machine)";
 }
 
 } // namespace

@@ -144,12 +144,6 @@ TEST(BloomDirectorySystem, FuzzCleanUnderAllProtocols)
     for (auto protocol :
          {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
           ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW}) {
-        RandomTester::Params p;
-        p.protocol = protocol;
-        p.accessesPerCore = 1200;
-        p.checkPeriod = 64;
-        p.seed = 77;
-        // RandomTester has no directory knob; run a System directly.
         SystemConfig cfg;
         cfg.protocol = protocol;
         cfg.directory = DirectoryKind::TaglessBloom;

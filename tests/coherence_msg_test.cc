@@ -28,8 +28,8 @@ TEST(CoherenceMsg, DataSizeCountsAllSegments)
     msg.type = MsgType::WB_RESP;
     const std::uint64_t run1[] = {1, 2, 3};
     const std::uint64_t run2[] = {4, 5};
-    msg.data.addRun(WordRange(0, 2), run1);
-    msg.data.addRun(WordRange(5, 6), run2);
+    msg.data.setRange(WordRange(0, 2), run1);
+    msg.data.setRange(WordRange(5, 6), run2);
     EXPECT_EQ(msg.dataWords(), 5u);
     EXPECT_EQ(msg.sizeBytes(8), 8u + 5 * 8u);
 }
@@ -58,8 +58,8 @@ TEST(MsgDataDeath, OverlappingRunsPanic)
 {
     MsgData data;
     const std::uint64_t run[] = {1, 2, 3};
-    data.addRun(WordRange(0, 2), run);
-    EXPECT_DEATH(data.addRun(WordRange(2, 4), run),
+    data.setRange(WordRange(0, 2), run);
+    EXPECT_DEATH(data.setRange(WordRange(2, 4), run),
                  "overlapping payload segments");
 }
 

@@ -283,7 +283,7 @@ TEST(StressCampaign, SmokeRunPassesAndMergesCoverage)
     spec.patterns = {RandomTester::Pattern::Uniform,
                      RandomTester::Pattern::UpgradeHeavy};
     spec.seeds = {1, 2};
-    spec.accessesPerCore = 300;
+    spec.tester.accessesPerCore = 300;
     spec.workers = 2;
 
     const CampaignResult res = runCampaign(spec);
@@ -299,8 +299,8 @@ TEST(StressCampaign, SmokeRunPassesAndMergesCoverage)
 TEST(StressCampaign, SmallSystemGridRunsFourCoreJobs)
 {
     CampaignSpec spec = CampaignSpec::smallSystem();
-    EXPECT_EQ(spec.numCores, 4u);
-    EXPECT_EQ(spec.meshCols * spec.meshRows, 4u);
+    EXPECT_EQ(spec.tester.cfg.numCores, 4u);
+    EXPECT_EQ(spec.tester.cfg.meshCols * spec.tester.cfg.meshRows, 4u);
     EXPECT_EQ(spec.seeds.size(), 80u);   // ~10x the default seed count
 
     // Shrink the grid for a smoke run; the per-job system size is the
@@ -309,7 +309,7 @@ TEST(StressCampaign, SmallSystemGridRunsFourCoreJobs)
     spec.profiles = {{"wild", true, 16, 0.10}};
     spec.patterns = {RandomTester::Pattern::FalseShareBoundary};
     spec.seeds = {1, 2, 3};
-    spec.accessesPerCore = 300;
+    spec.tester.accessesPerCore = 300;
     spec.workers = 2;
 
     const CampaignResult res = runCampaign(spec);
@@ -322,12 +322,12 @@ TEST(StressCampaign, SmallSystemGridRunsFourCoreJobs)
 TEST(FaultInjection, RandomTesterIsSeedDeterministic)
 {
     RandomTester::Params p;
-    p.protocol = ProtocolKind::ProtozoaMW;
+    p.cfg.protocol = ProtocolKind::ProtozoaMW;
     p.accessesPerCore = 300;
-    p.faultInjection = true;
-    p.faultJitterMax = 8;
-    p.faultReorderProb = 0.1;
-    p.seed = 3;
+    p.cfg.faultInjection = true;
+    p.cfg.faultJitterMax = 8;
+    p.cfg.faultReorderProb = 0.1;
+    p.cfg.seed = 3;
 
     const auto a = RandomTester::run(p);
     const auto b = RandomTester::run(p);

@@ -161,11 +161,11 @@ TEST(MillionAccessStyle, AllProtocolsSurviveLongFuzz)
          {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
           ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW}) {
         RandomTester::Params p;
-        p.protocol = protocol;
+        p.cfg.protocol = protocol;
         p.accessesPerCore = 4000;
         p.regions = 24;
         p.checkPeriod = 256;
-        p.seed = 1234;
+        p.cfg.seed = 1234;
         const auto result = RandomTester::run(p);
         EXPECT_EQ(result.valueViolations, 0u) << protocolName(protocol);
         EXPECT_EQ(result.invariantViolations, 0u)

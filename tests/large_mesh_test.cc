@@ -48,7 +48,7 @@ TEST(LargeMeshExplorer, WideMask16x16RunsAtKMaxCores)
 {
     const Scenario *s = findScenario("wide-mask-16x16");
     ASSERT_NE(s, nullptr);
-    ASSERT_EQ(s->numCores, kMaxCores);
+    ASSERT_EQ(s->cfg.numCores, kMaxCores);
 
     ExploreLimits lim;
     const ExploreResult r =
@@ -59,21 +59,18 @@ TEST(LargeMeshExplorer, WideMask16x16RunsAtKMaxCores)
 }
 
 SystemConfig
-wideConfig(unsigned cores, unsigned cols, unsigned rows)
+wideConfig(unsigned cols, unsigned rows)
 {
     SystemConfig cfg;
-    cfg.numCores = cores;
-    cfg.l2Tiles = cores;
-    cfg.meshCols = cols;
-    cfg.meshRows = rows;
+    cfg.setMesh(cols, rows);
     // Hold the aggregate L2 at 32 MB, as fig_scaling does.
-    cfg.l2BytesPerTile = (2ull * 1024 * 1024 * 16) / cores;
+    cfg.l2BytesPerTile = (2ull * 1024 * 1024 * 16) / cfg.numCores;
     return cfg;
 }
 
 TEST(LargeMeshSmoke, AllCoresShareOneRegionAt256Cores)
 {
-    SystemConfig cfg = wideConfig(256, 16, 16);
+    SystemConfig cfg = wideConfig(16, 16);
     cfg.validate();
     ProtocolDriver d(cfg);
 
@@ -115,7 +112,7 @@ driveRecallStorm(ProtocolDriver &d)
 
 TEST(LargeMeshWatchdog, ScaledHorizonSurvivesHealthyRecallStorm)
 {
-    SystemConfig cfg = wideConfig(64, 8, 8);
+    SystemConfig cfg = wideConfig(8, 8);
     cfg.l2BytesPerTile = 64; // one-entry tiles: every fill recalls
     cfg.l2Assoc = 1;
     // Auto-enabled via the System ctor: the configured bound is
@@ -132,7 +129,7 @@ TEST(LargeMeshWatchdog, ScaledHorizonSurvivesHealthyRecallStorm)
 
 TEST(LargeMeshWatchdog, FlatReferenceBoundFalsePositivesAt8x8)
 {
-    SystemConfig cfg = wideConfig(64, 8, 8);
+    SystemConfig cfg = wideConfig(8, 8);
     cfg.l2BytesPerTile = 64;
     cfg.l2Assoc = 1;
     cfg.watchdogCycles = 0;
@@ -175,6 +172,8 @@ TEST(LargeMeshSliceHash, SpreadRoutesAndReturnsCorrectValues)
         EXPECT_EQ(d.load(static_cast<CoreId>((i + 1) % cfg.numCores),
                          addr),
                   0x5100u + i);
+        // ProtocolDriver reads the tile that really homes the region.
+        EXPECT_TRUE(d.dirView(addr).present) << "region " << i;
     }
     EXPECT_GT(homes.size(), 1u);
     EXPECT_EQ(d.sys.checkCoherenceInvariant(), std::nullopt);

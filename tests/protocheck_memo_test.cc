@@ -45,7 +45,7 @@ exploreBothWays(const char *name, ProtocolKind proto)
     EXPECT_NE(s, nullptr) << name;
     if (s == nullptr)
         return {};
-    EXPECT_EQ(s->predictor, PredictorKind::PcSpatial) << name;
+    EXPECT_EQ(s->cfg.predictor, PredictorKind::PcSpatial) << name;
     ExploreLimits on;
     on.collectFingerprints = true;
     ExploreLimits off = on;

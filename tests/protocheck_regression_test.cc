@@ -26,7 +26,7 @@ lostStoreScenario(bool bug)
     const Scenario *s = findScenario("evict-vs-partial-probe");
     EXPECT_NE(s, nullptr);
     Scenario out = *s;
-    out.debugLostStoreBug = bug;
+    out.cfg.debugLostStoreBug = bug;
     return out;
 }
 
@@ -78,13 +78,11 @@ TEST(LostStoreRegression, FixedProtocolVerifiesClean)
 TEST(OccupancyJitter, DeterministicPerSeedAndClean)
 {
     RandomTester::Params p;
-    p.numCores = 4;
-    p.meshCols = 2;
-    p.meshRows = 2;
+    p.cfg.setMesh(2, 2);
     p.accessesPerCore = 300;
-    p.occupancyJitter = true;
-    p.occupancyJitterMax = 4;
-    p.seed = 7;
+    p.cfg.occupancyJitter = true;
+    p.cfg.occupancyJitterMax = 4;
+    p.cfg.seed = 7;
 
     const auto a = RandomTester::run(p);
     const auto b = RandomTester::run(p);
@@ -95,7 +93,7 @@ TEST(OccupancyJitter, DeterministicPerSeedAndClean)
 
     // A different jitter draw (different seed) must also stay clean:
     // jitter may reorder controller servicing but never break SWMR.
-    p.seed = 8;
+    p.cfg.seed = 8;
     const auto c = RandomTester::run(p);
     EXPECT_EQ(c.valueViolations, 0u);
     EXPECT_EQ(c.invariantViolations, 0u);
@@ -104,25 +102,23 @@ TEST(OccupancyJitter, DeterministicPerSeedAndClean)
 TEST(CampaignShrink, ShrinksAReinjectedFailure)
 {
     RandomTester::Params p;
-    p.protocol = ProtocolKind::ProtozoaMW;
-    p.predictor = PredictorKind::WordOnly;
-    p.numCores = 4;
-    p.meshCols = 2;
-    p.meshRows = 2;
+    p.cfg.protocol = ProtocolKind::ProtozoaMW;
+    p.cfg.predictor = PredictorKind::WordOnly;
+    p.cfg.setMesh(2, 2);
     p.regions = 2;
     p.coldFraction = 0.3;
     p.coldRegions = 16;
     p.accessesPerCore = 120;
     p.writeFraction = 0.6;
-    p.l1Sets = 1;
+    p.cfg.l1Sets = 1;
     p.pattern = RandomTester::Pattern::EvictionPressure;
-    p.debugLostStoreBug = true;
+    p.cfg.debugLostStoreBug = true;
 
     // The re-injected race is timing-dependent; scan a bounded seed
     // range for a failing grid point the way the campaign would.
     bool found = false;
     for (std::uint64_t seed = 1; seed <= 40 && !found; ++seed) {
-        p.seed = seed;
+        p.cfg.seed = seed;
         const auto r = RandomTester::run(p);
         found = r.valueViolations + r.invariantViolations > 0;
     }

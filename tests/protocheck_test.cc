@@ -36,7 +36,6 @@ fingerprintAfterStores(bool swapIssueOrder, Addr a0, Addr a1,
 {
     Scenario s;
     s.name = "fp-harness";
-    s.numCores = 2;
     const SystemConfig cfg = s.toConfig(ProtocolKind::ProtozoaMW);
     System sys(cfg, emptyWorkload(cfg.numCores));
 
@@ -106,8 +105,7 @@ fingerprintAfterLoads(PredictorKind predictor, Pc pc,
 {
     Scenario s;
     s.name = "fp-predictor";
-    s.numCores = 2;
-    s.predictor = predictor;
+    s.cfg.predictor = predictor;
     // Not MESI: System replaces MESI's predictor with FullRegion.
     const SystemConfig cfg = s.toConfig(ProtocolKind::ProtozoaMW);
     System sys(cfg, emptyWorkload(cfg.numCores));
@@ -199,6 +197,39 @@ TEST(Explorer, UpgradeRaceCleanUnderAllProtocols)
     }
 }
 
+/**
+ * The Spread slice hash under the explorer: every fast-tier scenario
+ * explores clean and within budget under all four protocols, and its
+ * repro rebuilds the hash. Scenarios built on a Modulo home-tile
+ * collision (recall-inclusive's region 2 on tile 0) lose it under
+ * Spread; this covers the hash, not those races.
+ */
+TEST(Explorer, FastTierCleanUnderSpreadSliceHash)
+{
+    for (const Scenario &lib : scenarioLibrary()) {
+        if (lib.deep || lib.large)
+            continue;
+        Scenario s = lib;
+        s.cfg.sliceHash = SliceHashKind::Spread;
+        for (ProtocolKind proto :
+             {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
+              ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW}) {
+            const ExploreResult r = explore(s, proto);
+            EXPECT_FALSE(r.violation.has_value())
+                << s.name << " " << protocolName(proto) << ": ["
+                << r.violation->kind << "] " << r.violation->detail;
+            EXPECT_FALSE(r.budgetExhausted)
+                << s.name << " " << protocolName(proto);
+            EXPECT_GT(r.schedulesCompleted, 0u)
+                << s.name << " " << protocolName(proto);
+        }
+        EXPECT_NE(buildRepro(s, ProtocolKind::ProtozoaMW, Violation{})
+                      .find("cfg.sliceHash = SliceHashKind::Spread;\n"),
+                  std::string::npos)
+            << s.name;
+    }
+}
+
 TEST(Explorer, MemoizationCollapsesPingpong)
 {
     const Scenario *s = findScenario("false-share-pingpong");
@@ -267,7 +298,7 @@ TEST(Explorer, PorSoundPastEightNodes)
     for (const char *name : {"upgrade-race-8x8", "recall-storm-8x8"}) {
         const Scenario *s = findScenario(name);
         ASSERT_NE(s, nullptr) << name;
-        ASSERT_GT(s->numCores, 8u) << name;
+        ASSERT_GT(s->cfg.numCores, 8u) << name;
         for (ProtocolKind proto :
              {ProtocolKind::MESI, ProtocolKind::ProtozoaMW}) {
             const ExploreResult a = explore(*s, proto, on);
@@ -458,7 +489,7 @@ TEST(Explorer, SnapshotBacktrackFindsSameViolation)
     const Scenario *s = findScenario("evict-vs-partial-probe");
     ASSERT_NE(s, nullptr);
     Scenario buggy = *s;
-    buggy.debugLostStoreBug = true;
+    buggy.cfg.debugLostStoreBug = true;
     ExploreLimits snap;
     ExploreLimits replay;
     replay.snapshotBacktrack = false;
@@ -523,6 +554,48 @@ TEST(Minimizer, ReproCarriesTheExploredMeshGeometry)
     }
 }
 
+// Every other knob the scenario's machine moves reaches the repro as
+// well: its drain() runs the timed order, which the latencies shape.
+// A knob left at its default adds no line, so library repros keep
+// their text, and the schedule oracle stays off.
+TEST(Minimizer, ReproNamesEveryMovedKnob)
+{
+    const Scenario *lib = findScenario("upgrade-race");
+    ASSERT_NE(lib, nullptr);
+    const std::string plain =
+        buildRepro(*lib, ProtocolKind::ProtozoaMW, Violation{});
+    EXPECT_EQ(plain.find("Latency"), std::string::npos) << plain;
+
+    Scenario s = *lib;
+    s.cfg.fixedFetchWords = 4;
+    s.cfg.bloomBuckets = 64;
+    s.cfg.bloomHashes = 3;
+    s.cfg.l1Latency = 3;
+    s.cfg.l1GatherPerBlock = 2;
+    s.cfg.l2Latency = 40;
+    s.cfg.flitBytes = 32;
+    s.cfg.hopLatency = 9;
+    s.cfg.flitSerialization = 1;
+    s.cfg.memLatency = 150;
+    s.cfg.controlBytes = 16;
+    s.cfg.faultJitterMax = 0;
+    s.cfg.faultReorderProb = 0.1;
+    s.cfg.occupancyJitterMax = 0;
+    const std::string repro =
+        buildRepro(s, ProtocolKind::ProtozoaMW, Violation{});
+    for (const char *line :
+         {"cfg.fixedFetchWords = 4;\n", "cfg.bloomBuckets = 64;\n",
+          "cfg.bloomHashes = 3;\n", "cfg.l1Latency = 3;\n",
+          "cfg.l1GatherPerBlock = 2;\n", "cfg.l2Latency = 40;\n",
+          "cfg.flitBytes = 32;\n", "cfg.hopLatency = 9;\n",
+          "cfg.flitSerialization = 1;\n", "cfg.memLatency = 150;\n",
+          "cfg.controlBytes = 16;\n", "cfg.faultJitterMax = 0;\n",
+          "cfg.faultReorderProb = 0.1;\n",
+          "cfg.occupancyJitterMax = 0;\n"})
+        EXPECT_NE(repro.find(line), std::string::npos) << line << repro;
+    EXPECT_EQ(repro.find("scheduleOracle"), std::string::npos) << repro;
+}
+
 TEST(ScenarioLibrary, LookupAndFootprint)
 {
     ASSERT_FALSE(scenarioLibrary().empty());
@@ -585,10 +658,7 @@ TEST(KnobProfile, PerProfilePlanesAndMerge)
 TEST(ScheduleOracle, DisabledMeshParksNothing)
 {
     SystemConfig cfg;
-    cfg.numCores = 2;
-    cfg.l2Tiles = 2;
-    cfg.meshCols = 2;
-    cfg.meshRows = 1;
+    cfg.setMesh(2, 1);
     ProtocolDriver d(cfg);
     EXPECT_FALSE(d.sys.mesh().scheduleOracleEnabled());
     d.store(0, kBase, 0x1);

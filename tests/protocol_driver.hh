@@ -18,16 +18,6 @@
 
 namespace protozoa {
 
-inline Workload
-emptyWorkload(unsigned cores)
-{
-    Workload wl;
-    for (unsigned c = 0; c < cores; ++c)
-        wl.push_back(
-            std::make_unique<VectorTrace>(std::vector<TraceRecord>{}));
-    return wl;
-}
-
 class ProtocolDriver
 {
   public:
@@ -114,9 +104,8 @@ class ProtocolDriver
     homeOf(Addr addr)
     {
         const auto &cfg = sys.config();
-        const Addr region = regionBase(addr, cfg.regionBytes);
-        return static_cast<TileId>((region / cfg.regionBytes) %
-                                   cfg.l2Tiles);
+        return static_cast<TileId>(
+            cfg.homeTileOf(regionBase(addr, cfg.regionBytes)));
     }
 
     DirController::DirView

@@ -25,8 +25,8 @@ class RandomTesterSweep : public ::testing::TestWithParam<TesterCase>
 TEST_P(RandomTesterSweep, NoViolations)
 {
     RandomTester::Params p;
-    p.protocol = GetParam().protocol;
-    p.seed = GetParam().seed;
+    p.cfg.protocol = GetParam().protocol;
+    p.cfg.seed = GetParam().seed;
     p.accessesPerCore = 1500;
     p.regions = 12;
     p.checkPeriod = 50;
@@ -68,7 +68,7 @@ INSTANTIATE_TEST_SUITE_P(Protocols, RandomTesterSweep,
 TEST(RandomTesterEdge, TinyRegionPool)
 {
     RandomTester::Params p;
-    p.protocol = ProtocolKind::ProtozoaMW;
+    p.cfg.protocol = ProtocolKind::ProtozoaMW;
     p.regions = 2;
     p.accessesPerCore = 1200;
     p.writeFraction = 0.6;
@@ -82,7 +82,7 @@ TEST(RandomTesterEdge, TinyRegionPool)
 TEST(RandomTesterEdge, ReadOnlyPool)
 {
     RandomTester::Params p;
-    p.protocol = ProtocolKind::ProtozoaMW;
+    p.cfg.protocol = ProtocolKind::ProtozoaMW;
     p.writeFraction = 0.0;
     p.accessesPerCore = 800;
     const auto result = RandomTester::run(p);
@@ -97,7 +97,7 @@ TEST(RandomTesterEdge, WriteStorm)
          {ProtocolKind::ProtozoaSW, ProtocolKind::ProtozoaSWMR,
           ProtocolKind::ProtozoaMW}) {
         RandomTester::Params p;
-        p.protocol = protocol;
+        p.cfg.protocol = protocol;
         p.writeFraction = 1.0;
         p.accessesPerCore = 1000;
         p.regions = 6;
@@ -117,13 +117,52 @@ TEST(RandomTesterEdge, PredictorPolicies)
          {PredictorKind::FullRegion, PredictorKind::Fixed,
           PredictorKind::PcSpatial, PredictorKind::WordOnly}) {
         RandomTester::Params p;
-        p.protocol = ProtocolKind::ProtozoaMW;
-        p.predictor = predictor;
+        p.cfg.protocol = ProtocolKind::ProtozoaMW;
+        p.cfg.predictor = predictor;
         p.accessesPerCore = 900;
         p.checkPeriod = 40;
         const auto result = RandomTester::run(p);
         EXPECT_EQ(result.valueViolations, 0u);
         EXPECT_EQ(result.invariantViolations, 0u);
+    }
+}
+
+/**
+ * The Spread slice hash through the tester: a 4-core 2x2 machine,
+ * every protocol x pattern, jitter off on odd seeds and on (network
+ * and occupancy) on even ones.
+ */
+TEST(RandomTester, SpreadSliceHashRunsClean)
+{
+    for (auto protocol :
+         {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
+          ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW}) {
+        for (auto pattern :
+             {RandomTester::Pattern::Uniform,
+              RandomTester::Pattern::FalseShareBoundary,
+              RandomTester::Pattern::EvictionPressure,
+              RandomTester::Pattern::UpgradeHeavy}) {
+            for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+                RandomTester::Params p;
+                p.cfg.setMesh(2, 2);
+                p.cfg.sliceHash = SliceHashKind::Spread;
+                p.cfg.protocol = protocol;
+                p.cfg.seed = seed;
+                p.cfg.faultInjection = seed % 2 == 0;
+                p.cfg.occupancyJitter = seed % 2 == 0;
+                p.pattern = pattern;
+                p.accessesPerCore = 400;
+                const auto result = RandomTester::run(p);
+                EXPECT_EQ(result.valueViolations, 0u)
+                    << protocolName(protocol) << " "
+                    << RandomTester::patternName(pattern) << " seed "
+                    << seed;
+                EXPECT_EQ(result.invariantViolations, 0u)
+                    << protocolName(protocol) << " "
+                    << RandomTester::patternName(pattern) << " seed "
+                    << seed;
+            }
+        }
     }
 }
 

@@ -726,10 +726,7 @@ SystemConfig
 oracleCfg()
 {
     SystemConfig cfg;
-    cfg.numCores = 4;
-    cfg.l2Tiles = 4;
-    cfg.meshCols = 4;
-    cfg.meshRows = 1;
+    cfg.setMesh(4, 1);
     cfg.scheduleOracle = true;
     return cfg;
 }
@@ -1381,7 +1378,7 @@ recordImage()
         int wb = -1;
         for (TileId t = 0; t < cfg.l2Tiles && tile < 0; ++t) {
             donor.dir(t).forEachTxn(
-                [&](const DirController::TxnView &) { tile = int(t); });
+                [&](Addr, const DirController::Txn &) { tile = int(t); });
         }
         for (CoreId c = 0; c < cfg.numCores; ++c) {
             if (miss < 0 && donor.l1(c).mshrFile().size() > 0)
@@ -1407,7 +1404,7 @@ recordImage()
         EXPECT_EQ(dsec.bytes().back(), 0u);
         std::size_t txns = 0;
         std::size_t queued = 0;
-        dir.forEachTxn([&](const DirController::TxnView &) { ++txns; });
+        dir.forEachTxn([&](Addr, const DirController::Txn &) { ++txns; });
         dir.forEachWaitingMsg([&](Addr, const CoherenceMsg &) { ++queued; });
         const std::size_t tail = 1 + 4 + queued * (8 + sizeof(CoherenceMsg)) +
                                  4 + txns * (8 + sizeof(DirController::Txn));
