@@ -30,7 +30,8 @@ AmoebaBlock::touchedWords() const
 }
 
 AmoebaCache::AmoebaCache(const SystemConfig &cfg)
-    : numSets(cfg.l1Sets), setBudget(cfg.l1BytesPerSet),
+    : numSets(cfg.l1Sets), setsDiv(numSets),
+      setBudget(cfg.l1BytesPerSet),
       regionBytes(cfg.regionBytes),
       regionShift(std::countr_zero(cfg.regionBytes)),
       // Worst case for the slot pool: the set packed with minimum-size
@@ -72,7 +73,7 @@ AmoebaCache::blockCost(const WordRange &r)
 unsigned
 AmoebaCache::setOf(Addr region) const
 {
-    return static_cast<unsigned>((region >> regionShift) % numSets);
+    return static_cast<unsigned>(setsDiv.mod(region >> regionShift));
 }
 
 AmoebaBlock *

@@ -251,6 +251,8 @@ class AmoebaCache
     AmoebaBlock *placeBlock(AmoebaBlock blk);
 
     unsigned numSets;
+    /** setOf's remainder: a mask when numSets is a power of two. */
+    FixedDivisor setsDiv;
     unsigned setBudget;
     unsigned regionBytes;
     unsigned regionShift;

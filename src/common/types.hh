@@ -82,6 +82,36 @@ regionBase(Addr a, unsigned region_bytes)
     return a & ~static_cast<Addr>(region_bytes - 1);
 }
 
+/**
+ * Quotient and remainder by a divisor fixed at construction: a shift
+ * and a mask when it is a power of two, the hardware divide otherwise.
+ * Set-index functions hold one per runtime geometry value.
+ */
+class FixedDivisor
+{
+  public:
+    explicit FixedDivisor(std::uint32_t d)
+        : d(d), shift(static_cast<std::uint8_t>(std::countr_zero(d))),
+          pow2(std::has_single_bit(d))
+    {
+    }
+
+    std::uint64_t div(std::uint64_t x) const
+    {
+        return pow2 ? x >> shift : x / d;
+    }
+
+    std::uint64_t mod(std::uint64_t x) const
+    {
+        return pow2 ? x & (d - 1) : x % d;
+    }
+
+  private:
+    std::uint32_t d;
+    std::uint8_t shift;
+    bool pow2;
+};
+
 } // namespace protozoa
 
 #endif // PROTOZOA_COMMON_TYPES_HH

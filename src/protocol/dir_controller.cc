@@ -15,10 +15,12 @@ DirController::DirController(TileId id, const SystemConfig &config,
                              ConformanceCoverage *cov_tracker)
     : cfg(config), tileId(id), eventq(eq), memImage(mem),
       coverage(cov_tracker),
+      setsPerTile(static_cast<unsigned>(
+          cfg.l2BytesPerTile / cfg.regionBytes / cfg.l2Assoc)),
+      regionShift(static_cast<unsigned>(std::countr_zero(cfg.regionBytes))),
+      tilesDiv(cfg.l2Tiles), setsDiv(setsPerTile),
       occRng(config.seed ^ 0x646972ULL ^ (std::uint64_t(id) << 40))
 {
-    const std::uint64_t blocks = cfg.l2BytesPerTile / cfg.regionBytes;
-    setsPerTile = static_cast<unsigned>(blocks / cfg.l2Assoc);
     PROTO_ASSERT(setsPerTile > 0, "L2 tile too small");
     const std::size_t slots = std::size_t(setsPerTile) * cfg.l2Assoc;
     tags = FixedArray<std::uint64_t>(slots);
@@ -144,9 +146,8 @@ DirController::sendMsg(CoherenceMsg msg, Cycle when)
 unsigned
 DirController::setIndexOf(Addr region) const
 {
-    const Addr region_index = region / cfg.regionBytes;
-    return static_cast<unsigned>((region_index / cfg.l2Tiles) %
-                                 setsPerTile);
+    return static_cast<unsigned>(
+        setsDiv.mod(tilesDiv.div(region >> regionShift)));
 }
 
 DirController::Slot

@@ -295,6 +295,11 @@ class DirController
     ConformanceCoverage *coverage;
 
     unsigned setsPerTile;
+    /** setIndexOf's geometry: regionBytes is a power of two
+     *  (validate()); l2Tiles and setsPerTile need not be. */
+    unsigned regionShift;
+    FixedDivisor tilesDiv;
+    FixedDivisor setsDiv;
     // The L2 slice as parallel per-slot arrays, scanned tag-first: an
     // 8-way set's tags are 64 contiguous bytes. A zero tag is an
     // invalid slot; lru and sidecarOf are meaningful on valid slots

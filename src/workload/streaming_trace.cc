@@ -17,26 +17,40 @@ namespace {
 constexpr std::size_t kFileHeaderBytes = 16;
 constexpr std::size_t kChunkHeaderBytes = 20;
 
-struct Crc32Table
+/** Slicing-by-8 tables for the reflected 0xEDB88320 polynomial: t[0]
+ *  is the byte-at-a-time table, and t[k][b] is the CRC register after
+ *  byte b is followed by k zero bytes. */
+struct Crc32Tables
 {
-    std::uint32_t t[256];
+    std::uint32_t t[8][256];
 
-    Crc32Table()
+    Crc32Tables()
     {
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
+            t[0][i] = c;
         }
+        for (std::uint32_t i = 0; i < 256; ++i)
+            for (int k = 1; k < 8; ++k)
+                t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
     }
 };
 
-const Crc32Table &
-crcTable()
+const Crc32Tables &
+crcTables()
 {
-    static const Crc32Table table;
-    return table;
+    static const Crc32Tables tables;
+    return tables;
+}
+
+/** Little-endian u32 composed from bytes, whatever the host order. */
+std::uint32_t
+load32le(const std::uint8_t *p)
+{
+    return std::uint32_t(p[0]) | std::uint32_t(p[1]) << 8 |
+           std::uint32_t(p[2]) << 16 | std::uint32_t(p[3]) << 24;
 }
 
 void
@@ -79,11 +93,22 @@ decodeRecord(const std::uint8_t *p)
 std::uint32_t
 crc32(const void *data, std::size_t n)
 {
-    const auto &tab = crcTable();
+    const auto &t = crcTables().t;
     const auto *p = static_cast<const std::uint8_t *>(data);
     std::uint32_t c = 0xffffffffu;
-    for (std::size_t i = 0; i < n; ++i)
-        c = tab.t[(c ^ p[i]) & 0xff] ^ (c >> 8);
+    // Eight bytes per step: the register folds into the first four,
+    // and each byte's contribution comes from the table for the
+    // number of bytes that follow it in the step.
+    for (; n >= 8; p += 8, n -= 8) {
+        const std::uint32_t lo = load32le(p) ^ c;
+        const std::uint32_t hi = load32le(p + 4);
+        c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+            t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+            t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; ++p, --n)
+        c = t[0][(c ^ *p) & 0xff] ^ (c >> 8);
     return c ^ 0xffffffffu;
 }
 
@@ -242,7 +267,33 @@ StreamingTraceFile::makeWorkload()
 }
 
 bool
-StreamingTraceFile::readChunkFor(unsigned target)
+StreamingTraceFile::readHeader(std::uint64_t off, ChunkHeader &h) const
+{
+    std::uint8_t hdr[kChunkHeaderBytes];
+    const ssize_t got =
+        ::pread(fd, hdr, sizeof(hdr), static_cast<off_t>(off));
+    if (got == 0)
+        return false;
+    if (got != static_cast<ssize_t>(sizeof(hdr)))
+        fatal("'%s': truncated chunk header", path.c_str());
+    if (get32(hdr) != kTraceChunkMagic)
+        fatal("'%s': bad chunk magic (corrupt trace)", path.c_str());
+    h.core = get32(hdr + 4);
+    h.count = get32(hdr + 8);
+    h.byteLen = get32(hdr + 12);
+    h.crc = get32(hdr + 16);
+    if (h.core >= nCores)
+        fatal("'%s': chunk names core %u of %u", path.c_str(), h.core,
+              nCores);
+    if (h.count == 0 || h.count > kMaxChunkRecords ||
+        h.byteLen != h.count * kTraceRecordBytes)
+        fatal("'%s': implausible chunk framing (count %u, bytes %u)",
+              path.c_str(), h.count, h.byteLen);
+    return true;
+}
+
+bool
+StreamingTraceFile::readChunkFor(unsigned target, std::uint64_t n)
 {
     // Each core keeps its own chunk cursor and scans the file for its
     // own chunks, skipping over other cores' payloads — so a ring
@@ -253,51 +304,36 @@ StreamingTraceFile::readChunkFor(unsigned target)
     // distinct cores may refill from distinct threads.
     Ring &ring = rings[target];
     for (;;) {
-        std::uint8_t hdr[kChunkHeaderBytes];
-        const ssize_t got = ::pread(fd, hdr, sizeof(hdr),
-                                    static_cast<off_t>(ring.nextOff));
-        if (got == 0) {
+        ChunkHeader h;
+        if (!readHeader(ring.nextOff, h)) {
             ring.exhausted = true;
             return false;
         }
-        if (got != static_cast<ssize_t>(sizeof(hdr)))
-            fatal("'%s': truncated chunk header", path.c_str());
-        if (get32(hdr) != kTraceChunkMagic)
-            fatal("'%s': bad chunk magic (corrupt trace)",
-                  path.c_str());
-        const std::uint32_t core = get32(hdr + 4);
-        const std::uint32_t count = get32(hdr + 8);
-        const std::uint32_t byteLen = get32(hdr + 12);
-        const std::uint32_t crc = get32(hdr + 16);
-        if (core >= nCores)
-            fatal("'%s': chunk names core %u of %u", path.c_str(),
-                  core, nCores);
-        if (count == 0 || count > kMaxChunkRecords ||
-            byteLen != count * kTraceRecordBytes)
-            fatal("'%s': implausible chunk framing (count %u, bytes "
-                  "%u)",
-                  path.c_str(), count, byteLen);
-
         const std::uint64_t payloadOff =
             ring.nextOff + kChunkHeaderBytes;
-        ring.nextOff = payloadOff + byteLen;
-        if (core != target)
+        ring.nextOff = payloadOff + h.byteLen;
+        if (h.core != target)
             continue; // skip a foreign chunk without touching payload
+        if (ring.consumed + h.count <= n) {
+            ring.consumed += h.count; // an own chunk wholly before n
+            continue;
+        }
 
-        ring.chunkBuf.resize(byteLen); // capacity sticky
-        if (::pread(fd, ring.chunkBuf.data(), byteLen,
+        ring.chunkBuf.resize(h.byteLen); // capacity sticky
+        if (::pread(fd, ring.chunkBuf.data(), h.byteLen,
                     static_cast<off_t>(payloadOff)) !=
-            static_cast<ssize_t>(byteLen))
+            static_cast<ssize_t>(h.byteLen))
             fatal("'%s': truncated chunk payload", path.c_str());
-        if (crc32(ring.chunkBuf.data(), byteLen) != crc)
+        if (crc32(ring.chunkBuf.data(), h.byteLen) != h.crc)
             fatal("'%s': chunk CRC mismatch (corrupt trace)",
                   path.c_str());
 
         ring.buf.clear(); // fully drained before refill; keeps capacity
-        ring.head = 0;
-        for (std::uint32_t i = 0; i < count; ++i)
+        for (std::uint32_t i = 0; i < h.count; ++i)
             ring.buf.push_back(decodeRecord(ring.chunkBuf.data() +
                                             i * kTraceRecordBytes));
+        ring.head = static_cast<std::size_t>(n - ring.consumed);
+        ring.consumed = n;
         return true;
     }
 }
@@ -306,13 +342,38 @@ bool
 StreamingTraceFile::fillFor(unsigned core)
 {
     Ring &ring = rings[core];
-    while (ring.head == ring.buf.size()) {
-        if (ring.exhausted)
-            return false;
-        if (!readChunkFor(core))
-            return false;
+    if (ring.head < ring.buf.size())
+        return true;
+    return !ring.exhausted && readChunkFor(core, ring.consumed);
+}
+
+bool
+StreamingTraceFile::seekFor(unsigned core, std::uint64_t n)
+{
+    Ring &ring = rings[core];
+    if (n < ring.consumed) {
+        // Per-core cursors make a backward seek purely local: reset
+        // this core's scan to the first chunk, then seek forward.
+        ring.buf.clear();
+        ring.head = 0;
+        ring.consumed = 0;
+        ring.nextOff = dataStart;
+        ring.exhausted = false;
     }
-    return true;
+    const std::size_t left = ring.buf.size() - ring.head;
+    if (n - ring.consumed <= left) {
+        ring.head += static_cast<std::size_t>(n - ring.consumed);
+        ring.consumed = n;
+        return true;
+    }
+    // Past the ring: drop its remainder, skip every chunk that ends at
+    // or before n by its header alone, and decode the one holding n.
+    ring.consumed += left;
+    ring.buf.clear();
+    ring.head = 0;
+    if (!ring.exhausted)
+        readChunkFor(core, n);
+    return ring.consumed == n;
 }
 
 // ---- StreamingTraceSource --------------------------------------------
@@ -337,21 +398,7 @@ StreamingTraceSource::cursor() const
 bool
 StreamingTraceSource::seekTo(std::uint64_t n)
 {
-    StreamingTraceFile::Ring &ring = file.rings[core];
-    if (n < ring.consumed) {
-        // Per-core cursors make a backward seek purely local: reset
-        // this core's scan to the first chunk and replay forward.
-        ring.buf.clear();
-        ring.head = 0;
-        ring.consumed = 0;
-        ring.nextOff = file.dataStart;
-        ring.exhausted = false;
-    }
-    TraceRecord tmp;
-    while (ring.consumed < n)
-        if (!next(tmp))
-            return false;
-    return true;
+    return file.seekFor(core, n);
 }
 
 // ---- GeneratorTraceSource --------------------------------------------

@@ -23,7 +23,10 @@
  *    cores' payloads, so a ring never holds more than one decoded
  *    chunk regardless of consumption-rate skew — ring capacities pin
  *    after the first decode and the steady-state refill loop performs
- *    zero allocations (alloc_regression_test locks this). All mutable
+ *    zero allocations (alloc_regression_test locks this). A seek (the
+ *    snapshot-restore path) skips whole chunks by their headers and
+ *    decodes only the chunk holding its target; a backward seek
+ *    restarts that core's header walk at the first chunk. All mutable
  *    state is per-ring and the fd has no shared position, so distinct
  *    cores' sources may be pulled from distinct threads.
  *
@@ -66,7 +69,12 @@ constexpr std::size_t kDefaultChunkRecords = 4096;
 /** Reader sanity bound on a chunk payload (corruption guard). */
 constexpr std::size_t kMaxChunkRecords = 1u << 20;
 
-/** CRC-32 (IEEE 802.3, reflected 0xEDB88320) over @p n bytes. */
+/**
+ * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over @p n bytes,
+ * by slicing-by-8: eight table lookups per eight input bytes, bytes
+ * loaded in little-endian order whatever the host's. Not CRC-32C (the
+ * Castagnoli polynomial of the SSE4.2 crc32 instruction).
+ */
 std::uint32_t crc32(const void *data, std::size_t n);
 
 /**
@@ -153,7 +161,7 @@ class StreamingTraceFile
         /** Per-ring chunk payload buffer (capacity sticky). */
         std::vector<std::uint8_t> chunkBuf;
         std::size_t head = 0;
-        /** Total records handed to next() on this core. */
+        /** Stream position: the index of the record next() returns. */
         std::uint64_t consumed = 0;
         /** File offset of the next chunk header to scan. */
         std::uint64_t nextOff = 0;
@@ -161,15 +169,37 @@ class StreamingTraceFile
         bool exhausted = false;
     };
 
+    /** A chunk header whose framing readHeader() has checked. */
+    struct ChunkHeader
+    {
+        std::uint32_t core = 0;
+        std::uint32_t count = 0;
+        std::uint32_t byteLen = 0;
+        std::uint32_t crc = 0;
+    };
+
     StreamingTraceFile() = default;
+
+    /** Read the chunk header at file offset @p off. @return false at
+     *  clean EOF; fatal() on a truncated header, a bad magic, a core
+     *  out of range or a count and byteLen that do not agree. */
+    bool readHeader(std::uint64_t off, ChunkHeader &h) const;
 
     /** Refill @p core's ring (scanning past other cores' chunks).
      *  @return false when the core's stream is exhausted. */
     bool fillFor(unsigned core);
 
-    /** Scan from the core's cursor to its next chunk and decode it.
-     *  @return false at clean EOF; fatal() on a malformed chunk. */
-    bool readChunkFor(unsigned core);
+    /** Reposition @p core's ring on record @p n (StreamingTraceSource::
+     *  seekTo). @return false when the stream is shorter than n. */
+    bool seekFor(unsigned core, std::uint64_t n);
+
+    /** With the ring drained, scan from the core's cursor past other
+     *  cores' chunks and past its own chunks that end at or before
+     *  record @p n (headers only: their payloads are neither read nor
+     *  CRC-checked), then read, check and decode the chunk holding n
+     *  and set head on n. @return false at clean EOF; fatal() on a
+     *  malformed header or on the decoded chunk's payload. */
+    bool readChunkFor(unsigned core, std::uint64_t n);
 
     int fd = -1;
     std::string path;
@@ -191,11 +221,17 @@ class StreamingTraceSource : public TraceSource
     std::uint64_t cursor() const override;
 
     /**
-     * Reposition to record @p n. Cores keep independent chunk
-     * cursors, so a backward seek resets only THIS core's scan to the
-     * first chunk and replays forward — other cores' positions are
-     * untouched, and snapshot restore can seek every core once in any
-     * order.
+     * Reposition to record @p n. A target inside the decoded chunk
+     * moves the ring's head. A target past it walks this core's chunk
+     * headers, skipping each chunk that ends at or before n without
+     * reading its payload, and reads, CRC-checks and decodes only the
+     * chunk holding n: a restore costs one chunk, wherever in the
+     * trace it lands. A backward seek first resets THIS core's cursor
+     * to the first chunk; other cores' positions are untouched, so
+     * snapshot restore can seek every core once in any order. Seek
+     * checks what it reads: every header on the way, and the payload
+     * of the chunk it decodes. @return false when the stream holds
+     * fewer than n records.
      */
     bool seekTo(std::uint64_t n) override;
 

@@ -27,8 +27,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "check/scenario.hh"
@@ -292,6 +294,58 @@ TEST(AllocRegression, StreamedSteadyStateIsAllocationFree)
         << (at_end - at_window)
         << " heap allocation(s) while streaming the last three "
         << "quarters of a " << total_cycles << "-cycle run";
+    std::remove(path.c_str());
+}
+
+/**
+ * A restore seeks every core's source: once a ring has decoded a full
+ * chunk, seeking within it, past it by header or back behind it, and
+ * reading on from there, allocates nothing.
+ */
+TEST(AllocRegression, StreamedSeekIsAllocationFree)
+{
+    const unsigned kCores = 3;
+    const std::uint64_t kChunk = 64;
+    const std::uint64_t kRecords = 1000;
+    const std::string path = "alloc_regression_seek.pztr";
+    {
+        std::ofstream out(path, std::ios::binary);
+        TraceWriter w(out, TraceWriter::Format::Binary, kCores, kChunk);
+        TraceRecord rec;
+        for (std::uint64_t i = 0; i < kRecords; ++i) {
+            rec.addr = i * kWordBytes;
+            for (unsigned c = 0; c < kCores; ++c)
+                w.append(c, rec);
+        }
+    }
+    std::string err;
+    auto file = StreamingTraceFile::open(path, &err);
+    ASSERT_NE(file, nullptr) << err;
+    Workload wl = file->makeWorkload();
+    TraceSource &src = *wl[1];
+    TraceRecord rec;
+    ASSERT_TRUE(src.next(rec)); // decodes the first full chunk
+
+    // Within the ring, past it, into the short last chunk, backward,
+    // to the end, to the start, and forward again; each read on for
+    // up to a chunk.
+    const std::uint64_t targets[] = {10,       kChunk + 5, kRecords - 3,
+                                     kChunk / 2, kRecords, 0,
+                                     7 * kChunk};
+    bool ok = true;
+    const std::uint64_t before = AllocHook::allocCount();
+    for (const std::uint64_t n : targets) {
+        ok = ok && src.seekTo(n) && src.cursor() == n;
+        for (std::uint64_t i = n; ok && i < std::min(n + kChunk, kRecords);
+             ++i)
+            ok = src.next(rec) && rec.addr == i * kWordBytes;
+    }
+    ok = ok && !src.seekTo(kRecords + 1);
+    const std::uint64_t allocs = AllocHook::allocCount() - before;
+
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(allocs, 0u) << allocs << " heap allocation(s) seeking a "
+                          << "source whose ring holds a chunk";
     std::remove(path.c_str());
 }
 

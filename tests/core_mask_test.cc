@@ -40,8 +40,9 @@ TEST(CoreSetProperty, FirstNMatchesPerBitConstruction)
             EXPECT_TRUE(mask.test(c)) << "width " << n << " core " << c;
             manual.set(c);
         }
-        if (n < kMaxCores)
+        if (n < kMaxCores) {
             EXPECT_FALSE(mask.test(n));
+        }
         EXPECT_EQ(mask, manual);
     }
     EXPECT_TRUE(CoreSet::firstN(0).none());
@@ -60,10 +61,12 @@ TEST(CoreSetProperty, SetResetRoundTripAtBoundaries)
         EXPECT_TRUE(mask.only(c));
         EXPECT_EQ(mask.count(), 1u);
         // Boundary neighbours stay clear (word-crossing off-by-ones).
-        if (c > 0)
+        if (c > 0) {
             EXPECT_FALSE(mask.test(c - 1));
-        if (c + 1 < kMaxCores)
+        }
+        if (c + 1 < kMaxCores) {
             EXPECT_FALSE(mask.test(c + 1));
+        }
         mask.reset(c);
         EXPECT_TRUE(mask.none());
         EXPECT_EQ(mask, CoreSet());

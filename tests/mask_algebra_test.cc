@@ -1,9 +1,10 @@
 /**
  * @file
  * Property tests of the WordMask <-> WordRange algebra underneath the
- * bit-parallel data path, plus a differential check that the bulk
+ * bit-parallel data path, a differential check that the bulk
  * MsgData::setRange operation is observation-equivalent to the
- * per-word set() loop it replaced.
+ * per-word set() loop it replaced, and FixedDivisor (the set-index
+ * quotient and remainder) against / and %.
  */
 
 #include <gtest/gtest.h>
@@ -178,6 +179,22 @@ TEST(MaskAlgebra, MergeFromEqualsSequentialAdds)
         both.forEachWord([&](unsigned w, std::uint64_t v) {
             ASSERT_EQ(a.at(w), v);
         });
+    }
+}
+
+TEST(FixedDivisor, MatchesDivisionAndRemainder)
+{
+    // Powers of two take the shift and mask, the rest the divide
+    // (the 3-tile protocheck meshes); both must agree with / and %.
+    Rng rng(0xd1f);
+    for (const std::uint32_t d : {1u, 2u, 3u, 5u, 12u, 16u, 64u, 256u,
+                                  4096u, 4097u}) {
+        const FixedDivisor div(d);
+        for (int i = 0; i < 1000; ++i) {
+            const std::uint64_t x = i < 64 ? std::uint64_t(i) : rng.next();
+            ASSERT_EQ(div.div(x), x / d) << x << " / " << d;
+            ASSERT_EQ(div.mod(x), x % d) << x << " % " << d;
+        }
     }
 }
 

@@ -1,17 +1,22 @@
 /**
  * @file
- * Streaming trace front end tests: PZTR binary round-trip against the
+ * Streaming trace front end tests: crc32 against known answers and a
+ * byte-at-a-time reference, PZTR binary round-trip against the
  * in-memory reference, text/binary writer equivalence, chunk-level
- * corruption and truncation detection, generator-stream determinism
- * and seek semantics, and an end-to-end simulation digest lock between
- * a fully materialized workload and its streamed twin.
+ * corruption and truncation detection, seek-by-header equivalence and
+ * what a seek checks, generator-stream determinism and seek semantics,
+ * and an end-to-end simulation digest lock between a fully
+ * materialized workload and its streamed twin.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +29,53 @@
 
 namespace protozoa {
 namespace {
+
+/** The byte-at-a-time table CRC-32 (reflected 0xEDB88320) that PZTR
+ *  files were first written with. */
+std::uint32_t
+referenceCrc32(const std::uint8_t *p, std::size_t n)
+{
+    std::uint32_t table[256];
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        table[i] = c;
+    }
+    std::uint32_t c = 0xffffffffu;
+    for (std::size_t i = 0; i < n; ++i)
+        c = table[(c ^ p[i]) & 0xff] ^ (c >> 8);
+    return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, KnownAnswers)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xcbf43926u);
+    EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, MatchesByteAtATimeReference)
+{
+    // Every tail length around the 8-byte step, a page boundary and a
+    // full default chunk (4096 records x 20 B), at every alignment.
+    constexpr std::size_t kChunkBytes =
+        kDefaultChunkRecords * kTraceRecordBytes;
+    Rng rng(0xc3c);
+    std::vector<std::uint8_t> buf(kChunkBytes + 8);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(rng.next());
+    std::vector<std::size_t> lengths;
+    for (std::size_t n = 0; n <= 64; ++n)
+        lengths.push_back(n);
+    for (const std::size_t n : {std::size_t(4095), std::size_t(4096),
+                                std::size_t(4097), kChunkBytes})
+        lengths.push_back(n);
+    for (const std::size_t n : lengths)
+        for (std::size_t start = 0; start < 8; ++start)
+            ASSERT_EQ(crc32(buf.data() + start, n),
+                      referenceCrc32(buf.data() + start, n))
+                << "length " << n << " at offset " << start;
+}
 
 std::vector<std::vector<TraceRecord>>
 randomRecords(unsigned cores, std::uint64_t seed, std::size_t lo,
@@ -157,6 +209,177 @@ TEST(StreamingTrace, SeekToReplaysForwardAndBackward)
     EXPECT_EQ(r.addr, recs[0][10].addr);
     ASSERT_TRUE(wl[1]->next(r));
     EXPECT_EQ(r.addr, recs[1][50].addr);
+    std::remove(path.c_str());
+}
+
+/** XOR the byte at file offset @p off of @p path with @p mask. */
+void
+xorByte(const std::string &path, std::uint64_t off, std::uint8_t mask)
+{
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    char b;
+    f.seekg(static_cast<std::streamoff>(off));
+    f.get(b);
+    f.seekp(static_cast<std::streamoff>(off));
+    f.put(static_cast<char>(b ^ mask));
+}
+
+/** A chunk of a PZTR file: its core, the stream index of its first
+ *  record and its header's file offset. */
+struct ChunkAt
+{
+    unsigned core;
+    std::uint64_t first;
+    std::uint32_t count;
+    std::uint64_t headerOff;
+};
+
+/** Every chunk of the PZTR file at @p path, in file order. */
+std::vector<ChunkAt>
+chunkMap(const std::string &path, unsigned cores)
+{
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+    std::vector<std::uint64_t> next(cores, 0);
+    std::vector<ChunkAt> out;
+    for (std::size_t off = 16; off + 20 <= bytes.size();) {
+        std::uint32_t h[5]; // magic, core, count, byteLen, crc
+        std::memcpy(h, bytes.data() + off, sizeof(h));
+        out.push_back({h[1], next[h[1]], h[2], off});
+        next[h[1]] += h[2];
+        off += 20 + h[3];
+    }
+    return out;
+}
+
+/** Core @p core's @p k-th chunk in the PZTR file at @p path. */
+ChunkAt
+ownChunk(const std::string &path, unsigned cores, unsigned core,
+         unsigned k)
+{
+    for (const ChunkAt &ch : chunkMap(path, cores))
+        if (ch.core == core && k-- == 0)
+            return ch;
+    ADD_FAILURE() << "core " << core << " has too few chunks";
+    return {};
+}
+
+std::vector<TraceRecord>
+suffix(const std::vector<TraceRecord> &recs, std::uint64_t from)
+{
+    return {recs.begin() + static_cast<std::ptrdiff_t>(from), recs.end()};
+}
+
+/** Three cores in 7-record chunks with uneven streams: core 0 ends
+ *  mid-chunk, core 1 on a chunk boundary, and core 2 is empty. */
+std::vector<std::vector<TraceRecord>>
+unevenRecords()
+{
+    auto recs = randomRecords(3, 0x5eec, 61, 62);
+    recs[1].resize(28);
+    recs[2].clear();
+    return recs;
+}
+
+constexpr std::size_t kSeekChunk = 7;
+
+TEST(StreamingTrace, SeekToMatchesReplayFromEveryPosition)
+{
+    // From every position m a source reached by next() (m = 0 is a
+    // fresh file, m = count + 1 one next() past the end), seekTo(n)
+    // must land where consuming the stream would: inside the decoded
+    // chunk, past it by header, or back behind it, for every n up to
+    // one past the end.
+    const auto recs = unevenRecords();
+    const std::string path = "streaming_trace_test_seekall.pztr";
+    writeBinaryFile(path, recs, kSeekChunk);
+
+    for (unsigned c = 0; c < recs.size(); ++c) {
+        const std::uint64_t count = recs[c].size();
+        for (std::uint64_t m = 0; m <= count + 1; ++m) {
+            for (std::uint64_t n = 0; n <= count + 1; ++n) {
+                SCOPED_TRACE(testing::Message() << "core " << c << " from "
+                                                << m << " seek " << n);
+                std::string err;
+                auto file = StreamingTraceFile::open(path, &err);
+                ASSERT_NE(file, nullptr) << err;
+                Workload wl = file->makeWorkload();
+                TraceRecord r;
+                for (std::uint64_t i = 0; i < m; ++i)
+                    ASSERT_EQ(wl[c]->next(r), i < count);
+                EXPECT_EQ(wl[c]->seekTo(n), n <= count);
+                // A seek past the end leaves the cursor at the end.
+                const std::uint64_t at = std::min(n, count);
+                EXPECT_EQ(wl[c]->cursor(), at);
+                expectSameStream(*wl[c], suffix(recs[c], at));
+            }
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(StreamingTrace, SeekSkipsPayloadsWhollyBeforeTarget)
+{
+    // Seek checks what it reads: a chunk that ends before the target
+    // is skipped by its header, so a flipped payload byte there does
+    // not reach the records the source hands out.
+    const auto recs = unevenRecords();
+    const std::string path = "streaming_trace_test_seekskip.pztr";
+    writeBinaryFile(path, recs, kSeekChunk);
+    const ChunkAt skipped = ownChunk(path, 3, 0, 1);
+    xorByte(path, skipped.headerOff + 20 + 5, 0x40);
+
+    const std::uint64_t n = 3 * kSeekChunk + 3;
+    std::string err;
+    auto file = StreamingTraceFile::open(path, &err);
+    ASSERT_NE(file, nullptr) << err;
+    Workload wl = file->makeWorkload();
+    ASSERT_TRUE(wl[0]->seekTo(n));
+    EXPECT_EQ(wl[0]->cursor(), n);
+    expectSameStream(*wl[0], suffix(recs[0], n));
+
+    // The flip is real: reading through that chunk still dies.
+    ASSERT_TRUE(wl[0]->seekTo(0));
+    TraceRecord r;
+    EXPECT_DEATH(
+        {
+            while (wl[0]->next(r)) {
+            }
+        },
+        "chunk CRC mismatch");
+    std::remove(path.c_str());
+}
+
+TEST(StreamingTraceDeath, SeekChecksTheChunkItDecodes)
+{
+    const auto recs = unevenRecords();
+    const std::string path = "streaming_trace_test_seekcrc.pztr";
+    writeBinaryFile(path, recs, kSeekChunk);
+    const ChunkAt target = ownChunk(path, 3, 0, 3);
+    xorByte(path, target.headerOff + 20 + 5, 0x40);
+
+    std::string err;
+    auto file = StreamingTraceFile::open(path, &err);
+    ASSERT_NE(file, nullptr) << err;
+    Workload wl = file->makeWorkload();
+    EXPECT_DEATH(wl[0]->seekTo(target.first + 3), "chunk CRC mismatch");
+    std::remove(path.c_str());
+}
+
+TEST(StreamingTraceDeath, SeekChecksSkippedHeaders)
+{
+    const auto recs = unevenRecords();
+    const std::string path = "streaming_trace_test_seekmagic.pztr";
+    writeBinaryFile(path, recs, kSeekChunk);
+    const ChunkAt skipped = ownChunk(path, 3, 0, 1);
+    xorByte(path, skipped.headerOff, 0x01);
+
+    std::string err;
+    auto file = StreamingTraceFile::open(path, &err);
+    ASSERT_NE(file, nullptr) << err;
+    Workload wl = file->makeWorkload();
+    EXPECT_DEATH(wl[0]->seekTo(3 * kSeekChunk + 3), "bad chunk magic");
     std::remove(path.c_str());
 }
 
