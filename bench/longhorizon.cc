@@ -11,13 +11,18 @@
  *   --phase restore      fresh process: load --snapshot, run to end;
  *                        prints the stats digest.
  *
- * Every phase prints `digest=0x...` and `maxrss_mb=...` on stdout; the
- * workflow gates on the restore digest matching the reference digest
- * (the checkpoint/restore contract) and on peak RSS staying under
- * --rss-limit-mb (the streaming front end's bounded-memory contract —
- * RSS must not scale with --records). Windowed stats are enabled in
- * all phases (identical event streams) and written as a JSON artifact
- * wherever --window-json is given.
+ * The reference and restore phases print `digest=0x...`, and every
+ * phase prints `maxrss_mb=...` on stdout; the workflow gates on the
+ * restore digest matching the reference digest (the checkpoint/restore
+ * contract) and on peak RSS staying under --rss-limit-mb (the
+ * streaming front end's bounded-memory contract — RSS must not scale
+ * with --records).
+ *
+ * --window-json (reference phase) writes a windowed stats series: the
+ * run advances in runTo slices of --window-period cycles, and each
+ * slice boundary closes one window of counter deltas taken from
+ * System::report(). Sampling schedules no event, so a windowed run
+ * executes the same events as an unwindowed one.
  */
 
 #include <sys/resource.h>
@@ -27,6 +32,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "protozoa/protozoa.hh"
 #include "workload/streaming_trace.hh"
@@ -75,6 +82,101 @@ digestOf(const RunStats &s)
     return d.value();
 }
 
+/**
+ * The windowed stats series of a run from cycle 0: per window, counter
+ * deltas since the previous window's end and the directory entries
+ * valid at its end.
+ */
+class WindowSeries
+{
+  public:
+    explicit WindowSeries(Cycle cycles) : period(cycles) {}
+
+    const Cycle period;
+
+    /** Close the window that ends at cycle @p end. */
+    void
+    close(System &sys, Cycle end)
+    {
+        const RunStats cur = sys.report();
+        std::uint64_t occupancy = 0;
+        for (TileId t = 0; t < sys.config().l2Tiles; ++t)
+            occupancy += sys.dir(t).occupancy();
+        const std::pair<const char *, std::uint64_t> fields[] = {
+            {"endCycle", end},
+            {"instructions", cur.instructions - prev.instructions},
+            {"loads", cur.l1.loads - prev.l1.loads},
+            {"stores", cur.l1.stores - prev.l1.stores},
+            {"hits", cur.l1.hits - prev.l1.hits},
+            {"misses", cur.l1.misses - prev.l1.misses},
+            {"blocksInvalidated",
+             cur.l1.blocksInvalidated - prev.l1.blocksInvalidated},
+            {"usedDataBytes", cur.l1.usedDataBytes - prev.l1.usedDataBytes},
+            {"unusedDataBytes",
+             cur.l1.unusedDataBytes - prev.l1.unusedDataBytes},
+            {"netMessages", cur.net.messages - prev.net.messages},
+            {"netBytes", cur.net.bytes - prev.net.bytes},
+            {"flitHops", cur.net.flitHops - prev.net.flitHops},
+            {"dirRequests", cur.dir.requests - prev.dir.requests},
+            {"l2Misses", cur.dir.l2Misses - prev.dir.l2Misses},
+            {"recalls", cur.dir.recalls - prev.dir.recalls},
+            {"dirOccupancy", occupancy},
+        };
+        std::string w = "    {";
+        for (const auto &[key, value] : fields)
+            w += "\"" + std::string(key) + "\": " + std::to_string(value) +
+                 ", ";
+        // Granularity mix: blocks inserted in the window, by word count.
+        w += "\"blockSizeHist\": [";
+        for (std::size_t b = 0; b < cur.l1.blockSizeHist.size(); ++b) {
+            w += (b ? ", " : "") +
+                 std::to_string(cur.l1.blockSizeHist[b] -
+                                prev.l1.blockSizeHist[b]);
+        }
+        windows.push_back(w + "]}");
+        prev = cur;
+    }
+
+    bool
+    write(const std::string &path) const
+    {
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        if (!f)
+            return false;
+        std::fprintf(f, "{\n  \"windowCycles\": %llu,\n  \"windows\": [\n",
+                     static_cast<unsigned long long>(period));
+        for (std::size_t i = 0; i < windows.size(); ++i)
+            std::fprintf(f, "%s%s\n", windows[i].c_str(),
+                         i + 1 < windows.size() ? "," : "");
+        std::fprintf(f, "  ]\n}\n");
+        return std::fclose(f) == 0;
+    }
+
+  private:
+    /** Cumulative counters at the previous window's end. */
+    RunStats prev;
+    std::vector<std::string> windows;
+};
+
+/**
+ * Run @p sys to the end in runTo slices ending at each multiple of the
+ * series' period, each closing one window; then run() drains whatever
+ * the slices left, and the last, partial window closes at the final
+ * cycle.
+ */
+void
+runToEnd(System &sys, WindowSeries &series)
+{
+    for (Cycle at = series.period;; at += series.period) {
+        sys.runTo(at);
+        if (sys.finished())
+            break;
+        series.close(sys, at);
+    }
+    sys.run();
+    series.close(sys, sys.eventQueue().now());
+}
+
 double
 maxRssMb()
 {
@@ -89,9 +191,10 @@ usage()
     std::fprintf(
         stderr,
         "usage: longhorizon --phase reference|checkpoint|restore\n"
-        "         [--records N] [--cores N] [--seed S] [--stop C]\n"
+        "         [--records N>0] [--cores N] [--seed S] [--stop C]\n"
         "         [--snapshot path] [--window-json path]\n"
-        "         [--window-period C] [--rss-limit-mb M]\n");
+        "         [--window-period C>0] [--rss-limit-mb M]\n"
+        "       (--window-json: reference phase only)\n");
     std::exit(2);
 }
 
@@ -137,7 +240,8 @@ main(int argc, char **argv)
         else
             usage();
     }
-    if (phase.empty())
+    if (phase.empty() || recordsPerCore == 0 || windowPeriod == 0 ||
+        (!windowJson.empty() && phase != "reference"))
         usage();
 
     SystemConfig cfg;
@@ -146,10 +250,19 @@ main(int argc, char **argv)
 
     System sys(cfg, makeSyntheticStreamWorkload(seed, cores,
                                                 recordsPerCore));
-    sys.enableWindowStats(windowPeriod, windowJson);
 
     if (phase == "reference") {
-        sys.run();
+        if (windowJson.empty()) {
+            sys.run();
+        } else {
+            WindowSeries series(windowPeriod);
+            runToEnd(sys, series);
+            if (!series.write(windowJson)) {
+                std::fprintf(stderr, "window stats: cannot write %s\n",
+                             windowJson.c_str());
+                return 1;
+            }
+        }
     } else if (phase == "checkpoint") {
         if (stop == 0 || snapshotPath.empty())
             usage();

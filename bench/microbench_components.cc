@@ -9,7 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "cache/amoeba_cache.hh"
-#include "cache/spatial_predictor.hh"
+#include "cache/fetch_predictor.hh"
 #include "common/rng.hh"
 #include "mem/golden_memory.hh"
 #include "noc/mesh.hh"
@@ -87,7 +87,7 @@ BENCHMARK(BM_AmoebaInsertEvict);
 void
 BM_PredictorPredict(benchmark::State &state)
 {
-    PcSpatialPredictor pred;
+    FetchPredictor pred{SystemConfig{}}; // PcSpatial, 8-word regions
     for (Pc pc = 0; pc < 64; ++pc)
         pred.learn(pc * 4, 2, 0b11100, WordRange(0, 7));
     Rng rng(2);
@@ -95,7 +95,7 @@ BM_PredictorPredict(benchmark::State &state)
         const Pc pc = 4 * rng.below(64);
         const unsigned w = static_cast<unsigned>(rng.below(8));
         benchmark::DoNotOptimize(
-            pred.predict(pc, w, WordRange(w, w), 8));
+            pred.predict(pc, w, WordRange(w, w)));
     }
 }
 BENCHMARK(BM_PredictorPredict);
@@ -103,7 +103,7 @@ BENCHMARK(BM_PredictorPredict);
 void
 BM_PredictorLearn(benchmark::State &state)
 {
-    PcSpatialPredictor pred;
+    FetchPredictor pred{SystemConfig{}};
     Rng rng(3);
     for (auto _ : state) {
         const Pc pc = 4 * rng.below(64);

@@ -69,8 +69,7 @@ materialize(unsigned cores, std::uint64_t per_core)
 {
     std::vector<std::vector<TraceRecord>> recs(cores);
     for (unsigned c = 0; c < cores; ++c) {
-        GeneratorTraceSource g(syntheticStreamRefill(7, c, cores, 4096),
-                               per_core, 4096);
+        SyntheticStreamSource g(7, c, per_core, 4096);
         recs[c].reserve(per_core);
         TraceRecord r;
         while (g.next(r))

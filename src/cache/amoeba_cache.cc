@@ -67,7 +67,7 @@ AmoebaCache::~AmoebaCache()
 unsigned
 AmoebaCache::blockCost(const WordRange &r)
 {
-    return kTagBytes + r.bytes();
+    return kBlockTagBytes + r.bytes();
 }
 
 unsigned

@@ -100,9 +100,6 @@ class AmoebaCache
     AmoebaCache(const AmoebaCache &) = delete;
     AmoebaCache &operator=(const AmoebaCache &) = delete;
 
-    /** Per-block tag/metadata overhead charged against the set budget. */
-    static constexpr unsigned kTagBytes = 8;
-
     /**
      * Inline capacity of the snoop scratch buffers: the default
      * 288-byte set holds at most 18 minimum-size blocks. Larger

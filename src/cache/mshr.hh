@@ -13,16 +13,15 @@
  * the freshest data (the probe consults the buffer; the directory later
  * discards the superseded PUT).
  *
- * Storage: the MSHR file is one optional entry; the writeback buffer
- * is a KeyedFifo of pending writebacks by region. Neither allocates in
- * steady state.
+ * Storage: the MSHR file is one entry and a used flag; the writeback
+ * buffer is a KeyedFifo of pending writebacks by region. Neither
+ * allocates in steady state.
  */
 
 #ifndef PROTOZOA_CACHE_MSHR_HH
 #define PROTOZOA_CACHE_MSHR_HH
 
 #include <cstddef>
-#include <optional>
 
 #include "common/keyed_fifo.hh"
 #include "common/log.hh"
@@ -60,26 +59,28 @@ struct MshrEntry
 
 /**
  * The L1's one outstanding miss: the in-order core stalls on a miss,
- * so a single optional entry is the whole file.
+ * so a single entry is the whole file.
  */
 class MshrFile
 {
   public:
-    bool full() const { return slot.has_value(); }
+    bool full() const { return used; }
 
     MshrEntry *
     alloc(const MshrEntry &entry)
     {
         PROTO_ASSERT(find(entry.region) == nullptr,
                      "second miss on region with outstanding MSHR");
-        PROTO_ASSERT(!slot, "MSHR file full");
-        return &slot.emplace(entry);
+        PROTO_ASSERT(!used, "MSHR file full");
+        slot = entry;
+        used = true;
+        return &slot;
     }
 
     MshrEntry *
     find(Addr region)
     {
-        return slot && slot->region == region ? &*slot : nullptr;
+        return used && slot.region == region ? &slot : nullptr;
     }
 
     const MshrEntry *
@@ -92,18 +93,18 @@ class MshrFile
     free(Addr region)
     {
         PROTO_ASSERT(find(region) != nullptr, "freeing absent MSHR");
-        slot.reset();
+        used = false;
     }
 
-    std::size_t size() const { return slot ? 1 : 0; }
+    std::size_t size() const { return used ? 1 : 0; }
 
     /** Visit the outstanding entry, if any (deadlock-watchdog scan). */
     template <typename F>
     void
     forEach(F &&fn) const
     {
-        if (slot)
-            fn(*slot);
+        if (used)
+            fn(slot);
     }
 
     /**
@@ -115,9 +116,9 @@ class MshrFile
     {
         static_assert(std::is_trivially_copyable_v<MshrEntry>);
         s.writeU32(1);
-        s.writeU8(slot ? 1 : 0);
-        if (slot)
-            s.writeRaw(*slot);
+        s.writeU8(used ? 1 : 0);
+        if (used)
+            s.writeRaw(slot);
     }
 
     /**
@@ -128,12 +129,12 @@ class MshrFile
     bool
     restoreState(Deserializer &d, unsigned region_words)
     {
-        slot.reset();
+        used = false;
         const std::uint32_t capacity = d.readU32();
-        const std::uint8_t used = d.readU8();
-        if (d.failed() || capacity != 1 || used > 1)
+        const std::uint8_t saved_used = d.readU8();
+        if (d.failed() || capacity != 1 || saved_used > 1)
             return false;
-        if (!used)
+        if (!saved_used)
             return true;
         MshrEntry e;
         if (!d.readRawChecked(e, {offsetof(MshrEntry, isWrite),
@@ -142,11 +143,14 @@ class MshrFile
             !e.need.within(region_words) || !e.pred.within(region_words))
             return false;
         slot = e;
+        used = true;
         return true;
     }
 
   private:
-    std::optional<MshrEntry> slot;
+    /** The outstanding miss, while used. */
+    MshrEntry slot;
+    bool used = false;
 };
 
 /** A dirty block in flight between eviction PUT and WB_ACK. */

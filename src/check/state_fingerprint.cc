@@ -34,13 +34,12 @@ struct Hasher
 };
 
 void
-feedL1(Hasher &hx, L1Controller &l1, const SystemConfig &cfg,
-       FingerprintScratch &scratch)
+feedL1(Hasher &hx, L1Controller &l1, FingerprintScratch &scratch)
 {
     // Only PcSpatial learns: a dying block trains it on the block's
     // fetchPc and missWord, and its table steers every later miss.
     // The other predictors are stateless and never read either field.
-    const bool learns = cfg.predictor == PredictorKind::PcSpatial;
+    const bool learns = l1.predictorPolicy().learns();
     if (learns) {
         // saveState writes the trained entries in ascending index
         // order: canonical bytes of the whole table.
@@ -188,7 +187,7 @@ fingerprintSystem(System &sys, const std::vector<Addr> &regions,
         hx.feed(p);
 
     for (CoreId c = 0; c < cfg.numCores; ++c)
-        feedL1(hx, sys.l1(c), cfg, scratch);
+        feedL1(hx, sys.l1(c), scratch);
     for (TileId t = 0; t < cfg.l2Tiles; ++t)
         feedDir(hx, sys.dir(t), scratch);
 

@@ -20,7 +20,7 @@
  * the golden/main-memory words of the scenario's region footprint.
  *
  * Under the PcSpatial predictor, also the state it learns from: each
- * L1's trained table entries (PcSpatialPredictor::saveState's bytes,
+ * L1's trained table entries (FetchPredictor::saveState's bytes,
  * ascending index order) and each block's fetchPc and missWord, which
  * the L1 hands to the predictor when the block dies. The other
  * predictors are stateless and never read those two fields, so their

@@ -40,11 +40,15 @@ struct AllocHook
 /**
  * Define counting replacements of the global allocation functions.
  * Place exactly once, at namespace scope, in the test's main TU.
+ *
+ * The counting operator new and the four operator deletes are kept
+ * out of line: inlined into a caller, GCC pairs the malloc of one with
+ * the free of the other and reports a false -Wmismatched-new-delete.
  */
 #define PROTOZOA_DEFINE_COUNTING_NEW                                      \
     std::atomic<std::uint64_t> protozoa::AllocHook::news{0};              \
     std::atomic<std::uint64_t> protozoa::AllocHook::deletes{0};           \
-    void *operator new(std::size_t sz)                                    \
+    __attribute__((noinline)) void *operator new(std::size_t sz)          \
     {                                                                     \
         protozoa::AllocHook::news.fetch_add(1,                            \
                                             std::memory_order_relaxed);   \
@@ -53,25 +57,27 @@ struct AllocHook
         throw std::bad_alloc();                                           \
     }                                                                     \
     void *operator new[](std::size_t sz) { return ::operator new(sz); }   \
-    void operator delete(void *p) noexcept                                \
+    __attribute__((noinline)) void operator delete(void *p) noexcept      \
     {                                                                     \
         protozoa::AllocHook::deletes.fetch_add(                           \
             1, std::memory_order_relaxed);                                \
         std::free(p);                                                     \
     }                                                                     \
-    void operator delete[](void *p) noexcept                              \
+    __attribute__((noinline)) void operator delete[](void *p) noexcept    \
     {                                                                     \
         protozoa::AllocHook::deletes.fetch_add(                           \
             1, std::memory_order_relaxed);                                \
         std::free(p);                                                     \
     }                                                                     \
-    void operator delete(void *p, std::size_t) noexcept                   \
+    __attribute__((noinline)) void                                        \
+    operator delete(void *p, std::size_t) noexcept                        \
     {                                                                     \
         protozoa::AllocHook::deletes.fetch_add(                           \
             1, std::memory_order_relaxed);                                \
         std::free(p);                                                     \
     }                                                                     \
-    void operator delete[](void *p, std::size_t) noexcept                 \
+    __attribute__((noinline)) void                                        \
+    operator delete[](void *p, std::size_t) noexcept                      \
     {                                                                     \
         protozoa::AllocHook::deletes.fetch_add(                           \
             1, std::memory_order_relaxed);                                \

@@ -297,13 +297,23 @@ struct SystemConfig
                   "%u-byte regions",
                   static_cast<unsigned long long>(l2BytesPerTile),
                   l2Assoc, regionBytes);
-        if (l1BytesPerSet < regionBytes)
-            fatal("l1BytesPerSet must hold at least one region");
+        if (l1BytesPerSet < regionBytes + kBlockTagBytes)
+            fatal("l1BytesPerSet=%u must hold at least one region and "
+                  "its tag (%u bytes)", l1BytesPerSet,
+                  regionBytes + kBlockTagBytes);
+        if (predictor == PredictorKind::Fixed && fixedFetchWords == 0)
+            fatal("fixedFetchWords must be at least 1 under the Fixed "
+                  "predictor");
+        if (flitBytes == 0)
+            fatal("flitBytes must be at least 1");
         if (directory == DirectoryKind::TaglessBloom &&
             (bloomBuckets == 0 ||
              (bloomBuckets & (bloomBuckets - 1)) != 0))
             fatal("bloomBuckets=%u must be a nonzero power of two",
                   bloomBuckets);
+        if (directory == DirectoryKind::TaglessBloom &&
+            (bloomHashes < 1 || bloomHashes > 4))
+            fatal("bloomHashes=%u out of range [1, 4]", bloomHashes);
         if (faultReorderProb < 0.0 || faultReorderProb > 1.0)
             fatal("faultReorderProb must be within [0,1]");
         if (simThreads != 0)

@@ -22,14 +22,15 @@ namespace protozoa {
 /** Snapshot file magic: "PZSN". */
 constexpr std::uint32_t kSnapshotMagic = 0x4e535a50u;
 
-/** Bump on any serialized-layout change (v7: sparse coverage cells). */
-constexpr std::uint32_t kSnapshotVersion = 7;
+/** Bump on any serialized-layout change (v8: no windowed-stats
+ *  section). */
+constexpr std::uint32_t kSnapshotVersion = 8;
 
 /**
  * Kind of every event the simulator schedules (protocol/event.hh).
  * The snapshot (snapshot.cc) writes a pending event as its kind byte
  * followed by its id and payload, and reads it back into the same
- * record; 7 belonged to a removed kind and is refused.
+ * record; 7 and 11 belonged to removed kinds and are refused.
  */
 enum class EventKind : std::uint8_t {
     CoreStep = 1,      ///< core issue-loop trampoline        {coreId}
@@ -41,7 +42,6 @@ enum class EventKind : std::uint8_t {
     Deliver = 8,       ///< in-flight mesh message delivery    {CoherenceMsg}
     InvariantTick = 9, ///< periodic coherence sweep           {}
     WatchdogTick = 10, ///< deadlock watchdog scan             {}
-    WindowTick = 11,   ///< windowed-stats epoch rollover      {}
     TestHook = 12,     ///< a test's own code; never saved
 };
 

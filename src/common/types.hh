@@ -40,6 +40,10 @@ constexpr unsigned kWordShift = 3;
 /** Hard upper bound on region size (words) used for fixed-size bitmaps. */
 constexpr unsigned kMaxRegionWords = 16;   // supports regions up to 128 B
 
+/** Per-block tag/metadata overhead an Amoeba L1 block charges against
+ *  its set's byte budget. */
+constexpr unsigned kBlockTagBytes = 8;
+
 /** A bitmap with one bit per word of a region. */
 using WordMask = std::uint32_t;
 

@@ -106,15 +106,17 @@ class CountingBloomSharers
     /** Serialize the counter array (snapshot subsystem). */
     void saveState(Serializer &s) const { s.writeVecRaw(counters); }
 
-    /** Restore into a filter of the same geometry. */
+    /** Restore in place into a filter of the same geometry: no
+     *  allocation, and another length is refused untouched. */
     bool
     restoreState(Deserializer &d)
     {
-        std::vector<std::uint16_t> c;
-        if (!d.readVecRaw(c) || c.size() != counters.size())
+        if (d.readU64() != counters.size()) {
+            d.setFailed();
             return false;
-        counters = std::move(c);
-        return true;
+        }
+        return d.readBytes(counters.data(),
+                           counters.size() * sizeof(counters[0]));
     }
 
   private:

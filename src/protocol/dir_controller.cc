@@ -12,7 +12,7 @@ namespace protozoa {
 
 DirController::DirController(TileId id, const SystemConfig &config,
                              EventQueue &eq, WordStore &mem,
-                             ConformanceCoverage *cov_tracker)
+                             ConformanceCoverage &cov_tracker)
     : cfg(config), tileId(id), eventq(eq), memImage(mem),
       coverage(cov_tracker),
       setsPerTile(static_cast<unsigned>(
@@ -121,8 +121,7 @@ DirController::absState(Slot s) const
 void
 DirController::cov(DirState from, DirEvent ev, DirState to)
 {
-    if (coverage)
-        coverage->recordDir(from, ev, to);
+    coverage.recordDir(from, ev, to);
 }
 
 Cycle

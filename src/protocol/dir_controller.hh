@@ -54,8 +54,7 @@ class DirController
 {
   public:
     DirController(TileId id, const SystemConfig &cfg, EventQueue &eq,
-                  WordStore &mem_image,
-                  ConformanceCoverage *coverage = nullptr);
+                  WordStore &mem_image, ConformanceCoverage &coverage);
 
     /** Deliver a coherence message from the interconnect. */
     void receive(CoherenceMsg msg);
@@ -269,7 +268,7 @@ class DirController
     /** Abstract coverage state of a slot's sharer sets (kNoSlot:
      *  not present). */
     DirState absState(Slot s) const;
-    /** Record into the coverage matrix (no-op without a tracker). */
+    /** Record into the coverage matrix. */
     void cov(DirState from, DirEvent ev, DirState to);
 
     void patchPayload(Slot s, const MsgData &data);
@@ -292,7 +291,7 @@ class DirController
     TileId tileId;
     EventQueue &eventq;
     WordStore &memImage;
-    ConformanceCoverage *coverage;
+    ConformanceCoverage &coverage;
 
     unsigned setsPerTile;
     /** setIndexOf's geometry: regionBytes is a power of two

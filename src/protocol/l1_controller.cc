@@ -8,11 +8,10 @@
 namespace protozoa {
 
 L1Controller::L1Controller(CoreId id, const SystemConfig &config,
-                           EventQueue &eq, GoldenMemory *gm,
-                           ConformanceCoverage *cov_tracker)
+                           EventQueue &eq, GoldenMemory &gm,
+                           ConformanceCoverage &cov_tracker)
     : cfg(config), coreId(id), eventq(eq), golden(gm),
-      coverage(cov_tracker), cache(config),
-      predictor(makePredictor(config)),
+      coverage(cov_tracker), cache(config), predictor(config),
       occRng(config.seed ^ 0x6c31ULL ^ (std::uint64_t(id) << 40))
 {
 }
@@ -31,8 +30,7 @@ L1Controller::abstractOf(BlockState s)
 void
 L1Controller::cov(L1State from, L1Event ev, L1State to)
 {
-    if (coverage)
-        coverage->recordL1(from, ev, to);
+    coverage.recordL1(from, ev, to);
 }
 
 Cycle
@@ -76,7 +74,7 @@ L1Controller::classifyDeath(const AmoebaBlock &blk)
     stats.usedDataBytes += static_cast<std::uint64_t>(used) * kWordBytes;
     stats.unusedDataBytes +=
         static_cast<std::uint64_t>(blk.untouchedWords()) * kWordBytes;
-    predictor->learn(blk.fetchPc, blk.missWord, blk.touched, blk.range);
+    predictor.learn(blk.fetchPc, blk.missWord, blk.touched, blk.range);
 }
 
 void
@@ -132,7 +130,7 @@ WordRange
 L1Controller::predictFetch(Pc pc, Addr region, unsigned word,
                            const WordRange &need)
 {
-    WordRange pred = predictor->predict(pc, word, need, cfg.regionWords());
+    WordRange pred = predictor.predict(pc, word, need);
     // Clip the predicted range so it cannot overlap any resident block
     // of the region (dirty data must never be refetched, and insertion
     // requires non-overlap).
@@ -180,12 +178,10 @@ L1Controller::handleHit(AmoebaBlock *blk, const MemAccess &acc,
     if (acc.isWrite) {
         blk->state = BlockState::M;   // silent E->M upgrade included
         blk->wordAt(word) = acc.storeValue;
-        if (golden)
-            golden->commitStore(acc.addr, acc.storeValue);
+        golden.commitStore(acc.addr, acc.storeValue);
     } else {
         value = blk->wordAt(word);
-        if (golden && cfg.checkValues &&
-            !golden->checkLoad(acc.addr, value)) {
+        if (cfg.checkValues && !golden.checkLoad(acc.addr, value)) {
             warn("core %u cycle %llu: load hit %llx observed %llx, "
                  "oracle %llx",
                  coreId,
@@ -193,7 +189,7 @@ L1Controller::handleHit(AmoebaBlock *blk, const MemAccess &acc,
                  static_cast<unsigned long long>(acc.addr),
                  static_cast<unsigned long long>(value),
                  static_cast<unsigned long long>(
-                     golden->lastExpectedValue()));
+                     golden.lastExpectedValue()));
         }
     }
     cov(before, acc.isWrite ? L1Event::Store : L1Event::Load,
@@ -385,8 +381,7 @@ L1Controller::handleData(const CoherenceMsg &msg)
         blk->touched |= WordMask(1) << word;
         blk->wordAt(word) = mshr->storeValue;
         cache.touchLru(blk);
-        if (golden)
-            golden->commitStore(mshr->accessAddr, mshr->storeValue);
+        golden.commitStore(mshr->accessAddr, mshr->storeValue);
         unblock();
         complete(0);
         return;
@@ -434,15 +429,13 @@ L1Controller::handleData(const CoherenceMsg &msg)
         PROTO_ASSERT(msg.grant == GrantState::M, "GETX granted non-M");
         blk.state = BlockState::M;
         blk.wordAt(word) = mshr->storeValue;
-        if (golden)
-            golden->commitStore(mshr->accessAddr, mshr->storeValue);
+        golden.commitStore(mshr->accessAddr, mshr->storeValue);
     } else {
         PROTO_ASSERT(msg.grant != GrantState::M, "GETS granted M");
         blk.state = msg.grant == GrantState::E ? BlockState::E
                                                : BlockState::S;
         value = blk.wordAt(word);
-        if (golden && cfg.checkValues &&
-            !golden->checkLoad(mshr->accessAddr, value)) {
+        if (cfg.checkValues && !golden.checkLoad(mshr->accessAddr, value)) {
             warn("core %u cycle %llu: load fill %llx observed %llx, "
                  "oracle %llx",
                  coreId,
@@ -450,7 +443,7 @@ L1Controller::handleData(const CoherenceMsg &msg)
                  static_cast<unsigned long long>(mshr->accessAddr),
                  static_cast<unsigned long long>(value),
                  static_cast<unsigned long long>(
-                     golden->lastExpectedValue()));
+                     golden.lastExpectedValue()));
         }
     }
 
@@ -645,7 +638,7 @@ L1Controller::saveState(Serializer &s) const
         s.writeU64(w);
     s.writeU8(accessPending ? 1 : 0);
     cache.saveState(s);
-    predictor->saveState(s);
+    predictor.saveState(s);
     mshrs.saveState(s);
     wbBuffer.saveState(s);
 }
@@ -662,7 +655,7 @@ L1Controller::restoreState(Deserializer &d)
     accessPending = d.readU8() != 0;
     if (d.failed())
         return false;
-    return cache.restoreState(d) && predictor->restoreState(d) &&
+    return cache.restoreState(d) && predictor.restoreState(d) &&
            mshrs.restoreState(d, cfg.regionWords()) &&
            wbBuffer.restoreState(d, cfg.regionWords()) &&
            !d.failed();

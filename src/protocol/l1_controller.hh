@@ -23,11 +23,9 @@
 #ifndef PROTOZOA_PROTOCOL_L1_CONTROLLER_HH
 #define PROTOZOA_PROTOCOL_L1_CONTROLLER_HH
 
-#include <memory>
-
 #include "cache/amoeba_cache.hh"
+#include "cache/fetch_predictor.hh"
 #include "cache/mshr.hh"
-#include "cache/spatial_predictor.hh"
 #include "common/config.hh"
 #include "common/rng.hh"
 #include "common/serialize.hh"
@@ -43,8 +41,7 @@ class L1Controller
 {
   public:
     L1Controller(CoreId id, const SystemConfig &cfg, EventQueue &eq,
-                 GoldenMemory *golden,
-                 ConformanceCoverage *coverage = nullptr);
+                 GoldenMemory &golden, ConformanceCoverage &coverage);
 
     /**
      * Issue a memory access. The in-order core model guarantees at
@@ -75,7 +72,7 @@ class L1Controller
 
     // --- white-box access for tests and the deadlock watchdog ---
     AmoebaCache &cacheStorage() { return cache; }
-    SpatialPredictor &predictorPolicy() { return *predictor; }
+    FetchPredictor &predictorPolicy() { return predictor; }
     const WbBuffer &writebackBuffer() const { return wbBuffer; }
     const MshrFile &mshrFile() const { return mshrs; }
 
@@ -155,17 +152,17 @@ class L1Controller
 
     /** Abstract stable state of a block, for coverage recording. */
     static L1State abstractOf(BlockState s);
-    /** Record into the coverage matrix (no-op without a tracker). */
+    /** Record into the coverage matrix. */
     void cov(L1State from, L1Event ev, L1State to);
 
     const SystemConfig &cfg;
     CoreId coreId;
     EventQueue &eventq;
-    GoldenMemory *golden;
-    ConformanceCoverage *coverage;
+    GoldenMemory &golden;
+    ConformanceCoverage &coverage;
 
     AmoebaCache cache;
-    std::unique_ptr<SpatialPredictor> predictor;
+    FetchPredictor predictor;
     MshrFile mshrs;
     WbBuffer wbBuffer;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <sstream>
 #include <tuple>
 
@@ -27,11 +26,11 @@ System::System(const SystemConfig &config, Workload workload)
 
     for (CoreId c = 0; c < cfg.numCores; ++c) {
         l1s.push_back(std::make_unique<L1Controller>(
-            c, cfg, eventq, &golden, coverage.get()));
+            c, cfg, eventq, golden, *coverage));
     }
     for (TileId t = 0; t < cfg.l2Tiles; ++t) {
         dirs.push_back(std::make_unique<DirController>(
-            t, cfg, eventq, memImage, coverage.get()));
+            t, cfg, eventq, memImage, *coverage));
     }
     for (CoreId c = 0; c < cfg.numCores; ++c)
         cores.push_back(std::make_unique<CoreModel>(c, eventq, *traces[c]));
@@ -77,9 +76,6 @@ System::dispatch(const Event &ev)
         return;
       case EventKind::WatchdogTick:
         watchdogScan(eventq.now());
-        return;
-      case EventKind::WindowTick:
-        windowTick();
         return;
       case EventKind::TestHook:
         ev.hook.fn(ev.hook.ctx);
@@ -177,8 +173,6 @@ System::runTo(Cycle stop_at, Cycle max_cycles)
 
         if (checkPeriod > 0)
             scheduleInvariantCheck();
-        if (windowPeriod > 0)
-            eventq.schedule(windowPeriod, Event::of(EventKind::WindowTick));
     }
 
     const auto wall_start = std::chrono::steady_clock::now();
@@ -193,120 +187,17 @@ System::runTo(Cycle stop_at, Cycle max_cycles)
                                       wall_start)
             .count();
 
-    // A bounded run may stop mid-workload; only a drained run
-    // finalizes.
-    if (stop_at != kNoStop && coresRunning != 0)
+    // A bounded run may stop mid-workload, or after the cores finish
+    // but before the queue drains; only a drained run finalizes.
+    if (stop_at != kNoStop && (coresRunning != 0 || eventq.size() != 0))
         return;
     PROTO_ASSERT(coresRunning == 0, "event queue drained with live cores");
 
     if (!finalized) {
         for (auto &l1c : l1s)
             l1c->finalizeStats();
-        // Close the trailing partial stats window.
-        if (windowPeriod > 0)
-            windowRollover(eventq.now());
         finalized = true;
-        if (windowPeriod > 0 && !windowPath.empty())
-            writeWindowJson();
     }
-}
-
-void
-System::enableWindowStats(Cycle period, std::string json_path)
-{
-    PROTO_ASSERT(period > 0, "zero stats window");
-    windowPeriod = period;
-    windowPath = std::move(json_path);
-}
-
-void
-System::windowTick()
-{
-    windowRollover(eventq.now());
-    if (coresRunning > 0)
-        eventq.schedule(windowPeriod, Event::of(EventKind::WindowTick));
-}
-
-void
-System::windowRollover(Cycle now)
-{
-    const RunStats cur = report();
-    WindowSample w;
-    w.endCycle = now;
-    w.instructions = cur.instructions - winPrev.instructions;
-    w.loads = cur.l1.loads - winPrev.l1.loads;
-    w.stores = cur.l1.stores - winPrev.l1.stores;
-    w.hits = cur.l1.hits - winPrev.l1.hits;
-    w.misses = cur.l1.misses - winPrev.l1.misses;
-    w.blocksInvalidated =
-        cur.l1.blocksInvalidated - winPrev.l1.blocksInvalidated;
-    w.usedDataBytes = cur.l1.usedDataBytes - winPrev.l1.usedDataBytes;
-    w.unusedDataBytes =
-        cur.l1.unusedDataBytes - winPrev.l1.unusedDataBytes;
-    w.netMessages = cur.net.messages - winPrev.net.messages;
-    w.netBytes = cur.net.bytes - winPrev.net.bytes;
-    w.flitHops = cur.net.flitHops - winPrev.net.flitHops;
-    w.dirRequests = cur.dir.requests - winPrev.dir.requests;
-    w.l2Misses = cur.dir.l2Misses - winPrev.dir.l2Misses;
-    w.recalls = cur.dir.recalls - winPrev.dir.recalls;
-    for (std::size_t i = 0; i < w.blockSizeHist.size(); ++i)
-        w.blockSizeHist[i] = cur.l1.blockSizeHist[i] -
-            winPrev.l1.blockSizeHist[i];
-    for (const auto &d : dirs)
-        w.dirOccupancy += d->occupancy();
-    windows.push_back(w);
-    winPrev = cur;
-}
-
-void
-System::writeWindowJson() const
-{
-    std::FILE *f = std::fopen(windowPath.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "window stats: cannot open %s\n",
-                     windowPath.c_str());
-        return;
-    }
-    std::fprintf(f, "{\n  \"windowCycles\": %llu,\n  \"windows\": [\n",
-                 static_cast<unsigned long long>(windowPeriod));
-    for (std::size_t i = 0; i < windows.size(); ++i) {
-        const WindowSample &w = windows[i];
-        std::fprintf(
-            f,
-            "    {\"endCycle\": %llu, \"instructions\": %llu, "
-            "\"loads\": %llu, \"stores\": %llu, \"hits\": %llu, "
-            "\"misses\": %llu, \"blocksInvalidated\": %llu, "
-            "\"usedDataBytes\": %llu, \"unusedDataBytes\": %llu, "
-            "\"netMessages\": %llu, \"netBytes\": %llu, "
-            "\"flitHops\": %llu, \"dirRequests\": %llu, "
-            "\"l2Misses\": %llu, \"recalls\": %llu, "
-            "\"dirOccupancy\": %llu, \"blockSizeHist\": [",
-            static_cast<unsigned long long>(w.endCycle),
-            static_cast<unsigned long long>(w.instructions),
-            static_cast<unsigned long long>(w.loads),
-            static_cast<unsigned long long>(w.stores),
-            static_cast<unsigned long long>(w.hits),
-            static_cast<unsigned long long>(w.misses),
-            static_cast<unsigned long long>(w.blocksInvalidated),
-            static_cast<unsigned long long>(w.usedDataBytes),
-            static_cast<unsigned long long>(w.unusedDataBytes),
-            static_cast<unsigned long long>(w.netMessages),
-            static_cast<unsigned long long>(w.netBytes),
-            static_cast<unsigned long long>(w.flitHops),
-            static_cast<unsigned long long>(w.dirRequests),
-            static_cast<unsigned long long>(w.l2Misses),
-            static_cast<unsigned long long>(w.recalls),
-            static_cast<unsigned long long>(w.dirOccupancy));
-        for (std::size_t b = 0; b < w.blockSizeHist.size(); ++b) {
-            std::fprintf(f, "%s%llu", b ? ", " : "",
-                         static_cast<unsigned long long>(
-                             w.blockSizeHist[b]));
-        }
-        std::fprintf(f, "]}%s\n",
-                     i + 1 < windows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
 }
 
 void

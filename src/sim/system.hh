@@ -50,7 +50,8 @@ class System
 
     /**
      * Run until simulated time reaches @p stop_at or the workload
-     * completes, whichever is first. Callable repeatedly; the first
+     * completes (every core done and the queue drained), whichever is
+     * first; only completion finalizes. Callable repeatedly; the first
      * call starts the cores, later calls resume. The system is
      * quiescent between calls (no event mid-flight), which is exactly
      * the state saveSnapshot() serializes.
@@ -119,42 +120,6 @@ class System
                           std::string *error = nullptr) const;
     bool restoreSnapshotFile(const std::string &path,
                              std::string *error = nullptr);
-
-    // ---- windowed online statistics ---------------------------------
-
-    /** One windowed-stats epoch: counter deltas over the window plus an
-     *  instantaneous directory-occupancy probe at rollover. */
-    struct WindowSample
-    {
-        Cycle endCycle = 0;
-        std::uint64_t instructions = 0;
-        std::uint64_t loads = 0;
-        std::uint64_t stores = 0;
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t blocksInvalidated = 0;
-        std::uint64_t usedDataBytes = 0;
-        std::uint64_t unusedDataBytes = 0;
-        std::uint64_t netMessages = 0;
-        std::uint64_t netBytes = 0;
-        std::uint64_t flitHops = 0;
-        std::uint64_t dirRequests = 0;
-        std::uint64_t l2Misses = 0;
-        std::uint64_t recalls = 0;
-        /** Granularity mix: blocks inserted this window, by word count. */
-        std::array<std::uint64_t, kMaxRegionWords + 1> blockSizeHist{};
-        /** Valid L2/directory entries across all tiles at rollover. */
-        std::uint64_t dirOccupancy = 0;
-    };
-
-    /**
-     * Record a WindowSample every @p period cycles (phase-over-time
-     * series for long-horizon runs). Off by default — the measurement
-     * path and the stats digest are untouched unless enabled. When
-     * @p json_path is non-empty the series is written there as JSON
-     * when the run completes.
-     */
-    void enableWindowStats(Cycle period, std::string json_path = {});
 
     /** Aggregate statistics (valid after run()). */
     RunStats report() const;
@@ -253,11 +218,6 @@ class System
     void invariantTick();
     void armWatchdog();
     void watchdogScan(Cycle now);
-    /** WindowTick: rollover + reschedule while cores run. */
-    void windowTick();
-    /** Record one WindowSample at cycle @p now. */
-    void windowRollover(Cycle now);
-    void writeWindowJson() const;
     /** Hand an arrived message to its destination controller. */
     void
     deliver(const CoherenceMsg &m)
@@ -289,13 +249,6 @@ class System
     bool started = false;
     bool finalized = false;
     double runWallSeconds = 0.0;
-
-    // Windowed online stats (off unless enableWindowStats ran).
-    Cycle windowPeriod = 0;
-    std::string windowPath;
-    std::vector<WindowSample> windows;
-    /** Cumulative counters at the previous rollover (delta base). */
-    RunStats winPrev;
 
     Cycle checkPeriod = 0;
     std::uint64_t invariantErrors = 0;

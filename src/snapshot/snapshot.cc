@@ -3,7 +3,7 @@
  * System checkpoint/restore implementation: the byte layout lives
  * here and nowhere else (see snapshot.hh for the contract).
  *
- * Layout (version 7, all little-endian; raw structs are written with
+ * Layout (version 8, all little-endian; raw structs are written with
  * their padding zeroed, so identical runs save identical bytes):
  *
  *   u32 magic "PZSN"        u32 version        u64 configFingerprint
@@ -33,7 +33,6 @@
  *      of non-empty parked channels, then per channel in ascending id
  *      order (src * nodes + dst) u32 id, u32 message count (at least
  *      1) and the messages in FIFO order
- *   -- windowed-stats state (period, delta base, recorded samples)
  *   -- calendar queue: clock, nextSeq, kernel stats, then every
  *      pending event record sorted by (when, seq) as u64 when, u64
  *      seq, u8 EventKind, then u16 core or tile id (all kinds but
@@ -209,9 +208,9 @@ restoreQueue(const SystemConfig &cfg, EventQueue &q, Deserializer &d,
         prev_when = when;
         prev_seq = seq;
 
-        // Every kind but TestHook is saved; 7 belonged to a removed
-        // kind.
-        if (kind == 0 || kind == 7 ||
+        // Every kind but TestHook is saved; 7 and 11 belonged to
+        // removed kinds.
+        if (kind == 0 || kind == 7 || kind == 11 ||
             kind >= static_cast<std::uint8_t>(EventKind::TestHook))
             return setError(error,
                             "corrupt snapshot: unknown event kind " +
@@ -336,12 +335,6 @@ System::saveSnapshot(Serializer &s, std::string *error) const
 
     net->saveState(s);
 
-    static_assert(std::is_trivially_copyable_v<WindowSample>,
-                  "WindowSample must stay raw-serializable");
-    s.writeU64(windowPeriod);
-    s.writeRaw(winPrev);
-    s.writeVecRaw(windows);
-
     return saveQueue(eventq, s, error);
 }
 
@@ -410,10 +403,6 @@ System::restoreSnapshot(Deserializer &d, std::string *error)
 
     if (!net->restoreState(d))
         return setError(error, "corrupt mesh section");
-
-    windowPeriod = d.readU64();
-    if (!d.readRaw(winPrev) || !d.readVecRaw(windows))
-        return setError(error, "corrupt window-stats section");
 
     if (!restoreQueue(cfg, eventq, d, error))
         return false;

@@ -5,10 +5,10 @@
  * A snapshot is a dense little-endian binary image of every piece of
  * mutable simulation state: header (magic, format version, config
  * fingerprint), the two value stores, conformance coverage, every
- * core / L1 / directory tile, the mesh, the windowed stats series, and
- * finally the calendar queue — clock, sequence counter, kernel stats,
- * and every pending event as a (when, seq, EventKind, payload) record
- * sorted by (when, seq).
+ * core / L1 / directory tile, the mesh, and finally the calendar
+ * queue — clock, sequence counter, kernel stats, and every pending
+ * event as a (when, seq, EventKind, payload) record sorted by (when,
+ * seq).
  *
  * The contract is digest-locked resumption: save at cycle C, restore
  * into any System built from the same SystemConfig — freshly

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <ostream>
 
@@ -401,103 +402,82 @@ StreamingTraceSource::seekTo(std::uint64_t n)
     return file.seekFor(core, n);
 }
 
-// ---- GeneratorTraceSource --------------------------------------------
+// ---- SyntheticStreamSource -------------------------------------------
 
-GeneratorTraceSource::GeneratorTraceSource(Refill refill,
-                                           std::uint64_t total_records,
-                                           std::size_t chunk_records)
-    : refill(std::move(refill)),
-      total(total_records),
-      chunkRecords(chunk_records)
+SyntheticStreamSource::SyntheticStreamSource(std::uint64_t seed,
+                                             unsigned core,
+                                             std::uint64_t records,
+                                             std::size_t chunk_records)
+    : seed(seed), core(core), total(records), chunkRecords(chunk_records)
 {
     PROTO_ASSERT(chunkRecords > 0, "bad chunk size");
     chunk.reserve(chunkRecords);
 }
 
 bool
-GeneratorTraceSource::loadChunkFor(std::uint64_t n)
+SyntheticStreamSource::next(TraceRecord &out)
 {
-    const std::uint64_t idx = n / chunkRecords;
-    if (idx != chunkIndex) {
-        chunk.clear(); // keeps capacity: refills stay allocation-free
-        refill(idx, chunk);
-        chunkIndex = idx;
-    }
-    return (n % chunkRecords) < chunk.size();
-}
-
-bool
-GeneratorTraceSource::next(TraceRecord &out)
-{
-    if (total != 0 && consumed >= total)
+    if (consumed >= total)
         return false;
-    if (!loadChunkFor(consumed))
-        return false;
+    const std::uint64_t index = consumed / chunkRecords;
+    if (index != chunkIndex)
+        generate(index);
     out = chunk[static_cast<std::size_t>(consumed % chunkRecords)];
     ++consumed;
     return true;
 }
 
 bool
-GeneratorTraceSource::seekTo(std::uint64_t n)
+SyntheticStreamSource::seekTo(std::uint64_t n)
 {
-    if (total != 0 && n > total)
+    if (n > total)
         return false;
     consumed = n;
     return true;
 }
 
-// ---- Synthetic long-horizon stream -----------------------------------
-
-GeneratorTraceSource::Refill
-syntheticStreamRefill(std::uint64_t seed, unsigned core,
-                      unsigned num_cores, std::size_t chunk_records)
+void
+SyntheticStreamSource::generate(std::uint64_t index)
 {
-    return [seed, core, num_cores,
-            chunk_records](std::uint64_t chunk_index,
-                           std::vector<TraceRecord> &out) {
-        Rng rng(counterHash64(seed, (std::uint64_t(core) << 32) | 1,
-                              chunk_index));
-        // Per-core private window walks forward with the chunk index so
-        // the footprint stays cache-sized but the address stream never
-        // repeats; a small set of hot shared regions carries real
-        // cross-core coherence traffic.
-        const Addr privBase = 0x100000000ULL +
-                              (Addr(core) << 24) +
-                              (chunk_index % 4096) * 0x1000;
-        const Addr sharedBase = 0x200000000ULL;
-        const unsigned kSharedRegions = 16;
-        for (std::size_t i = 0; i < chunk_records; ++i) {
-            TraceRecord r;
-            const std::uint64_t roll = rng.below(100);
-            if (roll < 70) {
-                // private streaming read/write
-                r.addr = privBase + (rng.below(512) << kWordShift);
-                r.isWrite = rng.chance(0.3);
-                r.pc = 0x4000 + (core << 8);
-            } else if (roll < 95) {
-                // hot shared read
-                r.addr = sharedBase +
-                         rng.below(kSharedRegions) * 64 +
-                         (rng.below(8) << kWordShift);
-                r.isWrite = false;
-                r.pc = 0x5000;
-            } else {
-                // shared write (false-sharing pressure: word keyed by
-                // core, region shared by all)
-                r.addr = sharedBase +
-                         rng.below(kSharedRegions) * 64 +
-                         ((core % 8) << kWordShift);
-                r.isWrite = true;
-                r.pc = 0x6000;
-            }
-            r.addr = wordAlign(r.addr);
-            r.gapInstrs =
-                static_cast<std::uint16_t>(2 + rng.below(6));
-            out.push_back(r);
+    chunk.clear(); // keeps capacity: regeneration stays allocation-free
+    chunkIndex = index;
+    const std::uint64_t n =
+        std::min<std::uint64_t>(chunkRecords, total - index * chunkRecords);
+    Rng rng(counterHash64(seed, (std::uint64_t(core) << 32) | 1, index));
+    // Per-core private window walks forward with the chunk index so the
+    // footprint stays cache-sized but the address stream never repeats;
+    // a small set of hot shared regions carries real cross-core
+    // coherence traffic.
+    const Addr privBase =
+        0x100000000ULL + (Addr(core) << 24) + (index % 4096) * 0x1000;
+    const Addr sharedBase = 0x200000000ULL;
+    const unsigned kSharedRegions = 16;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        TraceRecord r;
+        const std::uint64_t roll = rng.below(100);
+        if (roll < 70) {
+            // private streaming read/write
+            r.addr = privBase + (rng.below(512) << kWordShift);
+            r.isWrite = rng.chance(0.3);
+            r.pc = 0x4000 + (core << 8);
+        } else if (roll < 95) {
+            // hot shared read
+            r.addr = sharedBase + rng.below(kSharedRegions) * 64 +
+                     (rng.below(8) << kWordShift);
+            r.isWrite = false;
+            r.pc = 0x5000;
+        } else {
+            // shared write (false-sharing pressure: word keyed by core,
+            // region shared by all)
+            r.addr = sharedBase + rng.below(kSharedRegions) * 64 +
+                     ((core % 8) << kWordShift);
+            r.isWrite = true;
+            r.pc = 0x6000;
         }
-        (void)num_cores;
-    };
+        r.addr = wordAlign(r.addr);
+        r.gapInstrs = static_cast<std::uint16_t>(2 + rng.below(6));
+        chunk.push_back(r);
+    }
 }
 
 Workload
@@ -507,9 +487,8 @@ makeSyntheticStreamWorkload(std::uint64_t seed, unsigned num_cores,
 {
     Workload out;
     for (unsigned c = 0; c < num_cores; ++c)
-        out.push_back(std::make_unique<GeneratorTraceSource>(
-            syntheticStreamRefill(seed, c, num_cores, chunk_records),
-            records_per_core, chunk_records));
+        out.push_back(std::make_unique<SyntheticStreamSource>(
+            seed, c, records_per_core, chunk_records));
     return out;
 }
 

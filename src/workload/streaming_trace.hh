@@ -30,9 +30,9 @@
  *    state is per-ring and the fd has no shared position, so distinct
  *    cores' sources may be pulled from distinct threads.
  *
- *  - GeneratorTraceSource: chunk-indexed deterministic generation, so
- *    synthetic archetypes run unbounded with O(chunk) memory and can
- *    be repositioned (snapshot restore) by regenerating a chunk.
+ *  - SyntheticStreamSource: chunk-indexed deterministic generation of
+ *    the long-horizon synthetic stream, in O(chunk) memory; a seek
+ *    (snapshot restore) regenerates one chunk.
  *
  * Record layout (packed, little-endian, kRecordBytes = 20):
  *   addr u64 | pc u64 | gapInstrs u16 | isWrite u8 | pad u8
@@ -46,7 +46,6 @@
 #define PROTOZOA_WORKLOAD_STREAMING_TRACE_HH
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -241,37 +240,36 @@ class StreamingTraceSource : public TraceSource
 };
 
 /**
- * Unbounded (or capped) chunk-indexed generated stream. The refill
- * callback must be a pure function of (chunk_index) — typically seeded
- * by counterHash64(seed, core, chunk_index) — so any chunk can be
- * regenerated for seekTo() and the stream is identical regardless of
- * consumption pattern.
+ * Deterministic synthetic stream for long-horizon runs: a per-core mix
+ * of private streaming, hot shared-region reads and occasional shared
+ * writes, generated chunk at a time from (seed, core, chunk index), so
+ * any chunk can be regenerated for seekTo() and the stream is the same
+ * however it is consumed. The long-horizon CI job and
+ * bench/microbench_stream use it to drive multi-100M-record runs
+ * without a trace file, in O(chunk) memory.
  */
-class GeneratorTraceSource : public TraceSource
+class SyntheticStreamSource : public TraceSource
 {
   public:
-    /** Fill @p out with up to the chunk's records; fewer ends the
-     *  stream at that point. */
-    using Refill =
-        std::function<void(std::uint64_t chunk_index,
-                           std::vector<TraceRecord> &out)>;
-
     /**
-     * @param refill        deterministic chunk generator.
-     * @param total_records stream length; 0 means unbounded.
+     * @param records       stream length.
      * @param chunk_records generation granularity.
      */
-    GeneratorTraceSource(Refill refill, std::uint64_t total_records,
-                         std::size_t chunk_records = kDefaultChunkRecords);
+    SyntheticStreamSource(std::uint64_t seed, unsigned core,
+                          std::uint64_t records,
+                          std::size_t chunk_records = kDefaultChunkRecords);
 
     bool next(TraceRecord &out) override;
     std::uint64_t cursor() const override { return consumed; }
     bool seekTo(std::uint64_t n) override;
 
   private:
-    bool loadChunkFor(std::uint64_t n);
+    /** Regenerate chunk @p index: at most chunkRecords records, none
+     *  past the end of the stream. */
+    void generate(std::uint64_t index);
 
-    Refill refill;
+    std::uint64_t seed;
+    unsigned core;
     std::uint64_t total;
     std::size_t chunkRecords;
     std::vector<TraceRecord> chunk;
@@ -279,18 +277,8 @@ class GeneratorTraceSource : public TraceSource
     std::uint64_t consumed = 0;
 };
 
-/**
- * Deterministic synthetic stream for long-horizon runs: a per-core mix
- * of private streaming, hot shared-region reads and occasional shared
- * writes, generated chunk-at-a-time from (seed, core, chunk_index).
- * The long-horizon CI job and bench/microbench_stream use this to
- * drive multi-100M-record runs without a trace file.
- */
-GeneratorTraceSource::Refill
-syntheticStreamRefill(std::uint64_t seed, unsigned core,
-                      unsigned num_cores, std::size_t chunk_records);
-
-/** Whole-system synthetic stream workload (one generator per core). */
+/** Whole-system synthetic stream workload: one SyntheticStreamSource
+ *  per core, @p records_per_core records each. */
 Workload
 makeSyntheticStreamWorkload(std::uint64_t seed, unsigned num_cores,
                             std::uint64_t records_per_core,

@@ -443,11 +443,41 @@ struct ScenarioRun
 };
 
 /**
+ * Heap allocations in 100 explorer state cycles of @p run after one
+ * warm-up cycle: save into a reused buffer, restore that image in
+ * place, and fingerprint. Every cycle must give the same fingerprint.
+ */
+std::uint64_t
+stateCycleAllocs(ScenarioRun &run)
+{
+    const std::vector<Addr> regions = run.scenario.regionFootprint();
+    std::vector<std::uint8_t> image;
+    check::FingerprintScratch scratch;
+    std::string err;
+    std::uint64_t fp = 0;
+    const auto cycle = [&] {
+        Serializer out(std::move(image));
+        EXPECT_TRUE(run.sys.saveSnapshot(out, &err)) << err;
+        image = out.take();
+        Deserializer d(image);
+        EXPECT_TRUE(run.sys.restoreSnapshot(d, &err)) << err;
+        fp = check::fingerprintSystem(run.sys, regions, run.completed,
+                                      scratch);
+    };
+    cycle();
+    const std::uint64_t warm = fp;
+    const std::uint64_t before = AllocHook::allocCount();
+    for (int i = 0; i < 100; ++i)
+        cycle();
+    const std::uint64_t allocs = AllocHook::allocCount() - before;
+    EXPECT_EQ(fp, warm) << run.scenario.name;
+    return allocs;
+}
+
+/**
  * The explorer's per-state work allocates nothing once its buffers
  * are sized: at a quiescent point of a PcSpatial scenario under MW,
- * with blocks cached, predictor entries trained and messages parked,
- * save into a reused buffer, restore that image in place, and
- * fingerprint.
+ * with blocks cached, predictor entries trained and messages parked.
  */
 TEST(AllocRegression, ExplorerStateCycleIsAllocationFree)
 {
@@ -468,30 +498,30 @@ TEST(AllocRegression, ExplorerStateCycleIsAllocationFree)
         }
         ASSERT_TRUE(trained) << name;
         ASSERT_GT(run.sys.mesh().parkedMessages(), 0u) << name;
-
-        const std::vector<Addr> regions = s->regionFootprint();
-        std::vector<std::uint8_t> image;
-        check::FingerprintScratch scratch;
-        std::string err;
-        std::uint64_t fp = 0;
-        const auto cycle = [&] {
-            Serializer out(std::move(image));
-            EXPECT_TRUE(run.sys.saveSnapshot(out, &err)) << err;
-            image = out.take();
-            Deserializer d(image);
-            EXPECT_TRUE(run.sys.restoreSnapshot(d, &err)) << err;
-            fp = check::fingerprintSystem(run.sys, regions, run.completed,
-                                          scratch);
-        };
-        cycle();
-        const std::uint64_t warm = fp;
-        const std::uint64_t before = AllocHook::allocCount();
-        for (int i = 0; i < 100; ++i)
-            cycle();
-        EXPECT_EQ(AllocHook::allocCount() - before, 0u)
+        EXPECT_EQ(stateCycleAllocs(run), 0u)
             << name << ": heap allocations in 100 save/restore/"
             << "fingerprint cycles";
-        EXPECT_EQ(fp, warm) << name;
+    }
+}
+
+/**
+ * The same under the TaglessBloom directory, whose tiles restore
+ * their counting-filter counters in place: in each Bloom scenario,
+ * one delivery in, with messages still parked.
+ */
+TEST(AllocRegression, BloomExplorerStateCycleIsAllocationFree)
+{
+    for (const char *name : {"bloom-nack-upgrade", "bloom-false-probe",
+                             "threehop-bloom-cross"}) {
+        const check::Scenario *s = check::findScenario(name);
+        ASSERT_NE(s, nullptr) << name;
+        ASSERT_EQ(s->cfg.directory, DirectoryKind::TaglessBloom) << name;
+        ScenarioRun run(*s);
+        run.step();
+        ASSERT_GT(run.sys.mesh().parkedMessages(), 0u) << name;
+        EXPECT_EQ(stateCycleAllocs(run), 0u)
+            << name << ": heap allocations in 100 save/restore/"
+            << "fingerprint cycles";
     }
 }
 

@@ -3,9 +3,12 @@
  * SystemConfig validation and geometry-scaling tests: the wide-mesh
  * rejection paths (core counts past kMaxCores, degenerate meshes,
  * undersized L2 tiles, zero L1 sets or L2 ways, L2 tiles with more
- * entries than a slot index addresses), the refusal of the removed
- * sharded engine's thread count, the watchdog horizon's mesh scaling,
- * and the region -> home-tile slice hashes.
+ * entries than a slot index addresses), the knobs that used to pass
+ * validation and then crash (zero flit size, zero Fixed fetch width,
+ * an L1 set too small for a region and its tag, Bloom hash counts
+ * outside 1..4), the refusal of the removed sharded engine's thread
+ * count, the watchdog horizon's mesh scaling, and the region ->
+ * home-tile slice hashes.
  */
 
 #include <gtest/gtest.h>
@@ -92,6 +95,56 @@ TEST(ConfigValidateScaling, RejectsNonPowerOfTwoBloomBuckets)
     cfg.directory = DirectoryKind::TaglessBloom;
     cfg.bloomBuckets = 100;
     EXPECT_DEATH(cfg.validate(), "power of two");
+}
+
+// Each of these configurations passed validate() and then crashed: a
+// zero divisor (SIGFPE) or a panic in a component's constructor.
+TEST(ConfigValidate, RejectsZeroFlitBytes)
+{
+    // Mesh::flitsFor divides by it.
+    SystemConfig cfg;
+    cfg.flitBytes = 0;
+    EXPECT_DEATH(cfg.validate(), "flitBytes must be at least 1");
+}
+
+TEST(ConfigValidate, RejectsZeroFixedFetchWordsUnderFixed)
+{
+    // The Fixed policy divides the miss word by it.
+    SystemConfig cfg;
+    cfg.predictor = PredictorKind::Fixed;
+    cfg.fixedFetchWords = 0;
+    EXPECT_DEATH(cfg.validate(), "fixedFetchWords must be at least 1");
+
+    // Only the Fixed policy reads it.
+    cfg.predictor = PredictorKind::PcSpatial;
+    cfg.validate();
+}
+
+TEST(ConfigValidate, RejectsL1SetBelowOneRegionAndItsTag)
+{
+    // The Amoeba L1 charges each block its tag on top of its data.
+    SystemConfig cfg;
+    for (unsigned bytes = cfg.regionBytes;
+         bytes < cfg.regionBytes + kBlockTagBytes; ++bytes) {
+        cfg.l1BytesPerSet = bytes;
+        EXPECT_DEATH(cfg.validate(), "at least one region");
+    }
+    cfg.l1BytesPerSet = cfg.regionBytes + kBlockTagBytes;
+    cfg.validate();
+}
+
+TEST(ConfigValidate, RejectsBloomHashesOutsideOneToFour)
+{
+    SystemConfig cfg;
+    cfg.directory = DirectoryKind::TaglessBloom;
+    for (const unsigned hashes : {0u, 5u}) {
+        cfg.bloomHashes = hashes;
+        EXPECT_DEATH(cfg.validate(), "bloomHashes");
+    }
+    for (const unsigned hashes : {1u, 4u}) {
+        cfg.bloomHashes = hashes;
+        cfg.validate();
+    }
 }
 
 TEST(ConfigValidate, RejectsSimThreadsOfTheRemovedEngine)

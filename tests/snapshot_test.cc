@@ -247,11 +247,13 @@ TEST(SnapshotReject, VersionSkew)
     SystemConfig cfg;
     cfg.seed = 3;
     Serializer img = saveAt(cfg, 5000);
-    // The version field follows the magic. A newer image, a v6 image
-    // (dense coverage matrices), a v5 image (whose parked messages
-    // each carried a u64 hash) and a v4 image (which still carried the
+    // The version field follows the magic. A newer image, a v7 image
+    // (which carried a windowed-stats section), a v6 image (dense
+    // coverage matrices), a v5 image (whose parked messages each
+    // carried a u64 hash) and a v4 image (which still carried the
     // engine-mode byte) are all refused before any section is read.
-    for (const std::uint32_t ver : {kSnapshotVersion + 1, 6u, 5u, 4u}) {
+    for (const std::uint32_t ver :
+         {kSnapshotVersion + 1, 7u, 6u, 5u, 4u}) {
         std::vector<std::uint8_t> bytes = img.bytes();
         std::memcpy(&bytes[4], &ver, sizeof(ver));
         System fresh(cfg, bench(cfg));
@@ -539,7 +541,7 @@ TEST(SnapshotReject, DirFilledEntryWithoutWords)
 
 /**
  * A mid-run image with the offset of core 0's predictor section
- * (PcSpatialPredictor::saveState): u32 table size, u32 count of
+ * (FetchPredictor::saveState): u32 table size, u32 count of
  * trained entries, then per entry u32 index, u8 left, u8 right.
  */
 struct PredImage
@@ -975,8 +977,7 @@ struct PendingRecord
     {
         return kind != EventKind::Deliver &&
                kind != EventKind::InvariantTick &&
-               kind != EventKind::WatchdogTick &&
-               kind != EventKind::WindowTick;
+               kind != EventKind::WatchdogTick;
     }
 
     /** Bytes of the record in the image: when, seq, kind, id, payload. */
@@ -1066,7 +1067,7 @@ eventImage(System &donor)
     return im;
 }
 
-/** Fault jitter on; invariant, watchdog and window ticks armed. */
+/** Fault jitter on; invariant and watchdog ticks armed. */
 SystemConfig
 eventCfg()
 {
@@ -1083,7 +1084,6 @@ armTicks(System &sys)
 {
     sys.enablePeriodicInvariantCheck(700);
     sys.enableWatchdog(1'000'000);
-    sys.enableWindowStats(900);
 }
 
 /** Before the first event: the cores' CoreSteps and the first ticks. */
@@ -1107,8 +1107,7 @@ midRunImage()
         EventKind::CoreIssue,     EventKind::L1Complete,
         EventKind::L1Send,        EventKind::DirSend,
         EventKind::DirFill,       EventKind::Deliver,
-        EventKind::InvariantTick, EventKind::WatchdogTick,
-        EventKind::WindowTick};
+        EventKind::InvariantTick, EventKind::WatchdogTick};
     System donor(eventCfg(), bench(eventCfg()));
     armTicks(donor);
     for (Cycle stop = 250; stop <= 50000; stop += 250) {
@@ -1147,7 +1146,7 @@ TEST(SnapshotEvents, EveryKindRestoresToTheSamePendingList)
         ASSERT_TRUE(fresh.restoreSnapshot(d, &err)) << err;
         EXPECT_EQ(pendingRecords(fresh), im.records);
     }
-    for (unsigned k = 1; k <= 11; ++k) {
+    for (unsigned k = 1; k <= 10; ++k) {
         if (k != 7) {
             EXPECT_TRUE(seen[k]) << "event kind " << k << " never saved";
         }
@@ -1158,7 +1157,7 @@ TEST(SnapshotReject, EventKindNoSaverWrites)
 {
     const EventImage im = startImage();
     ASSERT_FALSE(im.records.empty());
-    for (const unsigned kind : {0u, 7u, 12u, 13u, 255u}) {
+    for (const unsigned kind : {0u, 7u, 11u, 12u, 13u, 255u}) {
         std::vector<std::uint8_t> bytes = im.bytes;
         bytes[im.recordAt[0] + 16] = static_cast<std::uint8_t>(kind);
         expectEventRejected(bytes);

@@ -1,12 +1,13 @@
 /**
  * @file
- * Unit tests for the fetch-granularity predictors, in particular the
- * Amoeba PC-indexed spatial predictor's learning behaviour.
+ * Unit tests for the fetch-granularity policies of FetchPredictor, in
+ * particular the Amoeba PC-indexed spatial predictor's learning
+ * behaviour.
  */
 
 #include <gtest/gtest.h>
 
-#include "cache/spatial_predictor.hh"
+#include "cache/fetch_predictor.hh"
 #include "common/rng.hh"
 
 namespace protozoa {
@@ -14,35 +15,51 @@ namespace {
 
 constexpr unsigned kRegionWords = 8;
 
-TEST(FullRegionPredictor, AlwaysFullRegion)
+/** A machine running @p kind over regions of @p region_words words. */
+SystemConfig
+policy(PredictorKind kind, unsigned region_words = kRegionWords)
 {
-    FullRegionPredictor p;
-    EXPECT_EQ(p.predict(0x1, 3, WordRange(3, 3), kRegionWords),
-              WordRange(0, 7));
-    EXPECT_EQ(p.predict(0x2, 0, WordRange(0, 0), 4), WordRange(0, 3));
+    SystemConfig cfg;
+    cfg.predictor = kind;
+    cfg.regionBytes = region_words * kWordBytes;
+    return cfg;
 }
 
-TEST(FixedPredictor, AlignedChunks)
+FetchPredictor
+pcSpatial(unsigned region_words = kRegionWords)
 {
-    FixedPredictor p(4);
-    EXPECT_EQ(p.predict(0, 1, WordRange(1, 1), kRegionWords),
-              WordRange(0, 3));
-    EXPECT_EQ(p.predict(0, 5, WordRange(5, 5), kRegionWords),
-              WordRange(4, 7));
+    return FetchPredictor(policy(PredictorKind::PcSpatial, region_words));
 }
 
-TEST(FixedPredictor, ClampsToRegion)
+TEST(FullRegionPolicy, AlwaysFullRegion)
 {
-    FixedPredictor p(16);
-    EXPECT_EQ(p.predict(0, 2, WordRange(2, 2), kRegionWords),
-              WordRange(0, 7));
+    const FetchPredictor p(policy(PredictorKind::FullRegion));
+    EXPECT_EQ(p.predict(0x1, 3, WordRange(3, 3)), WordRange(0, 7));
+    const FetchPredictor q(policy(PredictorKind::FullRegion, 4));
+    EXPECT_EQ(q.predict(0x2, 0, WordRange(0, 0)), WordRange(0, 3));
 }
 
-TEST(WordOnlyPredictor, ExactlyTheNeed)
+TEST(FixedPolicy, AlignedChunks)
 {
-    WordOnlyPredictor p;
-    EXPECT_EQ(p.predict(0, 6, WordRange(6, 6), kRegionWords),
-              WordRange(6, 6));
+    SystemConfig cfg = policy(PredictorKind::Fixed);
+    cfg.fixedFetchWords = 4;
+    const FetchPredictor p(cfg);
+    EXPECT_EQ(p.predict(0, 1, WordRange(1, 1)), WordRange(0, 3));
+    EXPECT_EQ(p.predict(0, 5, WordRange(5, 5)), WordRange(4, 7));
+}
+
+TEST(FixedPolicy, ClampsToRegion)
+{
+    SystemConfig cfg = policy(PredictorKind::Fixed);
+    cfg.fixedFetchWords = 16;
+    const FetchPredictor p(cfg);
+    EXPECT_EQ(p.predict(0, 2, WordRange(2, 2)), WordRange(0, 7));
+}
+
+TEST(WordOnlyPolicy, ExactlyTheNeed)
+{
+    const FetchPredictor p(policy(PredictorKind::WordOnly));
+    EXPECT_EQ(p.predict(0, 6, WordRange(6, 6)), WordRange(6, 6));
 }
 
 // Satellite regression: learn() computed the touched-extent high bit
@@ -51,118 +68,116 @@ TEST(WordOnlyPredictor, ExactlyTheNeed)
 // WordMask width.
 TEST(PcSpatialPredictor, LearnsTopWordOfSixteenWordRegion)
 {
-    PcSpatialPredictor p;
+    FetchPredictor p = pcSpatial(16);
     p.learn(0xc0, 15, WordMask(1) << 15, WordRange(0, 15));
-    EXPECT_EQ(p.predict(0xc0, 15, WordRange(15, 15), 16),
-              WordRange(15, 15));
+    EXPECT_EQ(p.predict(0xc0, 15, WordRange(15, 15)), WordRange(15, 15));
 
     // Runs touching the full 16 words learn the full extent.
-    PcSpatialPredictor q;
+    FetchPredictor q = pcSpatial(16);
     q.learn(0xd0, 0, static_cast<WordMask>(0xffff), WordRange(0, 15));
-    EXPECT_EQ(q.predict(0xd0, 0, WordRange(0, 0), 16),
-              WordRange(0, 15));
+    EXPECT_EQ(q.predict(0xd0, 0, WordRange(0, 0)), WordRange(0, 15));
 }
 
 TEST(PcSpatialPredictor, ColdPredictsFullRegion)
 {
-    PcSpatialPredictor p;
-    EXPECT_EQ(p.predict(0x40, 3, WordRange(3, 3), kRegionWords),
+    FetchPredictor p = pcSpatial();
+    EXPECT_EQ(p.predict(0x40, 3, WordRange(3, 3)),
               WordRange(0, 7));
 }
 
 TEST(PcSpatialPredictor, LearnsSingleWordPattern)
 {
-    PcSpatialPredictor p;
+    FetchPredictor p = pcSpatial();
     p.learn(0x40, 3, WordMask(1) << 3, WordRange(0, 7));
-    EXPECT_EQ(p.predict(0x40, 5, WordRange(5, 5), kRegionWords),
+    EXPECT_EQ(p.predict(0x40, 5, WordRange(5, 5)),
               WordRange(5, 5));
 }
 
 TEST(PcSpatialPredictor, LearnsForwardRuns)
 {
-    PcSpatialPredictor p;
+    FetchPredictor p = pcSpatial();
     // Block anchored at word 0, words 0..3 touched.
     p.learn(0x80, 0, 0b1111, WordRange(0, 7));
-    EXPECT_EQ(p.predict(0x80, 0, WordRange(0, 0), kRegionWords),
+    EXPECT_EQ(p.predict(0x80, 0, WordRange(0, 0)),
               WordRange(0, 3));
     // Prediction is anchored at the miss word.
-    EXPECT_EQ(p.predict(0x80, 4, WordRange(4, 4), kRegionWords),
+    EXPECT_EQ(p.predict(0x80, 4, WordRange(4, 4)),
               WordRange(4, 7));
 }
 
 TEST(PcSpatialPredictor, LearnsBackwardExtent)
 {
-    PcSpatialPredictor p;
+    FetchPredictor p = pcSpatial();
     // Miss word 5; words 2..5 touched => left extent 3.
     p.learn(0x90, 5, 0b111100, WordRange(0, 7));
-    EXPECT_EQ(p.predict(0x90, 5, WordRange(5, 5), kRegionWords),
+    EXPECT_EQ(p.predict(0x90, 5, WordRange(5, 5)),
               WordRange(2, 5));
 }
 
 TEST(PcSpatialPredictor, GrowsImmediately)
 {
-    PcSpatialPredictor p;
+    FetchPredictor p = pcSpatial();
     p.learn(0xa0, 0, 0b1, WordRange(0, 0));
-    EXPECT_EQ(p.predict(0xa0, 0, WordRange(0, 0), kRegionWords),
+    EXPECT_EQ(p.predict(0xa0, 0, WordRange(0, 0)),
               WordRange(0, 0));
     p.learn(0xa0, 0, 0b11111111, WordRange(0, 7));
-    EXPECT_EQ(p.predict(0xa0, 0, WordRange(0, 0), kRegionWords),
+    EXPECT_EQ(p.predict(0xa0, 0, WordRange(0, 0)),
               WordRange(0, 7));
 }
 
 TEST(PcSpatialPredictor, ShrinksByEwma)
 {
-    PcSpatialPredictor p;
+    FetchPredictor p = pcSpatial();
     p.learn(0xb0, 0, 0xff, WordRange(0, 7));   // right extent 7
     p.learn(0xb0, 0, 0b1, WordRange(0, 7));    // right extent 0
     // EWMA: (7 + 0) / 2 = 3.
-    EXPECT_EQ(p.predict(0xb0, 0, WordRange(0, 0), kRegionWords),
+    EXPECT_EQ(p.predict(0xb0, 0, WordRange(0, 0)),
               WordRange(0, 3));
     p.learn(0xb0, 0, 0b1, WordRange(0, 3));
     p.learn(0xb0, 0, 0b1, WordRange(0, 1));
     p.learn(0xb0, 0, 0b1, WordRange(0, 0));
-    EXPECT_EQ(p.predict(0xb0, 0, WordRange(0, 0), kRegionWords),
+    EXPECT_EQ(p.predict(0xb0, 0, WordRange(0, 0)),
               WordRange(0, 0));
 }
 
 TEST(PcSpatialPredictor, UntouchedDeathLearnsMinimal)
 {
-    PcSpatialPredictor p;
+    FetchPredictor p = pcSpatial();
     // Block died without any touch (e.g. invalidated immediately).
     p.learn(0xc0, 4, 0, WordRange(0, 7));
-    EXPECT_EQ(p.predict(0xc0, 4, WordRange(4, 4), kRegionWords),
+    EXPECT_EQ(p.predict(0xc0, 4, WordRange(4, 4)),
               WordRange(4, 4));
 }
 
 TEST(PcSpatialPredictor, PredictionAlwaysCoversNeed)
 {
-    PcSpatialPredictor p;
+    FetchPredictor p = pcSpatial();
     p.learn(0xd0, 7, WordMask(1) << 7, WordRange(0, 7));
     // Learned 0/0 extents, but the need must still be covered.
-    EXPECT_EQ(p.predict(0xd0, 2, WordRange(2, 2), kRegionWords),
+    EXPECT_EQ(p.predict(0xd0, 2, WordRange(2, 2)),
               WordRange(2, 2));
 }
 
 TEST(PcSpatialPredictor, ClampsAtRegionEdges)
 {
-    PcSpatialPredictor p;
+    FetchPredictor p = pcSpatial();
     p.learn(0xe0, 4, 0xff, WordRange(0, 7));   // extents 4 left, 3 right
     // Miss near the left edge: left extent clamps to 0.
-    EXPECT_EQ(p.predict(0xe0, 1, WordRange(1, 1), kRegionWords),
+    EXPECT_EQ(p.predict(0xe0, 1, WordRange(1, 1)),
               WordRange(0, 4));
     // Miss near the right edge: right extent clamps to 7.
-    EXPECT_EQ(p.predict(0xe0, 6, WordRange(6, 6), kRegionWords),
+    EXPECT_EQ(p.predict(0xe0, 6, WordRange(6, 6)),
               WordRange(2, 7));
 }
 
 TEST(PcSpatialPredictor, DistinctPcsAreIndependent)
 {
-    PcSpatialPredictor p;
+    FetchPredictor p = pcSpatial();
     p.learn(0x100, 0, 0b1, WordRange(0, 7));
-    EXPECT_EQ(p.predict(0x100, 0, WordRange(0, 0), kRegionWords),
+    EXPECT_EQ(p.predict(0x100, 0, WordRange(0, 0)),
               WordRange(0, 0));
     // A different PC is still cold.
-    EXPECT_EQ(p.predict(0x200, 0, WordRange(0, 0), kRegionWords),
+    EXPECT_EQ(p.predict(0x200, 0, WordRange(0, 0)),
               WordRange(0, 7));
 }
 
@@ -173,8 +188,8 @@ TEST(PcSpatialPredictor, DistinctPcsAreIndependent)
  */
 TEST(PcSpatialPredictor, SnapshotRoundTripPredictsIdentically)
 {
-    constexpr unsigned kEntries = 1024;
-    PcSpatialPredictor trained(kEntries, kRegionWords);
+    constexpr unsigned kEntries = FetchPredictor::kTableEntries;
+    FetchPredictor trained = pcSpatial();
     Rng rng(41);
     for (unsigned i = 0; i < 700; ++i) {
         const Pc pc = 4 * rng.below(kEntries);
@@ -187,7 +202,7 @@ TEST(PcSpatialPredictor, SnapshotRoundTripPredictsIdentically)
 
     // Restore over a differently trained table: every entry, trained
     // or not, must come from the image.
-    PcSpatialPredictor restored(kEntries, kRegionWords);
+    FetchPredictor restored = pcSpatial();
     for (unsigned k = 0; k < kEntries; k += 3)
         restored.learn(4 * k, 4, 0b10000, WordRange(0, kRegionWords - 1));
     Deserializer d(img.bytes().data(), img.size());
@@ -198,11 +213,11 @@ TEST(PcSpatialPredictor, SnapshotRoundTripPredictsIdentically)
     for (unsigned k = 0; k < kEntries; ++k) {
         for (unsigned miss = 0; miss < kRegionWords; ++miss) {
             const WordRange need(miss, miss);
-            EXPECT_EQ(restored.predict(4 * k, miss, need, kRegionWords),
-                      trained.predict(4 * k, miss, need, kRegionWords))
+            EXPECT_EQ(restored.predict(4 * k, miss, need),
+                      trained.predict(4 * k, miss, need))
                 << "index of pc " << 4 * k << ", miss word " << miss;
         }
-        cold += trained.predict(4 * k, 3, WordRange(3, 3), kRegionWords) ==
+        cold += trained.predict(4 * k, 3, WordRange(3, 3)) ==
                 WordRange::full(kRegionWords);
     }
     // Both trained and untrained entries were compared.
@@ -225,23 +240,23 @@ TEST(PcSpatialPredictor, SnapshotRoundTripPredictsIdentically)
  */
 TEST(PcSpatialPredictor, RestoreIntoTrainedTableMatchesFresh)
 {
-    constexpr unsigned kEntries = 1024;
+    constexpr unsigned kEntries = FetchPredictor::kTableEntries;
     const WordRange region(0, kRegionWords - 1);
     // The image trains the indices of PCs 4k for even k below 64.
-    PcSpatialPredictor source(kEntries, kRegionWords);
+    FetchPredictor source = pcSpatial();
     for (unsigned k = 0; k < 64; k += 2)
         source.learn(4 * k, k % kRegionWords, 0b110, region);
     Serializer img;
     source.saveState(img);
 
-    PcSpatialPredictor fresh(kEntries, kRegionWords);
+    FetchPredictor fresh = pcSpatial();
     Deserializer df(img.bytes().data(), img.size());
     ASSERT_TRUE(fresh.restoreState(df));
 
     // Trained on the odd k and on a stretch of the table the image
     // leaves untrained, then restored twice: once from its own image
     // and then from the source's.
-    PcSpatialPredictor used(kEntries, kRegionWords);
+    FetchPredictor used = pcSpatial();
     Rng rng(77);
     for (unsigned i = 0; i < 900; ++i) {
         const unsigned k =
@@ -264,8 +279,8 @@ TEST(PcSpatialPredictor, RestoreIntoTrainedTableMatchesFresh)
     for (unsigned k = 0; k < kEntries; ++k) {
         for (unsigned miss = 0; miss < kRegionWords; ++miss) {
             const WordRange need(miss, miss);
-            EXPECT_EQ(used.predict(4 * k, miss, need, kRegionWords),
-                      fresh.predict(4 * k, miss, need, kRegionWords))
+            EXPECT_EQ(used.predict(4 * k, miss, need),
+                      fresh.predict(4 * k, miss, need))
                 << "index of pc " << 4 * k << ", miss word " << miss;
         }
     }
@@ -277,24 +292,33 @@ TEST(PcSpatialPredictor, RestoreIntoTrainedTableMatchesFresh)
     EXPECT_EQ(a.bytes(), img.bytes());
 }
 
-TEST(MakePredictor, FactorySelectsPolicy)
+/**
+ * Only PcSpatial learns and has state: the other policies predict the
+ * same after any training, save no bytes and restore from none.
+ */
+TEST(FetchPredictor, OnlyPcSpatialLearnsAndSaves)
 {
-    SystemConfig cfg;
-    cfg.predictor = PredictorKind::FullRegion;
-    EXPECT_NE(dynamic_cast<FullRegionPredictor *>(
-                  makePredictor(cfg).get()),
-              nullptr);
-    cfg.predictor = PredictorKind::Fixed;
-    EXPECT_NE(dynamic_cast<FixedPredictor *>(makePredictor(cfg).get()),
-              nullptr);
-    cfg.predictor = PredictorKind::PcSpatial;
-    EXPECT_NE(dynamic_cast<PcSpatialPredictor *>(
-                  makePredictor(cfg).get()),
-              nullptr);
-    cfg.predictor = PredictorKind::WordOnly;
-    EXPECT_NE(dynamic_cast<WordOnlyPredictor *>(
-                  makePredictor(cfg).get()),
-              nullptr);
+    for (const PredictorKind kind :
+         {PredictorKind::FullRegion, PredictorKind::Fixed,
+          PredictorKind::PcSpatial, PredictorKind::WordOnly}) {
+        const bool pc_spatial = kind == PredictorKind::PcSpatial;
+        FetchPredictor p(policy(kind));
+        EXPECT_EQ(p.learns(), pc_spatial);
+        const WordRange before = p.predict(0x40, 3, WordRange(3, 3));
+        p.learn(0x40, 3, WordMask(1) << 3, WordRange(0, 7));
+        EXPECT_EQ(p.predict(0x40, 3, WordRange(3, 3)) == before,
+                  !pc_spatial);
+
+        Serializer img;
+        p.saveState(img);
+        EXPECT_EQ(img.size() == 0, !pc_spatial);
+        FetchPredictor fresh(policy(kind));
+        Deserializer d(img.bytes().data(), img.size());
+        ASSERT_TRUE(fresh.restoreState(d));
+        EXPECT_TRUE(d.atEnd());
+        EXPECT_EQ(fresh.predict(0x40, 3, WordRange(3, 3)),
+                  p.predict(0x40, 3, WordRange(3, 3)));
+    }
 }
 
 } // namespace

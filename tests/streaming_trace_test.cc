@@ -4,9 +4,9 @@
  * byte-at-a-time reference, PZTR binary round-trip against the
  * in-memory reference, text/binary writer equivalence, chunk-level
  * corruption and truncation detection, seek-by-header equivalence and
- * what a seek checks, generator-stream determinism and seek semantics,
- * and an end-to-end simulation digest lock between a fully
- * materialized workload and its streamed twin.
+ * what a seek checks, synthetic-stream determinism, seek semantics and
+ * frozen records, and an end-to-end simulation digest lock between a
+ * fully materialized workload and its streamed twin.
  */
 
 #include <gtest/gtest.h>
@@ -459,11 +459,10 @@ TEST(StreamingTraceDeath, DetectsTruncatedChunk)
     std::remove(path.c_str());
 }
 
-TEST(StreamingTrace, GeneratorIsDeterministicAndSeekable)
+TEST(StreamingTrace, SyntheticStreamIsDeterministicAndSeekable)
 {
-    const auto refill = syntheticStreamRefill(42, 1, 4, 128);
-    GeneratorTraceSource a(refill, 1000, 128);
-    GeneratorTraceSource b(refill, 1000, 128);
+    SyntheticStreamSource a(42, 1, 1000, 128);
+    SyntheticStreamSource b(42, 1, 1000, 128);
 
     // Same stream regardless of consumption pattern.
     std::vector<TraceRecord> first;
@@ -479,7 +478,38 @@ TEST(StreamingTrace, GeneratorIsDeterministicAndSeekable)
     ASSERT_TRUE(b.seekTo(3));
     ASSERT_TRUE(b.next(r));
     EXPECT_EQ(r.addr, first[3].addr);
+    ASSERT_TRUE(b.seekTo(1000));
+    EXPECT_FALSE(b.next(r));
     EXPECT_FALSE(b.seekTo(1001));
+
+    // A stream holds exactly its records: none at 0.
+    SyntheticStreamSource empty(42, 1, 0, 128);
+    EXPECT_FALSE(empty.next(r));
+    EXPECT_TRUE(empty.seekTo(0));
+    EXPECT_FALSE(empty.seekTo(1));
+}
+
+/**
+ * The synthetic stream's records are frozen: long-horizon digests,
+ * checkpoint images and PZTR files written from it depend on every
+ * byte. 10,000 records in 4,096-record chunks end in a partial chunk.
+ * The digest was computed with the generator this source replaced.
+ */
+TEST(StreamingTrace, SyntheticStreamRecordsAreFrozen)
+{
+    Workload wl = makeSyntheticStreamWorkload(7, 6, 10000, 4096);
+    Digest d;
+    TraceRecord r;
+    std::uint64_t n = 0;
+    while (wl[5]->next(r)) {
+        d.add(r.addr);
+        d.add(r.pc);
+        d.add(r.gapInstrs);
+        d.add(r.isWrite);
+        ++n;
+    }
+    EXPECT_EQ(n, 10000u);
+    EXPECT_EQ(d.value(), 0x6a0974c42aa3550fULL);
 }
 
 TEST(StreamingTrace, StreamedSimulationMatchesMaterialized)
@@ -493,8 +523,7 @@ TEST(StreamingTrace, StreamedSimulationMatchesMaterialized)
     // Materialize the synthetic stream per core.
     std::vector<std::vector<TraceRecord>> recs(cfg.numCores);
     for (unsigned c = 0; c < cfg.numCores; ++c) {
-        GeneratorTraceSource g(
-            syntheticStreamRefill(9, c, cfg.numCores, 256), 2000, 256);
+        SyntheticStreamSource g(9, c, 2000, 256);
         TraceRecord r;
         while (g.next(r))
             recs[c].push_back(r);
