@@ -22,8 +22,28 @@ int
 main()
 {
     const double scale = envScale();
-    const char *apps[] = {"histogram", "canneal", "streamcluster",
-                          "barnes"};
+    const std::vector<std::string> apps = {"histogram", "canneal",
+                                           "streamcluster", "barnes"};
+    struct Setup
+    {
+        const char *label;
+        DirectoryKind kind;
+        unsigned buckets;
+    };
+    const Setup setups[] = {
+        {"exact", DirectoryKind::InCacheExact, 0},
+        {"bloom-64", DirectoryKind::TaglessBloom, 64},
+        {"bloom-256", DirectoryKind::TaglessBloom, 256},
+        {"bloom-1024", DirectoryKind::TaglessBloom, 1024},
+    };
+    std::vector<SystemConfig> configs;
+    for (const Setup &setup : setups) {
+        SystemConfig cfg;
+        cfg.protocol = ProtocolKind::ProtozoaMW;
+        cfg.directory = setup.kind;
+        cfg.bloomBuckets = setup.buckets ? setup.buckets : 256;
+        configs.push_back(cfg);
+    }
 
     std::printf("Ablation: Bloom-summarized directory under "
                 "Protozoa-MW (scale=%.2f)\n\n", scale);
@@ -31,33 +51,18 @@ main()
     TextTable table({"app", "directory", "bits/tile", "false-probes",
                      "inv-msgs", "ctrl-bytes", "MPKI"});
 
-    for (const char *name : apps) {
-        struct Setup
-        {
-            const char *label;
-            DirectoryKind kind;
-            unsigned buckets;
-        };
-        const Setup setups[] = {
-            {"exact", DirectoryKind::InCacheExact, 0},
-            {"bloom-64", DirectoryKind::TaglessBloom, 64},
-            {"bloom-256", DirectoryKind::TaglessBloom, 256},
-            {"bloom-1024", DirectoryKind::TaglessBloom, 1024},
-        };
-        for (const Setup &setup : setups) {
-            std::fprintf(stderr, "  running %-14s %-10s...\n", name,
-                         setup.label);
-            SystemConfig cfg;
-            cfg.protocol = ProtocolKind::ProtozoaMW;
-            cfg.directory = setup.kind;
-            cfg.bloomBuckets = setup.buckets ? setup.buckets : 256;
-            const RunStats stats = runBenchmark(cfg, name, scale);
+    const auto grid = runGrid(apps, configs, scale);
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        for (std::size_t c = 0; c < configs.size(); ++c) {
+            const Setup &setup = setups[c];
+            const SystemConfig &cfg = configs[c];
+            const RunStats &stats = grid[a][c];
 
             const std::uint64_t bits = setup.kind ==
                     DirectoryKind::TaglessBloom
                 ? 2ull * setup.buckets * cfg.bloomHashes * cfg.numCores
                 : 0;   // exact sets ride in the L2 tags ("free")
-            table.addRow({name, setup.label, std::to_string(bits),
+            table.addRow({apps[a], setup.label, std::to_string(bits),
                           std::to_string(stats.dir.bloomFalseProbes),
                           std::to_string(stats.l1.invMsgsReceived),
                           std::to_string(stats.l1.ctrlBytesTotal()),

@@ -37,8 +37,16 @@ main()
     const PredictorKind predictors[] = {
         PredictorKind::FullRegion, PredictorKind::Fixed,
         PredictorKind::PcSpatial, PredictorKind::WordOnly};
-    const char *apps[] = {"canneal", "facesim", "histogram", "mat-mul",
-                          "swaptions", "x264"};
+    const std::vector<std::string> apps = {
+        "canneal", "facesim", "histogram", "mat-mul", "swaptions", "x264"};
+    std::vector<SystemConfig> configs;
+    for (PredictorKind predictor : predictors) {
+        SystemConfig cfg;
+        cfg.protocol = ProtocolKind::ProtozoaMW;
+        cfg.predictor = predictor;
+        cfg.fixedFetchWords = 4;
+        configs.push_back(cfg);
+    }
 
     std::printf("Ablation: fetch-granularity predictor under "
                 "Protozoa-MW (scale=%.2f)\n\n", scale);
@@ -46,16 +54,11 @@ main()
     TextTable table({"app", "predictor", "MPKI", "used%",
                      "traffic-bytes"});
 
-    for (const char *name : apps) {
-        for (PredictorKind predictor : predictors) {
-            std::fprintf(stderr, "  running %-18s %-12s...\n", name,
-                         predictorName(predictor));
-            SystemConfig cfg;
-            cfg.protocol = ProtocolKind::ProtozoaMW;
-            cfg.predictor = predictor;
-            cfg.fixedFetchWords = 4;
-            const RunStats stats = runBenchmark(cfg, name, scale);
-            table.addRow({name, predictorName(predictor),
+    const auto grid = runGrid(apps, configs, scale);
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        for (std::size_t c = 0; c < configs.size(); ++c) {
+            const RunStats &stats = grid[a][c];
+            table.addRow({apps[a], predictorName(configs[c].predictor),
                           TextTable::fmt(stats.mpki()),
                           TextTable::pct(stats.usedDataFraction()),
                           TextTable::fmt(

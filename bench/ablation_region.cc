@@ -21,9 +21,16 @@ int
 main()
 {
     const double scale = envScale();
-    const unsigned regions[3] = {32, 64, 128};
-    const char *apps[] = {"canneal", "histogram", "linear-regression",
-                          "mat-mul", "streamcluster", "x264"};
+    const std::vector<std::string> apps = {
+        "canneal", "histogram", "linear-regression", "mat-mul",
+        "streamcluster", "x264"};
+    std::vector<SystemConfig> configs;
+    for (unsigned region : {32u, 64u, 128u}) {
+        SystemConfig cfg;
+        cfg.protocol = ProtocolKind::ProtozoaMW;
+        cfg.regionBytes = region;
+        configs.push_back(cfg);
+    }
 
     std::printf("Ablation: REGION size sweep under Protozoa-MW "
                 "(scale=%.2f)\n\n", scale);
@@ -31,16 +38,12 @@ main()
     TextTable table({"app", "region", "MPKI", "used%", "traffic-bytes",
                      "flit-hops"});
 
-    for (const char *name : apps) {
-        for (unsigned region : regions) {
-            std::fprintf(stderr, "  running %-18s region=%u...\n",
-                         name, region);
-            SystemConfig cfg;
-            cfg.protocol = ProtocolKind::ProtozoaMW;
-            cfg.regionBytes = region;
-            const RunStats stats = runBenchmark(cfg, name, scale);
+    const auto grid = runGrid(apps, configs, scale);
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        for (std::size_t c = 0; c < configs.size(); ++c) {
+            const RunStats &stats = grid[a][c];
             const auto tb = trafficBreakdown(stats);
-            table.addRow({name, std::to_string(region),
+            table.addRow({apps[a], std::to_string(configs[c].regionBytes),
                           TextTable::fmt(stats.mpki()),
                           TextTable::pct(stats.usedDataFraction()),
                           TextTable::fmt(tb.total(), 0),

@@ -19,8 +19,21 @@ int
 main()
 {
     const double scale = envScale();
-    const char *apps[] = {"cholesky", "water", "x264", "histogram",
-                          "raytrace", "linear-regression"};
+    const std::vector<std::string> apps = {
+        "cholesky", "water", "x264", "histogram", "raytrace",
+        "linear-regression"};
+    // Per protocol, a 4-hop machine and then its 3-hop twin.
+    const ProtocolKind protocols[] = {ProtocolKind::MESI,
+                                      ProtocolKind::ProtozoaMW};
+    std::vector<SystemConfig> configs;
+    for (ProtocolKind kind : protocols) {
+        for (bool threeHop : {false, true}) {
+            SystemConfig cfg;
+            cfg.protocol = kind;
+            cfg.threeHop = threeHop;
+            configs.push_back(cfg);
+        }
+    }
 
     std::printf("Ablation: 3-hop direct forwarding (scale=%.2f)\n\n",
                 scale);
@@ -28,28 +41,20 @@ main()
     TextTable table({"app", "proto", "3hop-xfers", "cycles-4hop",
                      "cycles-3hop", "speedup", "traffic-ratio"});
 
-    for (const char *name : apps) {
-        for (auto kind : {ProtocolKind::MESI, ProtocolKind::ProtozoaMW}) {
-            RunStats runs[2];
-            for (int mode = 0; mode < 2; ++mode) {
-                std::fprintf(stderr, "  running %-18s %-5s %u-hop...\n",
-                             name, shortName(kind), mode ? 3 : 4);
-                SystemConfig cfg;
-                cfg.protocol = kind;
-                cfg.threeHop = mode == 1;
-                runs[mode] = runBenchmark(cfg, name, scale);
-            }
-            const double t4 =
-                trafficBreakdown(runs[0]).total();
-            const double t3 =
-                trafficBreakdown(runs[1]).total();
+    const auto grid = runGrid(apps, configs, scale);
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        for (std::size_t p = 0; p < std::size(protocols); ++p) {
+            const RunStats &hop4 = grid[a][2 * p];
+            const RunStats &hop3 = grid[a][2 * p + 1];
+            const double t4 = trafficBreakdown(hop4).total();
+            const double t3 = trafficBreakdown(hop3).total();
             table.addRow(
-                {name, shortName(kind),
-                 std::to_string(runs[1].dir.threeHopDirect),
-                 std::to_string(runs[0].cycles),
-                 std::to_string(runs[1].cycles),
-                 TextTable::fmt(static_cast<double>(runs[0].cycles) /
-                                    static_cast<double>(runs[1].cycles)),
+                {apps[a], shortName(protocols[p]),
+                 std::to_string(hop3.dir.threeHopDirect),
+                 std::to_string(hop4.cycles),
+                 std::to_string(hop3.cycles),
+                 TextTable::fmt(static_cast<double>(hop4.cycles) /
+                                    static_cast<double>(hop3.cycles)),
                  TextTable::fmt(t3 / t4)});
         }
     }

@@ -1,20 +1,19 @@
 /**
  * @file
- * Shared plumbing for the experiment harnesses in bench/: protocol
- * sweeps over the 28-benchmark roster with progress reporting.
+ * Shared plumbing for the experiment harnesses in bench/: grids of
+ * benchmark x machine runs, swept with progress reporting.
  *
  * Every harness honours PROTOZOA_SCALE (workload size multiplier,
  * default 1.0) and PROTOZOA_JOBS (sweep worker threads, default
  * hardware concurrency) so a quick smoke pass and a high-fidelity
- * pass use the same binaries. Sweeps fan out through runSweep(); the
- * row order — and every statistic — is identical to a serial run.
+ * pass use the same binaries. Grids fan out through runSweep(); the
+ * result order — and every statistic — is identical to a serial run.
  */
 
 #ifndef PROTOZOA_BENCH_BENCH_UTIL_HH
 #define PROTOZOA_BENCH_BENCH_UTIL_HH
 
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -23,7 +22,7 @@
 namespace protozoa {
 namespace bench {
 
-/** The four protocols in the paper's bar order. */
+/** The four protocols in the paper's bar order (ProtocolKind order). */
 inline const std::vector<ProtocolKind> &
 allProtocols()
 {
@@ -46,77 +45,72 @@ shortName(ProtocolKind kind)
     return "?";
 }
 
-/** One benchmark's results across the four protocols. */
-struct ProtocolSweepRow
+/** The paper benchmarks' names, in roster order. */
+inline std::vector<std::string>
+paperBenchmarkNames()
 {
-    std::string bench;
-    RunStats stats[4];
+    std::vector<std::string> names;
+    for (const BenchSpec &spec : paperBenchmarks())
+        names.push_back(spec.name);
+    return names;
+}
 
-    const RunStats &
-    operator[](ProtocolKind kind) const
-    {
-        return stats[static_cast<unsigned>(kind)];
-    }
+/** A grid of runs: every benchmark in benches on every machine in configs. */
+struct Grid
+{
+    std::vector<std::string> benches;
+    std::vector<SystemConfig> configs;
 };
 
 /**
- * Run every paper benchmark under the given protocols, fanned across
- * PROTOZOA_JOBS worker threads (one System per job; results land in
- * deterministic row order). Progress and the kernel-health summary go
- * to stderr so stdout stays a clean table.
+ * Run every job of @p grids as one sweep, fanned across PROTOZOA_JOBS
+ * worker threads (one System per job), so no grid waits for another's
+ * longest run. Progress and the kernel-health summary go to stderr so
+ * stdout stays a clean table. Returns each grid's stats
+ * benchmark-major: result[g][b][c] is grids[g].benches[b] on
+ * grids[g].configs[c].
  */
-inline std::vector<ProtocolSweepRow>
-sweepAllBenchmarks(const std::vector<ProtocolKind> &protocols,
-                   double scale)
+inline std::vector<std::vector<std::vector<RunStats>>>
+runGrid(const std::vector<Grid> &grids, double scale)
 {
-    const auto &specs = paperBenchmarks();
-
     std::vector<SweepJob> jobs;
-    jobs.reserve(specs.size() * protocols.size());
-    for (const auto &spec : specs) {
-        for (ProtocolKind kind : protocols) {
-            SweepJob job;
-            job.bench = spec.name;
-            job.cfg.protocol = kind;
-            job.scale = scale;
-            jobs.push_back(std::move(job));
-        }
-    }
+    for (const Grid &grid : grids)
+        for (const std::string &bench : grid.benches)
+            for (const SystemConfig &cfg : grid.configs)
+                jobs.push_back({bench, cfg, scale});
 
     const unsigned workers = envJobs();
     std::fprintf(stderr, "  sweep: %zu runs on %u worker thread(s)\n",
                  jobs.size(), workers);
-    auto stats = runSweep(
-        jobs, workers, [](std::size_t, const SweepJob &job) {
-            std::fprintf(stderr, "  running %-18s %-8s...\n",
-                         job.bench.c_str(), shortName(job.cfg.protocol));
+    auto stats =
+        runSweep(jobs, workers, [](std::size_t, const SweepJob &job) {
+            std::fprintf(stderr, "  running %-18s %3u cores %-8s...\n",
+                         job.bench.c_str(), job.cfg.numCores,
+                         shortName(job.cfg.protocol));
         });
 
-    std::vector<ProtocolSweepRow> rows;
-    rows.reserve(specs.size());
+    std::vector<std::vector<std::vector<RunStats>>> results;
     KernelStats kernel;
     std::size_t j = 0;
-    for (const auto &spec : specs) {
-        ProtocolSweepRow row;
-        row.bench = spec.name;
-        for (ProtocolKind kind : protocols) {
-            kernel.merge(stats[j].kernel);
-            row.stats[static_cast<unsigned>(kind)] = std::move(stats[j]);
-            ++j;
+    for (const Grid &grid : grids) {
+        auto &rows = results.emplace_back(grid.benches.size());
+        for (auto &row : rows) {
+            for (std::size_t c = 0; c < grid.configs.size(); ++c, ++j) {
+                kernel.merge(stats[j].kernel);
+                row.push_back(std::move(stats[j]));
+            }
         }
-        rows.push_back(std::move(row));
     }
     std::fprintf(stderr, "  %s\n", kernelSummary(kernel).c_str());
-    return rows;
+    return results;
 }
 
-/** Abbreviate a benchmark name to the paper's axis style. */
-inline std::string
-axisName(const std::string &name)
+/** One grid's stats: grid[b][c] is benches[b] on configs[c]. */
+inline std::vector<std::vector<RunStats>>
+runGrid(const std::vector<std::string> &benches,
+        const std::vector<SystemConfig> &configs, double scale)
 {
-    if (name.size() <= 6)
-        return name;
-    return name.substr(0, 6) + ".";
+    return std::move(runGrid({{benches, configs}}, scale)[0]);
 }
 
 } // namespace bench

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "sim/sweep_runner.hh"
 
 using namespace protozoa;
 using namespace protozoa::bench;
@@ -131,51 +130,29 @@ main(int argc, char **argv)
     std::printf("fig_scaling: 16/64/256-core meshes, aggregate L2 "
                 "fixed at 32 MB (scale=%.2f)\n\n", scale);
 
-    // One sweep job per (bench, mesh point, protocol); the jobs are
-    // independent Systems, so they fan across PROTOZOA_JOBS workers.
-    std::vector<SweepJob> jobs;
-    for (const char *bench : kBenches) {
-        for (const MeshPoint &pt : kPoints) {
-            for (ProtocolKind kind : allProtocols()) {
-                SweepJob job;
-                job.bench = bench;
-                job.cfg = configFor(pt);
-                job.cfg.protocol = kind;
-                job.scale = scale;
-                jobs.push_back(std::move(job));
-            }
-        }
-    }
-    // The Bloom-geometry section: MW with the default fixed 256-bucket
-    // TaglessBloom directory at every core count.
-    const std::size_t bloomBase = jobs.size();
+    // The three benchmarks on every (mesh point, protocol) machine, and
+    // for the Bloom-geometry section apache under MW with the default
+    // fixed 256-bucket TaglessBloom directory at every core count: two
+    // grids, swept as one.
+    Grid meshGrid{{std::begin(kBenches), std::end(kBenches)}, {}};
+    Grid bloomGrid{{"apache"}, {}};
     for (const MeshPoint &pt : kPoints) {
-        SweepJob job;
-        job.bench = "apache";
-        job.cfg = configFor(pt);
-        job.cfg.protocol = ProtocolKind::ProtozoaMW;
-        job.cfg.directory = DirectoryKind::TaglessBloom;
-        job.scale = scale;
-        jobs.push_back(std::move(job));
+        for (ProtocolKind kind : allProtocols()) {
+            meshGrid.configs.push_back(configFor(pt));
+            meshGrid.configs.back().protocol = kind;
+        }
+        bloomGrid.configs.push_back(configFor(pt));
+        bloomGrid.configs.back().protocol = ProtocolKind::ProtozoaMW;
+        bloomGrid.configs.back().directory = DirectoryKind::TaglessBloom;
     }
-
-    const unsigned workers = envJobs();
-    std::fprintf(stderr, "  sweep: %zu runs on %u worker thread(s)\n",
-                 jobs.size(), workers);
-    auto stats =
-        runSweep(jobs, workers, [](std::size_t, const SweepJob &job) {
-            std::fprintf(stderr, "  running %-18s %3u cores %-8s...\n",
-                         job.bench.c_str(), job.cfg.numCores,
-                         shortName(job.cfg.protocol));
-        });
+    auto stats = runGrid({meshGrid, bloomGrid}, scale);
 
     std::vector<PointStat> points;
-    std::size_t j = 0;
-    for (const char *bench : kBenches) {
-        for (const MeshPoint &pt : kPoints) {
-            for (ProtocolKind kind : allProtocols())
-                points.push_back({bench, pt.cores, kind,
-                                  std::move(stats[j++])});
+    for (std::size_t b = 0; b < meshGrid.benches.size(); ++b) {
+        for (std::size_t c = 0; c < meshGrid.configs.size(); ++c) {
+            const SystemConfig &cfg = meshGrid.configs[c];
+            points.push_back({kBenches[b], cfg.numCores, cfg.protocol,
+                              std::move(stats[0][b][c])});
         }
     }
 
@@ -214,7 +191,7 @@ main(int argc, char **argv)
     std::printf("TaglessBloom, fixed 256-bucket geometry (MW, apache)\n");
     TextTable btable({"cores", "falseProbes", "requests", "rate"});
     for (std::size_t i = 0; i < 3; ++i) {
-        const RunStats &s = stats[bloomBase + i];
+        const RunStats &s = stats[1][0][i];
         bloom.push_back({kPoints[i].cores, s.dir.bloomFalseProbes,
                          s.dir.requests});
         const double rate =

@@ -2,8 +2,8 @@
  * @file
  * longhorizon: the nightly long-horizon CI driver. Streams a generated
  * multi-million-record synthetic trace (O(chunk) memory — no file, no
- * materialized workload) through a full system, in one of three
- * phases:
+ * materialized workload) through the default 16-core machine under
+ * Protozoa-MW, one stream per core, in one of three phases:
  *
  *   --phase reference    uninterrupted run; prints the stats digest.
  *   --phase checkpoint   run to --stop, save --snapshot, exit — the
@@ -191,7 +191,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: longhorizon --phase reference|checkpoint|restore\n"
-        "         [--records N>0] [--cores N] [--seed S] [--stop C]\n"
+        "         [--records N>0] [--seed S] [--stop C]\n"
         "         [--snapshot path] [--window-json path]\n"
         "         [--window-period C>0] [--rss-limit-mb M]\n"
         "       (--window-json: reference phase only)\n");
@@ -207,7 +207,6 @@ main(int argc, char **argv)
     std::string snapshotPath;
     std::string windowJson;
     std::uint64_t recordsPerCore = 2'000'000;
-    unsigned cores = 16;
     std::uint64_t seed = 2013;
     Cycle stop = 0;
     Cycle windowPeriod = 1'000'000;
@@ -223,8 +222,6 @@ main(int argc, char **argv)
             phase = v;
         else if (const char *v = arg("--records"))
             recordsPerCore = std::strtoull(v, nullptr, 10);
-        else if (const char *v = arg("--cores"))
-            cores = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
         else if (const char *v = arg("--seed"))
             seed = std::strtoull(v, nullptr, 10);
         else if (const char *v = arg("--stop"))
@@ -248,7 +245,7 @@ main(int argc, char **argv)
     cfg.protocol = ProtocolKind::ProtozoaMW;
     cfg.seed = seed;
 
-    System sys(cfg, makeSyntheticStreamWorkload(seed, cores,
+    System sys(cfg, makeSyntheticStreamWorkload(seed, cfg.numCores,
                                                 recordsPerCore));
 
     if (phase == "reference") {

@@ -16,10 +16,9 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "common/stats.hh"
-#include "sim/stats_report.hh"
 
 using namespace protozoa;
+using namespace protozoa::bench;
 
 int
 main()
@@ -33,17 +32,22 @@ main()
     std::printf("Table 1: MESI block-size sensitivity "
                 "(scale=%.2f)\n\n", scale);
 
-    for (const auto &spec : paperBenchmarks()) {
+    const auto benches = paperBenchmarkNames();
+    std::vector<SystemConfig> configs;
+    for (unsigned size : sizes) {
+        SystemConfig cfg;
+        cfg.protocol = ProtocolKind::MESI;
+        cfg.regionBytes = size;
+        configs.push_back(cfg);
+    }
+    const auto grid = runGrid(benches, configs, scale);
+
+    for (std::size_t b = 0; b < benches.size(); ++b) {
         double mpki[4];
         double inv[4];
         double used64 = 0;
         for (unsigned i = 0; i < 4; ++i) {
-            std::fprintf(stderr, "  running %-18s %3uB...\n",
-                         spec.name.c_str(), sizes[i]);
-            SystemConfig cfg;
-            cfg.protocol = ProtocolKind::MESI;
-            cfg.regionBytes = sizes[i];
-            const RunStats stats = runBenchmark(cfg, spec.name, scale);
+            const RunStats &stats = grid[b][i];
             mpki[i] = stats.mpki();
             inv[i] = static_cast<double>(stats.l1.invMsgsReceived);
             if (sizes[i] == 64)
@@ -57,7 +61,7 @@ main()
                 best = i;
         }
 
-        table.addRow({spec.name,
+        table.addRow({benches[b],
                       trendArrow(mpki[0], mpki[1]),
                       trendArrow(inv[0], inv[1]),
                       trendArrow(mpki[1], mpki[2]),

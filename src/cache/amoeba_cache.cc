@@ -37,11 +37,11 @@ AmoebaCache::AmoebaCache(const SystemConfig &cfg)
       // Worst case for the slot pool: the set packed with minimum-size
       // (one-word) blocks, so every later insert/evict is
       // allocation-free.
-      slotCap(setBudget / blockCost(WordRange(0, 0)))
+      slotCap(cfg.l1SlotsPerSet())
 {
     PROTO_ASSERT(setBudget >= blockCost(WordRange::full(cfg.regionWords())),
                  "set budget cannot hold a full region");
-    PROTO_ASSERT(slotCap >= 1 && slotCap < 0xffff,
+    PROTO_ASSERT(slotCap >= 1 && slotCap <= kMaxL1SetSlots,
                  "set slot capacity %u out of range", slotCap);
     const std::size_t n = std::size_t(numSets) * slotCap;
     PROTO_ASSERT(n <= 0xffffffffu, "%zu L1 slots do not fit a u32", n);

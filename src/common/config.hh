@@ -62,6 +62,13 @@ enum class PredictorKind
 using L2SlotIndex = std::uint32_t;
 
 /**
+ * Most slots one Amoeba L1 set may hold. A set keeps a slot for every
+ * one-word block its byte budget could pack, and numbers its slots in
+ * 16 bits with the all-ones value unused.
+ */
+constexpr unsigned kMaxL1SetSlots = 0xfffe;
+
+/**
  * Complete configuration of the simulated system.
  *
  * Defaults follow Table 4: 16 in-order cores at 3 GHz, 4x4 mesh at
@@ -193,6 +200,13 @@ struct SystemConfig
     /** Words per region. */
     unsigned regionWords() const { return regionBytes / kWordBytes; }
 
+    /** Slots per L1 set: its budget packed with one-word blocks. */
+    unsigned
+    l1SlotsPerSet() const
+    {
+        return l1BytesPerSet / (kBlockTagBytes + kWordBytes);
+    }
+
     /**
      * Lay the machine out on a @p cols x @p rows mesh: one core and
      * one L2 tile per mesh node, the tiled design validate() demands.
@@ -301,6 +315,16 @@ struct SystemConfig
             fatal("l1BytesPerSet=%u must hold at least one region and "
                   "its tag (%u bytes)", l1BytesPerSet,
                   regionBytes + kBlockTagBytes);
+        if (l1SlotsPerSet() > kMaxL1SetSlots)
+            fatal("l1BytesPerSet=%u holds %u one-word blocks, more than "
+                  "the %u slots an L1 set's slot index addresses",
+                  l1BytesPerSet, l1SlotsPerSet(), kMaxL1SetSlots);
+        if (std::uint64_t(l1Sets) * l1SlotsPerSet() >
+            std::numeric_limits<std::uint32_t>::max())
+            fatal("l1Sets=%u x %u slots per set is more than the %u "
+                  "slots a 32-bit L1 block index addresses", l1Sets,
+                  l1SlotsPerSet(),
+                  std::numeric_limits<std::uint32_t>::max());
         if (predictor == PredictorKind::Fixed && fixedFetchWords == 0)
             fatal("fixedFetchWords must be at least 1 under the Fixed "
                   "predictor");

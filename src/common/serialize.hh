@@ -306,23 +306,6 @@ class Deserializer
         return true;
     }
 
-    template <typename T>
-    bool
-    readVecRaw(std::vector<T> &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        const std::uint64_t n = readU64();
-        if (fail || n * sizeof(T) > remaining()) {
-            fail = true;
-            v.clear();
-            return false;
-        }
-        v.resize(static_cast<std::size_t>(n));
-        if (n)
-            readBytes(v.data(), v.size() * sizeof(T));
-        return !fail;
-    }
-
     std::size_t remaining() const { return len - pos; }
     bool atEnd() const { return pos == len; }
     bool failed() const { return fail; }

@@ -151,16 +151,6 @@ class SmallVec
             grow(n);
     }
 
-    /** Order-preserving removal of the element at @p idx. */
-    void
-    erase_at(std::size_t idx)
-    {
-        PROTO_ASSERT(idx < count, "erase_at out of range");
-        for (std::size_t i = idx + 1; i < count; ++i)
-            data_[i - 1] = std::move(data_[i]);
-        pop_back();
-    }
-
     bool
     operator==(const SmallVec &o) const
     {

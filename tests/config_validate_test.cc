@@ -5,7 +5,8 @@
  * undersized L2 tiles, zero L1 sets or L2 ways, L2 tiles with more
  * entries than a slot index addresses), the knobs that used to pass
  * validation and then crash (zero flit size, zero Fixed fetch width,
- * an L1 set too small for a region and its tag, Bloom hash counts
+ * an L1 set too small for a region and its tag, L1 sets and caches
+ * with more slots than their indexes address, Bloom hash counts
  * outside 1..4), the refusal of the removed sharded engine's thread
  * count, the watchdog horizon's mesh scaling, and the region ->
  * home-tile slice hashes.
@@ -130,6 +131,32 @@ TEST(ConfigValidate, RejectsL1SetBelowOneRegionAndItsTag)
         EXPECT_DEATH(cfg.validate(), "at least one region");
     }
     cfg.l1BytesPerSet = cfg.regionBytes + kBlockTagBytes;
+    cfg.validate();
+}
+
+TEST(ConfigValidate, RejectsL1SetPastTheSlotIndex)
+{
+    // A set keeps a slot for each one-word block (16 B with its tag)
+    // its budget could pack and numbers them in 16 bits: 65,535 slots
+    // panicked in the AmoebaCache constructor.
+    SystemConfig cfg;
+    cfg.l1Sets = 1;
+    for (const unsigned bytes : {65535u * 16, 2'000'000u}) {
+        cfg.l1BytesPerSet = bytes;
+        EXPECT_DEATH(cfg.validate(), "slot index");
+    }
+    cfg.l1BytesPerSet = 65535u * 16 - 1;   // 65,534 slots
+    cfg.validate();
+}
+
+TEST(ConfigValidate, RejectsL1SlotsPastTheBlockIndex)
+{
+    // The cache numbers its blocks across all sets in 32 bits; 288-B
+    // sets hold 18 slots each.
+    SystemConfig cfg;
+    cfg.l1Sets = 238'609'295;   // 4,294,967,310 slots
+    EXPECT_DEATH(cfg.validate(), "block index");
+    cfg.l1Sets = 238'609'294;   // 4,294,967,292 slots
     cfg.validate();
 }
 
