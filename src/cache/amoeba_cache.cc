@@ -46,9 +46,13 @@ AmoebaCache::AmoebaCache(const SystemConfig &cfg)
     const std::size_t n = std::size_t(numSets) * slotCap;
     PROTO_ASSERT(n <= 0xffffffffu, "%zu L1 slots do not fit a u32", n);
     blocks = FixedArray<AmoebaBlock>(n);
-    tags.reset(new SlotTag[n]);
-    blockLru.reset(new std::uint64_t[n]);
-    order.reset(new std::uint16_t[n]);
+    static_assert(sizeof(SlotTag) % alignof(std::uint64_t) == 0);
+    slotIndex.reset(new std::byte[n * (sizeof(SlotTag) +
+                                       sizeof(std::uint64_t) +
+                                       sizeof(std::uint16_t))]);
+    tags = reinterpret_cast<SlotTag *>(slotIndex.get());
+    blockLru = reinterpret_cast<std::uint64_t *>(tags + n);
+    order = reinterpret_cast<std::uint16_t *>(blockLru + n);
     meta = std::make_unique<SetMeta[]>(numSets);
 }
 
@@ -170,7 +174,7 @@ AmoebaCache::takeAt(unsigned set, unsigned pos)
 {
     SetMeta &m = meta[set];
     const std::size_t b = base(set);
-    std::uint16_t *run = order.get() + b;
+    std::uint16_t *run = order + b;
     const std::uint16_t s = run[pos];
     AmoebaBlock *blk = &blockAt(b + s);
     AmoebaBlock out = std::move(*blk);
@@ -286,7 +290,7 @@ AmoebaCache::placeBlock(AmoebaBlock blk)
     PROTO_ASSERT(m.freeDepth() > 0 || m.highWater < slotCap,
                  "set slot pool exhausted");
     const std::size_t b = base(set);
-    std::uint16_t *run = order.get() + b;
+    std::uint16_t *run = order + b;
     // The most recently freed slot first, else the next never-used
     // one, which claims the next block of the cache-wide pool.
     const bool fresh = m.freeDepth() == 0;

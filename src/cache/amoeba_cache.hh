@@ -33,6 +33,7 @@
 #ifndef PROTOZOA_CACHE_AMOEBA_CACHE_HH
 #define PROTOZOA_CACHE_AMOEBA_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -156,14 +157,22 @@ class AmoebaCache
     /** Refresh the LRU stamp of @p blk. */
     void touchLru(AmoebaBlock *blk);
 
-    /** Apply @p fn to every resident block (stats finalization). */
+    /** Apply @p fn to every resident block of @p set, oldest first. */
+    template <typename F>
+    void
+    forEachInSet(unsigned set, F &&fn)
+    {
+        for (const std::uint16_t s : liveOrder(set))
+            fn(blockAt(base(set) + s));
+    }
+
+    /** Apply @p fn to every resident block, set by set. */
     template <typename F>
     void
     forEach(F &&fn)
     {
         for (unsigned set = 0; set < numSets; ++set)
-            for (const std::uint16_t s : liveOrder(set))
-                fn(blockAt(base(set) + s));
+            forEachInSet(set, fn);
     }
 
     std::size_t blockCount() const;
@@ -227,7 +236,7 @@ class AmoebaCache
     /** The live slots of @p set, oldest insertion first. */
     std::span<const std::uint16_t> liveOrder(unsigned set) const
     {
-        return {order.get() + base(set), meta[set].live};
+        return {order + base(set), meta[set].live};
     }
     /** The block owned by (live) flat slot @p slot. */
     AmoebaBlock &blockAt(std::size_t slot)
@@ -269,12 +278,18 @@ class AmoebaCache
      * SetMeta::coverage lets a snoop for words the set holds nowhere
      * be rejected with a single AND. None of these is initialized for
      * slots or blocks not yet in use. Blocks are constructed by
-     * placeBlock and destroyed by takeAt.
+     * placeBlock and destroyed by takeAt. tags, blockLru and order
+     * are carved from one heap block, slotIndex: a cache that has
+     * filled few sets has touched only the pages around that block's
+     * ends, not around each of three (under ASan, each allocation
+     * also writes a fill page and its shadow), at the cost of ASan
+     * redzones between the three arrays.
      */
     FixedArray<AmoebaBlock> blocks;
-    std::unique_ptr<SlotTag[]> tags;
-    std::unique_ptr<std::uint64_t[]> blockLru;
-    std::unique_ptr<std::uint16_t[]> order;
+    std::unique_ptr<std::byte[]> slotIndex;
+    SlotTag *tags = nullptr;
+    std::uint64_t *blockLru = nullptr;
+    std::uint16_t *order = nullptr;
     std::unique_ptr<SetMeta[]> meta;
 };
 

@@ -3,17 +3,27 @@
  * FixedArray: zero-filled storage for a number of elements fixed at
  * construction.
  *
- * The simulator's big tables (directory tags and entry sidecars, the
- * Amoeba L1 block slots) are sized for the worst case and mostly never
- * touched. At kMapThresholdBytes or more (glibc's default mmap
- * threshold) the array takes an anonymous private mapping of its own:
- * the kernel supplies zero pages lazily, so resident memory follows
- * the elements written, and destruction unmaps it. Taken from the heap
- * instead, an untouched reservation can land on pages an earlier
- * System dirtied (glibc raises its mmap threshold when such a block is
- * freed), and peak RSS then depends on the heap's history rather than
- * on use. Smaller arrays come from the heap, zero-filled, so the many
- * tiny Systems of the state-space explorer make no system call.
+ * The simulator's big tables (directory tags, LRU stamps and entry
+ * sidecars, the Amoeba L1 block slots, the mesh's per-pair arrival
+ * table) are sized for the worst case and mostly never touched. At
+ * kMapThresholdBytes or more the array takes an anonymous private
+ * mapping of its own: the kernel supplies zero pages lazily, so
+ * resident memory follows the elements written, and destruction
+ * unmaps it. A heap array is instead zero-filled whole at every
+ * construction, which makes all of its pages resident (and faults
+ * them in when the heap hands out fresh ones), and an untouched heap
+ * reservation can land on pages an earlier System dirtied, so peak
+ * RSS and construction time would follow the heap's history rather
+ * than use. The threshold is 16 KiB, four pages. It maps the 8x8
+ * machine's per-tile tag, LRU and sidecar-index tables (32-64 KiB)
+ * and its mesh's 32 KiB arrival table, 10 MiB in 193 arrays that the
+ * heap would zero at every construction, and the 16x16 tile's 16 KiB
+ * tags and LRU stamps. Smaller arrays, such as most of the
+ * state-space explorer's, stay on the heap: a mapping costs a few
+ * microseconds of system calls, many times the memset of a small
+ * block the heap recycles. A mapped array has no AddressSanitizer
+ * redzones around it, so ASan's heap bounds checks do not see an
+ * index past its end; arrays under the threshold keep them.
  *
  * Elements are neither constructed nor destroyed by the array. They
  * start as zero bytes, a valid value for the integer and plain
@@ -30,7 +40,7 @@
 namespace protozoa {
 
 /** Arrays of at least this many bytes get their own mapping. */
-constexpr std::size_t kMapThresholdBytes = 128 * 1024;
+constexpr std::size_t kMapThresholdBytes = 16 * 1024;
 
 /** @p bytes of zeroed memory (nullptr for 0); fatal if unavailable. */
 void *allocZeroed(std::size_t bytes);

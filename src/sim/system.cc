@@ -390,10 +390,10 @@ System::invFindOrCreate(Addr region)
     if (invTable[i].epoch == invEpoch)
         return invTable[i];
 
-    // A region new to this check. The table stays at most half full,
-    // so probe runs stay short. Growth happens during warmup only:
-    // once the resident block population peaks, the table size is
-    // sticky and the check allocates nothing.
+    // A region new to this set pass. The table stays at most half
+    // full, so probe runs stay short. It grows only until the most
+    // regions one set index holds across the cores peaks; from then
+    // on its size is sticky and the check allocates nothing.
     if ((invStamped.size() + 1) * 2 > invTable.size()) {
         std::vector<InvAcc> old = std::move(invTable);
         invTable.assign(old.size() * 2, InvAcc());
@@ -423,58 +423,64 @@ System::checkCoherenceInvariant()
     const bool single_writer =
         cfg.protocol != ProtocolKind::ProtozoaMW;
 
-    // One O(blocks) streaming pass: fold every resident block's word
-    // mask into its region's accumulator. Blocks arrive core-major
-    // (cores scanned in order), so each region sees one core's blocks
-    // as a contiguous run; folding the per-core aggregate into
+    // One O(blocks) streaming pass per L1 set index: every block of a
+    // region sits in the same set of each L1, so folding set s of
+    // cores 0..N-1 sees all of the region's holders. Within a set
+    // pass blocks arrive core-major, so each region sees one core's
+    // blocks as a contiguous run; folding the per-core aggregate into
     // `multi` at core boundaries yields the words held by two or more
-    // distinct cores — no sorting, no per-pair scan.
+    // distinct cores — no sorting, no per-pair scan. The table holds
+    // one set's regions at a time.
     if (invTable.empty()) {
         invTable.assign(16, InvAcc());
         invStamped.reserve(invTable.size() / 2);
     }
-    ++invEpoch;
-    invStamped.clear();
-    for (CoreId c = 0; c < cfg.numCores; ++c) {
-        l1s[c]->cacheStorage().forEach([&](const AmoebaBlock &blk) {
-            InvAcc &acc = invFindOrCreate(blk.region);
-            const WordMask m = blk.range.mask();
-            if (acc.distinctCores == 0) {
-                acc.lastCore = c;
-                acc.distinctCores = 1;
-            } else if (acc.lastCore != c) {
-                acc.multi |= acc.all & acc.cur;
-                acc.all |= acc.cur;
-                acc.cur = 0;
-                acc.lastCore = c;
-                ++acc.distinctCores;
-            }
-            acc.cur |= m;
-            if (blk.state != BlockState::S) {
-                acc.writers.set(c);
-                acc.writerWords |= m;
-            }
-        });
-    }
-
-    // Word granularity: a conflict is a word inside some non-S block
-    // that a second core also covers. Region granularity: a writer
-    // plus any other holder conflicts regardless of words. The former
-    // map-of-vectors scan reported the lowest violating region, so
-    // take the minimum before building the message.
+    CoreId c = 0;
+    auto fold = [&](const AmoebaBlock &blk) {
+        InvAcc &acc = invFindOrCreate(blk.region);
+        const WordMask m = blk.range.mask();
+        if (acc.distinctCores == 0) {
+            acc.lastCore = c;
+            acc.distinctCores = 1;
+        } else if (acc.lastCore != c) {
+            acc.multi |= acc.all & acc.cur;
+            acc.all |= acc.cur;
+            acc.cur = 0;
+            acc.lastCore = c;
+            ++acc.distinctCores;
+        }
+        acc.cur |= m;
+        if (blk.state != BlockState::S) {
+            acc.writers.set(c);
+            acc.writerWords |= m;
+        }
+    };
     bool found = false;
     Addr badRegion = 0;
-    for (const std::uint32_t k : invStamped) {
-        const InvAcc &acc = invTable[k];
-        const WordMask multi = acc.multi | (acc.all & acc.cur);
-        const bool violation =
-            (single_writer && acc.writers.count() > 1) ||
-            (region_granularity
-                 ? (acc.writers.any() && acc.distinctCores >= 2)
-                 : (acc.writerWords & multi) != 0);
-        if (violation && (!found || acc.region < badRegion)) {
-            found = true;
-            badRegion = acc.region;
+    for (unsigned set = 0; set < cfg.l1Sets; ++set) {
+        ++invEpoch;
+        invStamped.clear();
+        for (c = 0; c < cfg.numCores; ++c)
+            l1s[c]->cacheStorage().forEachInSet(set, fold);
+
+        // Word granularity: a conflict is a word inside some non-S
+        // block that a second core also covers. Region granularity: a
+        // writer plus any other holder conflicts regardless of words.
+        // The former map-of-vectors scan reported the lowest violating
+        // region, so take the minimum over every set before building
+        // the message.
+        for (const std::uint32_t k : invStamped) {
+            const InvAcc &acc = invTable[k];
+            const WordMask multi = acc.multi | (acc.all & acc.cur);
+            const bool violation =
+                (single_writer && acc.writers.count() > 1) ||
+                (region_granularity
+                     ? (acc.writers.any() && acc.distinctCores >= 2)
+                     : (acc.writerWords & multi) != 0);
+            if (violation && (!found || acc.region < badRegion)) {
+                found = true;
+                badRegion = acc.region;
+            }
         }
     }
     if (found)
@@ -493,7 +499,8 @@ System::reportViolation(Addr region)
     auto &holders = invScratch;
     holders.clear();
     for (CoreId c = 0; c < cfg.numCores; ++c) {
-        l1s[c]->cacheStorage().forEach([&](const AmoebaBlock &blk) {
+        AmoebaCache &cache = l1s[c]->cacheStorage();
+        cache.forEachInSet(cache.setOf(region), [&](const AmoebaBlock &blk) {
             if (blk.region == region)
                 holders.push_back(InvHolder{c, blk.state, blk.range});
         });

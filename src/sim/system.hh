@@ -125,9 +125,10 @@ class System
     RunStats report() const;
 
     /**
-     * Scan all caches and directory entries for violations of the
-     * protocol's sharing invariant. @return a description of the first
-     * violation found, or nullopt when coherent.
+     * Scan every L1's resident blocks, one set index at a time, for
+     * violations of the protocol's sharing invariant. @return a
+     * description of the lowest violating region, or nullopt when
+     * coherent.
      */
     std::optional<std::string> checkCoherenceInvariant();
 
@@ -258,10 +259,12 @@ class System
      * Per-region accumulator of the invariant sweep: whole-mask
      * coverage folded core by core (blocks stream in core-major
      * order), so conflicts fall out of a few ANDs per region with no
-     * sorting and no per-pair scan. Slots are recycled across checks
-     * via the epoch stamp; the table starts small and only grows
-     * (warmup), never clears. invStamped lists the slots stamped in
-     * the current epoch, so a check visits only the regions it saw.
+     * sorting and no per-pair scan. Each L1 set index is one epoch,
+     * and slots are recycled across epochs via the stamp, so the
+     * table holds one set's regions across the cores at a time: it
+     * starts at 16 slots and grows, never clears, until that count
+     * peaks. invStamped lists the slots stamped in the current epoch,
+     * so a set pass visits only the regions it saw.
      */
     struct InvAcc
     {

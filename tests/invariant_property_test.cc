@@ -173,6 +173,19 @@ TEST(MillionAccessStyle, AllProtocolsSurviveLongFuzz)
     }
 }
 
+/** Insert a block of @p region into @p core's L1 (no room check). */
+void
+plant(System &sys, CoreId core, Addr region, unsigned start, unsigned end,
+      BlockState st)
+{
+    AmoebaBlock blk;
+    blk.region = region;
+    blk.range = WordRange(start, end);
+    blk.state = st;
+    blk.words.assign(blk.range.words(), 0);
+    sys.l1(core).cacheStorage().insert(blk);
+}
+
 /** Region-granularity invariant: under MESI/SW a writer excludes all
  *  other holders of the region, not just overlapping ones. */
 TEST(InvariantChecker, DetectsViolationsWhenSeeded)
@@ -182,21 +195,13 @@ TEST(InvariantChecker, DetectsViolationsWhenSeeded)
     System sys(cfg, emptyWorkload(cfg.numCores));
 
     // Manufacture an illegal state directly in the storage.
-    auto mk = [&](CoreId core, unsigned start, unsigned end,
-                  BlockState st) {
-        AmoebaBlock blk;
-        blk.region = 0x8000;
-        blk.range = WordRange(start, end);
-        blk.state = st;
-        blk.words.assign(blk.range.words(), 0);
-        sys.l1(core).cacheStorage().insert(blk);
-    };
-
-    mk(0, 0, 3, BlockState::M);
-    mk(1, 5, 7, BlockState::M);   // disjoint writers: legal under MW
+    plant(sys, 0, 0x8000, 0, 3, BlockState::M);
+    // Disjoint writers: legal under MW.
+    plant(sys, 1, 0x8000, 5, 7, BlockState::M);
     EXPECT_FALSE(sys.checkCoherenceInvariant().has_value());
 
-    mk(2, 3, 4, BlockState::S);   // overlaps core 0's dirty words
+    // Overlaps core 0's dirty words.
+    plant(sys, 2, 0x8000, 3, 4, BlockState::S);
     const auto err = sys.checkCoherenceInvariant();
     ASSERT_TRUE(err.has_value());
     EXPECT_NE(err->find("SWMR"), std::string::npos);
@@ -204,40 +209,61 @@ TEST(InvariantChecker, DetectsViolationsWhenSeeded)
 
 /**
  * The sweep visits only the accumulator slots stamped in the current
- * check. Here the violating region is the first one core 0 streams
- * in; two hundred more regions follow before core 1's conflicting
- * copy, so the (small) table grows after the violator was stamped
- * and the list of stamped slots must follow it to its new place.
+ * set pass. Here the violating region is the first one core 0 streams
+ * into set 0; 33 more set-0 regions follow in one-word blocks, on
+ * core 0 before core 1's conflicting copy and on core 2 after it, so
+ * the 16-slot table doubles three times inside the violator's own
+ * set pass (once before the conflicting copy arrives, twice after)
+ * and the list of stamped slots must follow it to each new place.
  */
 TEST(InvariantChecker, ViolationStampedBeforeTableGrowthIsReported)
 {
     SystemConfig cfg;
     cfg.protocol = ProtocolKind::ProtozoaMW;
     System sys(cfg, emptyWorkload(cfg.numCores));
+    const Addr set_stride = Addr(cfg.l1Sets) * cfg.regionBytes;
 
-    auto mk = [&](CoreId core, Addr region, unsigned start,
-                  unsigned end, BlockState st) {
-        AmoebaBlock blk;
-        blk.region = region;
-        blk.range = WordRange(start, end);
-        blk.state = st;
-        blk.words.assign(blk.range.words(), 0);
-        sys.l1(core).cacheStorage().insert(blk);
-    };
-
-    // 0x8000 maps to L1 set 0, so core 0 streams it first; the filler
-    // regions occupy sets 1..200.
     const Addr bad = 0x8000;
-    mk(0, bad, 0, 3, BlockState::M);
-    for (unsigned i = 1; i <= 200; ++i)
-        mk(0, bad + Addr(i) * cfg.regionBytes, 0, 7, BlockState::S);
-    mk(1, bad, 3, 4, BlockState::S);
+    ASSERT_EQ(sys.l1(0).cacheStorage().setOf(bad), 0u);
+    // 40 + 15 x 16 bytes fill core 0's 288-byte set; 18 x 16 core 2's.
+    plant(sys, 0, bad, 0, 3, BlockState::M);
+    for (unsigned i = 1; i <= 15; ++i)
+        plant(sys, 0, bad + i * set_stride, 0, 0, BlockState::S);
+    plant(sys, 1, bad, 3, 4, BlockState::S);
+    for (unsigned i = 16; i <= 33; ++i)
+        plant(sys, 2, bad + i * set_stride, 0, 0, BlockState::S);
 
     for (int check = 0; check < 2; ++check) {
         const auto err = sys.checkCoherenceInvariant();
         ASSERT_TRUE(err.has_value()) << "check " << check;
         EXPECT_NE(err->find("region 0x8000:"), std::string::npos) << *err;
     }
+}
+
+/**
+ * Sets are folded in index order, but the report names the lowest
+ * violating region over all of them, as the whole-machine fold did:
+ * here the lower region sits in the higher set.
+ */
+TEST(InvariantChecker, ReportsLowestViolatingRegionAcrossSets)
+{
+    SystemConfig cfg;
+    cfg.protocol = ProtocolKind::ProtozoaMW;
+    System sys(cfg, emptyWorkload(cfg.numCores));
+    const AmoebaCache &cache = sys.l1(0).cacheStorage();
+
+    const Addr low = 0x8000 + 5 * cfg.regionBytes;
+    const Addr high = 0x8000 + (cfg.l1Sets + 2) * cfg.regionBytes;
+    ASSERT_EQ(cache.setOf(low), 5u);
+    ASSERT_EQ(cache.setOf(high), 2u);
+    for (const Addr region : {high, low}) {
+        plant(sys, 0, region, 0, 3, BlockState::M);
+        plant(sys, 1, region, 2, 4, BlockState::S);
+    }
+
+    const auto err = sys.checkCoherenceInvariant();
+    ASSERT_TRUE(err.has_value());
+    EXPECT_NE(err->find("region 0x8140:"), std::string::npos) << *err;
 }
 
 } // namespace
